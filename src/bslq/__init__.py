@@ -10,7 +10,7 @@ perturbation expansion, binomial-tree brute force).
 
 from .bsde import (AffineBsdeSolution, BsdeDriftSpec, assemble_drift,
                    solve_affine_bsde, solve_controlled_state, solve_eta_zeta)
-from .errors import (IntegrationError, PositivityError, ReductionError,
+from .errors import (ConsistencyError, IntegrationError, PositivityError, ReductionError,
                      ScenarioError, SimulationError, SingularityError,
                      SpecValidationError)
 from .evaluate import (BoundCheck, CheckRow, CostReport, PerturbationReport,

@@ -14,18 +14,26 @@ ODEs, integrated backward from the affine components of the terminal value:
 This is exact within the data class (no regression or conditional-
 expectation estimation anywhere), which is what makes the downstream
 optimality checks sharp.
+
+The coefficient ODEs run through :func:`bslq.ode.integrate_linear`, batched
+over right-hand sides sharing (M, N), with stage coefficients computed in one
+call from the (H, Sigma) or P states the Riccati passes record, so Sigma and
+P are integrated once; other drifts are interpolated from their node arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConsistencyError
 from .grid import AffineProcess, MatrixPath, TimeGrid
-from .ode import DEFAULT_SUBSTEPS, integrate_backward, interior_derivative
+from .ode import DEFAULT_SUBSTEPS, integrate_linear, interior_derivative, rk4_stages
 from .problem import ForwardProblemSpec, ProblemSpec
-from .riccati import ForwardRiccatiSolution, RiccatiSolution
+from .riccati import (ForwardRiccatiSolution, RiccatiSolution, feedback_gain,
+                      solve_forward_riccati, solve_sigma, sigma_terms)
 
 CROSS_FORM_TOL = 1e-10
 
@@ -34,10 +42,9 @@ CROSS_FORM_TOL = 1e-10
 class BsdeDriftSpec:
     """Canonical drift  M phi + N beta + r0 + r1 W  sampled on the grid.
 
-    When assembled from a reduced problem, ``coupled`` carries that problem
-    so the solver can co-integrate (H, Sigma, a, b) and evaluate the drift
-    smoothly between nodes; the node arrays here remain the reference for
-    residual checks.
+    The node arrays (r0, r1 may carry a trailing batch axis) are the
+    reference for residual checks.  ``at_stages(substeps)``, when set, gives
+    (M, N, r0, r1) at every RK4 evaluation; else the nodes are interpolated.
     """
 
     grid: TimeGrid
@@ -46,7 +53,14 @@ class BsdeDriftSpec:
     r0: np.ndarray  # (N+1, n)
     r1: np.ndarray  # (N+1, n)
     cross_form_gap: float = 0.0
-    coupled: object | None = None
+    at_stages: Callable[[int], tuple] | None = None
+
+    def stage_coefficients(self, substeps: int) -> tuple:
+        if self.at_stages is not None:
+            return self.at_stages(substeps)
+        times, index = rk4_stages(self.grid, "backward", substeps)
+        return tuple(MatrixPath.sampled(x, self.grid).tabulate(times)[index]
+                     for x in (self.M, self.N, self.r0, self.r1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +85,24 @@ class AffineBsdeSolution:
         _, db = interior_derivative(b, dt)
         M, N = self.drift.M[sl], self.drift.N[sl]
         r0, r1 = self.drift.r0[sl], self.drift.r1[sl]
-        res_a = da - (np.einsum("kij,kj->ki", M, a[sl])
-                      + np.einsum("kij,kj->ki", N, b[sl]) + r0)
-        res_b = db - (np.einsum("kij,kj->ki", M, b[sl]) + r1)
+        res_a = da - (_mv(M, a[sl]) + _mv(N, b[sl]) + r0)
+        res_b = db - (_mv(M, b[sl]) + r1)
         return float(max(np.max(np.abs(res_a), initial=0.0),
                          np.max(np.abs(res_b), initial=0.0)))
+
+
+def _mv(mat, vec):
+    return np.einsum("kij,kj->ki", mat, vec)
+
+
+def _collapsed_drift(A, S1, S2, R22, Sg, BS, CS, RSinv, f, q, rho1, rho2):
+    """(M, N, r0, r1) of the collapsed form on a stack of times; the affine
+    data are (a, b) pairs."""
+    CR = CS @ RSinv
+    M = A - BS @ np.linalg.solve(R22, S2) - CR @ Sg @ S1
+    r0, r1 = (-_mv(CR @ Sg, p1) - _mv(BS, np.linalg.solve(R22, p2[..., None])[..., 0])
+              + _mv(Sg, qq) + ff for ff, qq, p1, p2 in zip(f, q, rho1, rho2))
+    return M, CR, r0, r1
 
 
 def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
@@ -90,173 +117,107 @@ def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
 
     The expanded form (with B(Sigma), C(Sigma) written out) is assembled as
     well and the two are compared; they agree identically, so any gap is a
-    coding or data error and is reported on the result.
+    coding or data error and raises :class:`ConsistencyError`.  For a
+    reduced problem the same collapsed form is evaluated at every RK4
+    evaluation from the recorded (H, Sigma) stage states.
     """
     spec: ProblemSpec = getattr(problem, "base", problem)
     if spec.grid is not sigma.grid and spec.grid != sigma.grid:
         raise ValueError("problem and Riccati solution live on different grids")
-    A = spec.A.node_values()
-    B = spec.B.node_values()
-    C = spec.C.node_values()
-    S1 = spec.S1.node_values()
-    S2 = spec.S2.node_values()
-    R22 = spec.R22.node_values()
-    Sg = sigma.Sigma
-    BS = sigma.BofSigma
-    CS = sigma.CofSigma
-    RSinv = sigma.RofSigmaInv
-
-    r22_inv_s2 = np.linalg.solve(R22, S2)
-    CR = CS @ RSinv
-    M = A - BS @ r22_inv_s2 - CR @ Sg @ S1
-    N = CR
-
-    fa, fb = spec.f.node_parts()
-    qa, qb = spec.q.node_parts()
-    r1a, r1b = spec.rho1.node_parts()
-    r2a, r2b = spec.rho2.node_parts()
-
-    def mv(mat, vec):
-        return np.einsum("kij,kj->ki", mat, vec)
-
-    r22_inv_rho2 = (np.linalg.solve(R22, r2a[..., None])[..., 0],
-                    np.linalg.solve(R22, r2b[..., None])[..., 0])
-    r0 = -mv(CR @ Sg, r1a) - mv(BS, r22_inv_rho2[0]) + mv(Sg, qa) + fa
-    r1 = -mv(CR @ Sg, r1b) - mv(BS, r22_inv_rho2[1]) + mv(Sg, qb) + fb
+    B, C, S1, S2, R22 = (p.node_values() for p in (spec.B, spec.C, spec.S1, spec.S2, spec.R22))
+    Sg, RSinv = sigma.Sigma, sigma.RofSigmaInv
+    affine = [spec.f.node_parts(), spec.q.node_parts(),
+              spec.rho1.node_parts(), spec.rho2.node_parts()]
+    M, N, r0, r1 = _collapsed_drift(spec.A.node_values(), S1, S2, R22, Sg,
+                                    sigma.BofSigma, sigma.CofSigma, RSinv, *affine)
 
     # Expanded form of the same drift constants, kept as a self-check.
     SRS = Sg @ np.swapaxes(S1, -1, -2) @ RSinv @ Sg
     CRS = C @ RSinv @ Sg
-    r0_exp = (-mv(CRS, r1a) - mv(SRS, r1a)
-              - mv(B, r22_inv_rho2[0]) - mv(Sg @ np.swapaxes(S2, -1, -2), r22_inv_rho2[0])
-              + mv(Sg, qa) + fa)
-    r1_exp = (-mv(CRS, r1b) - mv(SRS, r1b)
-              - mv(B, r22_inv_rho2[1]) - mv(Sg @ np.swapaxes(S2, -1, -2), r22_inv_rho2[1])
-              + mv(Sg, qb) + fb)
-    gap = float(max(np.max(np.abs(r0 - r0_exp), initial=0.0),
-                    np.max(np.abs(r1 - r1_exp), initial=0.0)))
+    gap = 0.0
+    for r, ff, qq, p1, p2 in zip((r0, r1), *affine):
+        p2 = np.linalg.solve(R22, p2[..., None])[..., 0]
+        r_exp = (-_mv(CRS, p1) - _mv(SRS, p1)
+                 - _mv(B, p2) - _mv(Sg @ np.swapaxes(S2, -1, -2), p2) + _mv(Sg, qq) + ff)
+        gap = max(gap, float(np.max(np.abs(r - r_exp), initial=0.0)))
     if gap > CROSS_FORM_TOL:
-        raise AssertionError(
+        raise ConsistencyError(
             f"collapsed and expanded drift forms disagree (gap {gap:.3e})"
         )
-    coupled = problem if hasattr(problem, "stage_coefficients") else None
+    at_stages = None
+    if hasattr(problem, "source"):
+        def at_stages(substeps):
+            states = (sigma.stages if sigma.substeps == substeps
+                      else solve_sigma(problem, substeps).stages)
+            return _reduced_stage_drift(problem, states, substeps)
     return BsdeDriftSpec(spec.grid, M, N, r0, r1, cross_form_gap=gap,
-                         coupled=coupled)
+                         at_stages=at_stages)
+
+
+def _reduced_stage_drift(reduced, states: np.ndarray, substeps: int) -> tuple:
+    """Collapsed drift at every RK4 evaluation from recorded (H, Sigma)."""
+    from .reduction import canonical_samples  # local: reduction imports riccati
+
+    times, at = rk4_stages(reduced.source.grid, "backward", substeps)
+    cs = canonical_samples(reduced.source, lambda p: p.tabulate(times))
+    H, Sg = states[:, 0], states[:, 1]
+    S1, S2, R11 = cs.shifted(H, at)
+    BS, CS, RS = sigma_terms(Sg, cs.B[at], cs.C[at], S1, S2, R11)
+    f, rho1, rho2 = (tuple(x[at] for x in pair) for pair in (cs.f, cs.rho1, cs.rho2))
+    return _collapsed_drift(cs.A[at], S1, S2, cs.R22[at], Sg, BS, CS, np.linalg.inv(RS),
+                            f, cs.shifted_q(H, at), rho1, rho2)
 
 
 def solve_affine_bsde(drift: BsdeDriftSpec, xi: AffineProcess,
                       substeps: int = DEFAULT_SUBSTEPS) -> AffineBsdeSolution:
     """Integrate the coefficient ODEs backward from (a(T), b(T)) = xi parts.
 
-    Drifts assembled from a reduced problem are integrated jointly with a
-    backward replay of (H, Sigma), so the drift is evaluated smoothly at
-    every stage; a bare node-sampled drift is interpolated linearly.  The
-    terminal node of the result carries the affine components of the
+    The terminal node of the result carries the affine components of the
     terminal value bitwise.
     """
-    if drift.coupled is not None:
-        return _solve_coupled(drift, xi, substeps)
-    grid = drift.grid
-    n = drift.M.shape[-1]
-    Mp = MatrixPath.sampled(drift.M, grid)
-    Np = MatrixPath.sampled(drift.N, grid)
-    r0p = MatrixPath.sampled(drift.r0, grid)
-    r1p = MatrixPath.sampled(drift.r1, grid)
-
-    def rhs(t, ab):
-        a, b = ab[0], ab[1]
-        M = Mp(t)
-        return np.stack([M @ a + Np(t) @ b + r0p(t), M @ b + r1p(t)])
-
     aT, bT = xi.at_terminal()
-    path = integrate_backward(grid, rhs, np.stack([aT, bT]), substeps)
-    return _wrap_solution(drift, path[:, 0, :], path[:, 1, :])
+    a, b = integrate_linear(drift.grid, *drift.stage_coefficients(substeps),
+                            aT, bT, substeps)
+    return _wrap_solution(drift, a, b)
 
 
 def _wrap_solution(drift: BsdeDriftSpec, a_nodes: np.ndarray,
                    b_nodes: np.ndarray) -> AffineBsdeSolution:
     grid = drift.grid
-    n = a_nodes.shape[-1]
-    phi = AffineProcess(MatrixPath.sampled(a_nodes, grid),
-                        MatrixPath.sampled(b_nodes, grid))
-    beta = AffineProcess(MatrixPath.sampled(b_nodes, grid),
-                         MatrixPath.zeros((n,), grid))
+    phi = AffineProcess(MatrixPath.sampled(a_nodes, grid), MatrixPath.sampled(b_nodes, grid))
+    beta = AffineProcess.deterministic(MatrixPath.sampled(b_nodes, grid))
     return AffineBsdeSolution(grid, phi, beta, drift)
 
 
-def _solve_coupled(drift: BsdeDriftSpec, xi: AffineProcess,
-                   substeps: int) -> AffineBsdeSolution:
-    """Joint backward integration of (H, Sigma, a, b).
-
-    H is replayed backward from its terminal value and Sigma from zero, so
-    the drift coefficients at every integration stage come from the current
-    (H, Sigma) rather than from interpolated node samples; this keeps the
-    integrated (a, b) smooth and the node residuals at the estimator floor.
-    """
-    from .riccati import sigma_derivative  # local: avoids cycle at import time
-
-    reduced = drift.coupled
-    grid = drift.grid
-    n = drift.M.shape[-1]
-    n2 = n * n
-
-    def unpack(y):
-        return (y[:n2].reshape(n, n), y[n2:2 * n2].reshape(n, n),
-                y[2 * n2:2 * n2 + n], y[2 * n2 + n:])
-
-    def rhs(t, y):
-        H, S, a, b = unpack(y)
-        A, B, C, S1, S2, R11, R22 = reduced.stage_coefficients(t, H)
-        Hd = reduced.shift_derivative(t, H)
-        Sd = sigma_derivative(t, S, A, B, C, S1, S2, R11, R22)
-        BS = B + S @ S2.T
-        CS = C + S @ S1.T
-        RS = np.eye(n) + S @ R11
-
-        def apply_m(vec):
-            return (A @ vec - BS @ np.linalg.solve(R22, S2 @ vec)
-                    - CS @ np.linalg.solve(RS, S @ (S1 @ vec)))
-
-        (q0, q1), (p10, p11), (p20, p21), (f0, f1) = reduced.stage_affine(t, H)
-        r0 = (-CS @ np.linalg.solve(RS, S @ p10)
-              - BS @ np.linalg.solve(R22, p20) + S @ q0 + f0)
-        r1 = (-CS @ np.linalg.solve(RS, S @ p11)
-              - BS @ np.linalg.solve(R22, p21) + S @ q1 + f1)
-        ad = apply_m(a) + CS @ np.linalg.solve(RS, b) + r0
-        bd = apply_m(b) + r1
-        return np.concatenate([Hd.ravel(), Sd.ravel(), ad, bd])
-
-    def sym(y):
-        H, S, a, b = unpack(y)
-        return np.concatenate([(0.5 * (H + H.T)).ravel(),
-                               (0.5 * (S + S.T)).ravel(), a, b])
-
-    aT, bT = xi.at_terminal()
-    anchor = np.concatenate([reduced.h.H[-1].ravel(),
-                             np.zeros(n2), aT, bT])
-    path = integrate_backward(grid, rhs, anchor, substeps, post_step=sym)
-    return _wrap_solution(drift, path[:, 2 * n2:2 * n2 + n],
-                          path[:, 2 * n2 + n:])
-
-
-def solve_controlled_state(spec: ProblemSpec, control: AffineProcess,
-                           substeps: int = DEFAULT_SUBSTEPS) -> AffineBsdeSolution:
-    """Adapted solution (Y, Z) of the state BSDE under an affine control.
+def solve_controlled_state(spec: ProblemSpec, controls: Sequence[AffineProcess],
+                           substeps: int = DEFAULT_SUBSTEPS) -> list[AffineBsdeSolution]:
+    """Adapted solutions (Y, Z) of the state BSDE under affine controls.
 
     dY = (A Y + B u + C Z + f) dt + Z dW with Y(T) = xi reduces, for affine
-    u, to  a' = A a + B u0 + C b + f0  and  b' = A b + B u1 + f1.  Used by
-    the perturbation and convexity probes, where it plays the role of an
-    exact reference trajectory.
+    u, to  a' = A a + B u0 + C b + f0  and  b' = A b + B u1 + f1.  All
+    controls share (M, N) = (A, C) and ride one pass of the linear kernel.
+    Used by the perturbation and convexity probes, where each solution
+    plays the role of an exact reference trajectory.
     """
-    A = spec.A.node_values()
-    B = spec.B.node_values()
-    C = spec.C.node_values()
-    u0, u1 = control.node_parts()
-    fa, fb = spec.f.node_parts()
-    r0 = np.einsum("kij,kj->ki", B, u0) + fa
-    r1 = np.einsum("kij,kj->ki", B, u1) + fb
-    drift = BsdeDriftSpec(spec.grid, A, C, r0, r1)
-    return solve_affine_bsde(drift, spec.xi, substeps)
+    grid, K = spec.grid, len(controls)
+    A, B, C = spec.A.node_values(), spec.B.node_values(), spec.C.node_values()
+    r0, r1 = (np.stack([_mv(B, u) + f for u in parts], axis=-1)
+              for f, parts in zip(spec.f.node_parts(), zip(*(c.node_parts() for c in controls))))
+    a, b = integrate_linear(grid, *BsdeDriftSpec(grid, A, C, r0, r1).stage_coefficients(substeps),
+                            *(np.repeat(x[:, None], K, axis=1) for x in spec.xi.at_terminal()),
+                            substeps)
+    return [_wrap_solution(BsdeDriftSpec(grid, A, C, r0[..., i], r1[..., i]),
+                           a[..., i], b[..., i]) for i in range(K)]
+
+
+def _adjoint_drift(A, B, C, D, P, gain, sigma, rho, b, q):
+    """(-Theta, -Lambda, -c) of :func:`solve_eta_zeta` on a stack of times."""
+    L = np.swapaxes(gain, -1, -2)   # (P B + C^T P D + S^T)(R + D^T P D)^{-1}
+    theta = np.swapaxes(A, -1, -2) - L @ np.swapaxes(B, -1, -2)
+    lam = np.swapaxes(C, -1, -2) - L @ np.swapaxes(D, -1, -2)
+    c0, c1 = (_mv(lam @ P, s) - _mv(L, r) + _mv(P, bb) + qq
+              for s, r, bb, qq in zip(sigma, rho, b, q))
+    return -theta, -lam, -c0, -c1
 
 
 def solve_eta_zeta(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
@@ -270,63 +231,23 @@ def solve_eta_zeta(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
         c      = Lambda P sigma - L rhoTilde + P b + qTilde,
 
     which is the canonical affine form with M = -Theta, N = -Lambda,
-    r = -c.  P is replayed backward jointly with (a, b) so the stage
-    coefficients stay smooth; the recorded drift node arrays come from the
-    supplied Riccati solution.
+    r = -c.  The stage coefficients come from the P states recorded by
+    :func:`bslq.riccati.solve_forward_riccati` (recorded again for another
+    ``substeps``); the drift node arrays from the supplied solution.
     """
-    from .riccati import forward_riccati_derivative  # local: avoids cycle
+    grid = spec.grid
+    paths = (spec.cA, spec.cB, spec.cC, spec.cD)
+    affine = (spec.sigma, spec.rhoTilde, spec.b, spec.qTilde)
+    drift = BsdeDriftSpec(grid, *_adjoint_drift(
+        *(p.node_values() for p in paths), psol.P, psol.gain,
+        *(proc.node_parts() for proc in affine)))
 
-    A = spec.cA.node_values()
-    B = spec.cB.node_values()
-    C = spec.cC.node_values()
-    D = spec.cD.node_values()
-    P = psol.P
-    L = np.swapaxes(psol.gain, -1, -2)   # (P B + C^T P D + S^T)(R + D^T P D)^{-1}
-    theta = np.swapaxes(A, -1, -2) - L @ np.swapaxes(B, -1, -2)
-    lam = np.swapaxes(C, -1, -2) - L @ np.swapaxes(D, -1, -2)
-
-    ba, bb = spec.b.node_parts()
-    sa, sb = spec.sigma.node_parts()
-    qa, qb = spec.qTilde.node_parts()
-    ra, rb = spec.rhoTilde.node_parts()
-
-    def mv(mat, vec):
-        return np.einsum("kij,kj->ki", mat, vec)
-
-    c0 = mv(lam @ P, sa) - mv(L, ra) + mv(P, ba) + qa
-    c1 = mv(lam @ P, sb) - mv(L, rb) + mv(P, bb) + qb
-    drift = BsdeDriftSpec(spec.grid, -theta, -lam, -c0, -c1)
-
-    n = spec.n
-    n2 = n * n
-
-    def stage(t, Pt, vec_a, vec_b):
-        At, Bt, Ct, Dt = spec.cA(t), spec.cB(t), spec.cC(t), spec.cD(t)
-        W = spec.cR(t) + Dt.T @ Pt @ Dt
-        Lt = np.linalg.solve(W, Bt.T @ Pt + Dt.T @ Pt @ Ct + spec.cS(t)).T
-        theta_t = At.T - Lt @ Bt.T
-        lam_t = Ct.T - Lt @ Dt.T
-        c0_t = lam_t @ Pt @ vec_a[0] - Lt @ vec_a[1] + Pt @ vec_a[2] + vec_a[3]
-        c1_t = lam_t @ Pt @ vec_b[0] - Lt @ vec_b[1] + Pt @ vec_b[2] + vec_b[3]
-        return theta_t, lam_t, c0_t, c1_t
-
-    def rhs(t, y):
-        Pt = y[:n2].reshape(n, n)
-        a, b = y[n2:n2 + n], y[n2 + n:]
-        Pd = forward_riccati_derivative(t, Pt, spec.cA(t), spec.cB(t),
-                                        spec.cC(t), spec.cD(t), spec.cQ(t),
-                                        spec.cS(t), spec.cR(t))
-        vec_a = (spec.sigma.a(t), spec.rhoTilde.a(t), spec.b.a(t), spec.qTilde.a(t))
-        vec_b = (spec.sigma.b(t), spec.rhoTilde.b(t), spec.b.b(t), spec.qTilde.b(t))
-        theta_t, lam_t, c0_t, c1_t = stage(t, Pt, vec_a, vec_b)
-        ad = -(theta_t @ a + lam_t @ b + c0_t)
-        bd = -(theta_t @ b + c1_t)
-        return np.concatenate([Pd.ravel(), ad, bd])
-
-    def sym(y):
-        Pt = y[:n2].reshape(n, n)
-        return np.concatenate([(0.5 * (Pt + Pt.T)).ravel(), y[n2:]])
-
-    anchor = np.concatenate([spec.cG.ravel(), spec.gTilde, np.zeros(n)])
-    path = integrate_backward(spec.grid, rhs, anchor, substeps, post_step=sym)
-    return _wrap_solution(drift, path[:, n2:n2 + n], path[:, n2 + n:])
+    times, index = rk4_stages(grid, "backward", substeps)
+    P = (psol.stages if psol.substeps == substeps
+         else solve_forward_riccati(spec, substeps).stages)
+    A, B, C, D, S, R = (p.tabulate(times)[index] for p in paths + (spec.cS, spec.cR))
+    coeffs = _adjoint_drift(A, B, C, D, P, feedback_gain(P, B, C, D, S, R),
+                            *((p.a.tabulate(times)[index], p.b.tabulate(times)[index])
+                              for p in affine))
+    a, b = integrate_linear(grid, *coeffs, spec.gTilde, np.zeros(spec.n), substeps)
+    return _wrap_solution(drift, a, b)

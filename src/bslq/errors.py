@@ -17,6 +17,10 @@ class IntegrationError(RuntimeError):
     """An ODE integration produced a non-finite state."""
 
 
+class ConsistencyError(RuntimeError):
+    """Two forms of one quantity that agree analytically disagree."""
+
+
 class SingularityError(RuntimeError):
     """A matrix that must be invertible is numerically singular."""
 

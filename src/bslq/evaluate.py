@@ -30,17 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Philox
 
-from .bsde import AffineBsdeSolution, assemble_drift, solve_affine_bsde
+from .bsde import (AffineBsdeSolution, assemble_drift, solve_affine_bsde,
+                   solve_controlled_state, solve_eta_zeta)
 from .grid import AffineProcess, MatrixPath, TimeGrid
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ForwardProblemSpec, ProblemSpec, homogeneous, resample
 from .reduction import ReducedProblem, reduce_problem
 from .riccati import (ForwardRiccatiSolution, RiccatiSolution, solve_forward_riccati,
                       solve_sigma, uniform_convexity_conditions)
-from .simulate import (BrownianEnsemble, ControlledTrajectories, ForwardEnsemble,
-                       PathEnsemble, sample_affine_control, simulate_forward_closed_loop,
-                       synthesize_optimal)
-from .bsde import solve_eta_zeta
+from .simulate import (BrownianEnsemble, ForwardEnsemble, PathEnsemble, sample_affine_control,
+                       simulate_forward_closed_loop, synthesize_optimal)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +273,11 @@ class PerturbationReport:
     j0_value: float
     j0_stderr: float
 
-    def max_abs_defect(self) -> float:
-        return max(abs(r.defect) for r in self.rows)
-
-    def min_cost_diff(self) -> float:
-        return min(r.cost_diff for r in self.rows)
-
 
 def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
                           v: AffineProcess, eps_grid,
-                          substeps: int = DEFAULT_SUBSTEPS) -> PerturbationReport:
+                          substeps: int = DEFAULT_SUBSTEPS,
+                          state: AffineBsdeSolution | None = None) -> PerturbationReport:
     """Table of J(xi; u* + eps v) - J(xi; u*) - eps^2 J0(0; v) over eps.
 
     The perturbed trajectories are exact by superposition: (Y_v, Z_v) solves
@@ -291,12 +285,13 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
     the solution under u* + eps v is the base trajectory plus eps times that.
     All three costs are evaluated on the same Brownian ensemble, so the
     defect carries only quadrature bias and the (small) common-random-number
-    noise of the vanishing cross term.
+    noise of the vanishing cross term.  ``state`` passes (Y_v, Z_v) already
+    solved in a batched :func:`bslq.bsde.solve_controlled_state` call.
     """
     hspec = homogeneous(spec)
     W = ensemble.brownian.W
     P = W.shape[0]
-    traj_v = sample_affine_control(hspec, v, ensemble.brownian, substeps)
+    traj_v = sample_affine_control(hspec, v, ensemble.brownian, substeps, state)
     j0_costs = path_costs(hspec, traj_v.Y, traj_v.Z, traj_v.u, W)
     base_costs = path_costs(spec, ensemble.Y, ensemble.Z, ensemble.u, W)
     rows = []
@@ -380,10 +375,11 @@ def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
     rng = np.random.Generator(Philox(key=np.array([seed, 0xC0FFEE], dtype=np.uint64)))
     dt = grid.dt
     N = grid.steps
+    controls = [random_affine_control(grid, hspec.m, rng) for _ in range(trials)]
+    states = solve_controlled_state(hspec, controls, substeps)
     out: list[ProbeTrial] = []
-    for _ in range(trials):
-        v = random_affine_control(grid, hspec.m, rng)
-        traj = sample_affine_control(hspec, v, brownian, substeps)
+    for v, state in zip(controls, states):
+        traj = sample_affine_control(hspec, v, brownian, substeps, state)
         num = path_costs(hspec, traj.Y, traj.Z, traj.u, brownian.W)
         den = np.einsum("pki,pki->p", traj.u[:, :N, :], traj.u[:, :N, :]) * dt
         nbar, dbar = num.mean(), den.mean()
@@ -582,18 +578,19 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
     max_defect = 0.0
     min_diff = np.inf
     eps_max = max(eps_grid, key=abs)
-    for _ in range(perturbations):
-        v = random_affine_control(spec.grid, spec.m, rng)
-        fine_v = AffineProcess(
-            MatrixPath.sampled(np.stack([v.a(t) for t in fine_spec.grid.nodes]), fine_spec.grid),
-            MatrixPath.sampled(np.stack([v.b(t) for t in fine_spec.grid.nodes]), fine_spec.grid),
-        )
-        rep = perturbation_identity(spec, ens, v, eps_grid, substeps)
+    fine_grid = fine_spec.grid
+    vs = [random_affine_control(spec.grid, spec.m, rng) for _ in range(perturbations)]
+    fine_vs = [AffineProcess(*(MatrixPath.sampled(p.tabulate(fine_grid.nodes), fine_grid)
+                               for p in (v.a, v.b))) for v in vs]
+    states = solve_controlled_state(homogeneous(spec), vs, substeps)
+    fine_states = solve_controlled_state(homogeneous(fine_spec), fine_vs, substeps)
+    for v, fine_v, state, fine_state in zip(vs, fine_vs, states, fine_states):
+        rep = perturbation_identity(spec, ens, v, eps_grid, substeps, state)
         # One fine-resolution run at the largest eps calibrates the
         # discretization allowance for this perturbation (the defect bias
         # grows with |eps|, so this is conservative for the smaller ones).
         rep_fine = perturbation_identity(fine_spec, fine_synth.ensemble, fine_v,
-                                         [eps_max], substeps)
+                                         [eps_max], substeps, fine_state)
         ref = next(r for r in rep.rows if r.eps == eps_max)
         c_pert = max(2.0 * abs(ref.defect - rep_fine.rows[0].defect), 1e-4)
         for r in rep.rows:

@@ -41,19 +41,12 @@ class TimeGrid:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     @property
-    def t0(self) -> float:
-        return 0.0
-
-    @property
     def dt(self) -> float:
         return self.T / self.steps
 
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.steps + 1)
-
-    def refine(self, factor: int) -> "TimeGrid":
-        return TimeGrid(self.T, self.steps * factor)
 
     def coarsen(self, factor: int) -> "TimeGrid":
         if self.steps % factor:
@@ -142,6 +135,22 @@ class MatrixPath:
             return self.values[k]
         return (1.0 - theta) * self.values[k] + theta * self.values[k + 1]
 
+    def tabulate(self, times) -> np.ndarray:
+        """Values at each of the 1-D ``times``, shape (len(times), *shape);
+        row by row bitwise equal to :meth:`__call__` (the same operations).
+        Constant paths give a read-only broadcast view."""
+        times = np.asarray(times, dtype=float)
+        if self.kind == CONSTANT:
+            return np.broadcast_to(self.values[0], times.shape + self.shape)
+        N = self.grid.steps
+        pos = times / self.grid.dt
+        k = np.clip(np.floor(pos), 0, N - 1).astype(int)
+        if self.kind == PIECEWISE:
+            return self.values[np.where(times >= self.grid.T, N, k)]
+        theta = (pos - k).reshape((-1,) + (1,) * len(self.shape))
+        return np.where(theta <= 0.0, self.values[k],
+                        (1.0 - theta) * self.values[k] + theta * self.values[k + 1])
+
     def is_zero(self) -> bool:
         return not np.any(self.values)
 
@@ -206,15 +215,3 @@ class AffineProcess:
         extra = (1,) * len(self.shape)
         return a[None, ...] + b[None, ...] * W.reshape(W.shape + extra)
 
-
-def expect_inner(M: np.ndarray, u: tuple, v: tuple, t: np.ndarray) -> np.ndarray:
-    """Nodewise E<M u(t), v(t)> for affine u = u0 + u1 W, v = v0 + v1 W.
-
-    Uses E[W(t)] = 0 and E[W(t)^2] = t.  ``M`` has shape (K, n, n); the affine
-    parts are (K, n) arrays; ``t`` is the (K,) node vector.
-    """
-    u0, u1 = u
-    v0, v1 = v
-    mu0 = np.einsum("kij,kj->ki", M, u0)
-    mu1 = np.einsum("kij,kj->ki", M, u1)
-    return np.einsum("ki,ki->k", mu0, v0) + t * np.einsum("ki,ki->k", mu1, v1)

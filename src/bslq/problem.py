@@ -556,7 +556,7 @@ def resample(spec, steps: int):
     def re_path(p: MatrixPath) -> MatrixPath:
         if p.kind == CONSTANT:
             return MatrixPath(CONSTANT, p.values, grid)
-        vals = np.stack([p(t) for t in grid.nodes])
+        vals = p.tabulate(grid.nodes)
         return MatrixPath(SAMPLED if p.kind == SAMPLED else p.kind, vals, grid)
 
     def re_proc(a: AffineProcess) -> AffineProcess:

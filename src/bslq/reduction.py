@@ -41,6 +41,64 @@ R22_MIN_EIG = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
+class CanonicalSamples:
+    """Source coefficients after stage 1, stacked over grid nodes or RK4
+    stage times (leading axis); stage 2 is :meth:`shifted`/:meth:`shifted_q`.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    Q: np.ndarray
+    C: np.ndarray      # scriptC
+    S1: np.ndarray     # scriptS1
+    S2: np.ndarray
+    R11: np.ndarray    # scriptR11
+    R22: np.ndarray
+    cross: np.ndarray  # R22^{-1} R21
+    f: tuple           # affine parts (a, b) of f
+    q: tuple           # ... of q
+    rho1: tuple        # ... of rho1 - R12 R22^{-1} rho2
+    rho2: tuple        # ... of rho2
+
+    def shifted(self, H, at=slice(None)):
+        """(S1H, S2H, R11H) at stack positions ``at`` for shift values H."""
+        return (self.S1[at] + np.swapaxes(self.C[at], -1, -2) @ H,
+                self.S2[at] + np.swapaxes(self.B[at], -1, -2) @ H,
+                self.R11[at] + H)
+
+    def shifted_q(self, H, at=slice(None)) -> tuple:
+        """Affine parts of qH = q + H f at stack positions ``at``."""
+        return tuple(q[at] + np.einsum("kij,kj->ki", H, f[at])
+                     for q, f in zip(self.q, self.f))
+
+
+def canonical_samples(spec: ProblemSpec, sample) -> CanonicalSamples:
+    """Stage 1 of the reduction on the stack that ``sample`` maps each
+    :class:`MatrixPath` to (e.g. ``MatrixPath.node_values``)."""
+    A, B, C, Q, S1, S2, R11, R12, R21, R22 = (sample(getattr(spec, name)) for name in (
+        "A", "B", "C", "Q", "S1", "S2", "R11", "R12", "R21", "R22"))
+    cross = np.linalg.solve(R22, R21)            # R22^{-1} R21, (K, m, n)
+    r12_r22inv = np.swapaxes(cross, -1, -2)      # R12 R22^{-1} (symmetric R22)
+
+    def parts(proc):
+        return sample(proc.a), sample(proc.b)
+
+    rho2 = parts(spec.rho2)
+    rho1 = tuple(r1 - np.einsum("kij,kj->ki", r12_r22inv, r2)
+                 for r1, r2 in zip(parts(spec.rho1), rho2))
+    return CanonicalSamples(
+        A=A, B=B, Q=Q,
+        C=C - B @ cross,
+        S1=S1 - R12 @ np.linalg.solve(R22, S2),
+        S2=S2,
+        R11=R11 - R12 @ cross,
+        R22=R22,
+        cross=cross,
+        f=parts(spec.f), q=parts(spec.q), rho1=rho1, rho2=rho2,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class ReducedProblem:
     """Canonical-form problem plus everything needed to map back."""
 
@@ -50,47 +108,8 @@ class ReducedProblem:
     script_c: np.ndarray    # (N+1, n, n)
     script_s1: np.ndarray   # (N+1, n, n)
     script_r11: np.ndarray  # (N+1, n, n)
-    s1h: np.ndarray         # (N+1, n, n)   = base.S1 samples
-    s2h: np.ndarray         # (N+1, m, n)   = base.S2 samples
-    r11h: np.ndarray        # (N+1, n, n)   = base.R11 samples
-    qh: AffineProcess       # = base.q
     constant_shift: float   # E<H(T) xi, xi>
     cross_gain: np.ndarray  # (N+1, m, n)   R22^{-1} R21 of the source
-
-    def shift_derivative(self, t: float, H: np.ndarray) -> np.ndarray:
-        """Right-hand side of the shift equation at time t."""
-        A = self.source.A(t)
-        return -(H @ A + A.T @ H + self.source.Q(t))
-
-    def stage_coefficients(self, t: float, H: np.ndarray):
-        """Canonical-form coefficients at time t for a given shift value H.
-
-        Evaluating these from the source paths (rather than interpolating
-        the sampled reduced paths) keeps them smooth between nodes, which
-        the coupled Riccati/BSDE integrators rely on; at the nodes they
-        reproduce the sampled reduced paths exactly.
-        """
-        src = self.source
-        A, B, C = src.A(t), src.B(t), src.C(t)
-        S1, S2 = src.S1(t), src.S2(t)
-        R11, R12, R21, R22 = src.R11(t), src.R12(t), src.R21(t), src.R22(t)
-        cross = np.linalg.solve(R22, R21)
-        script_c = C - B @ cross
-        s1h = S1 - R12 @ np.linalg.solve(R22, S2) + script_c.T @ H
-        s2h = S2 + B.T @ H
-        r11h = R11 - R12 @ cross + H
-        return A, B, script_c, s1h, s2h, r11h, R22
-
-    def stage_affine(self, t: float, H: np.ndarray):
-        """Affine parts (qh, rho1, rho2, f) at time t for a shift value H."""
-        src = self.source
-        qh = (src.q.a(t) + H @ src.f.a(t), src.q.b(t) + H @ src.f.b(t))
-        r12_r22inv = np.linalg.solve(src.R22(t), src.R21(t)).T
-        rho1 = (src.rho1.a(t) - r12_r22inv @ src.rho2.a(t),
-                src.rho1.b(t) - r12_r22inv @ src.rho2.b(t))
-        rho2 = (src.rho2.a(t), src.rho2.b(t))
-        f = (src.f.a(t), src.f.b(t))
-        return qh, rho1, rho2, f
 
 
 def reduce_problem(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> ReducedProblem:
@@ -115,56 +134,28 @@ def reduce_problem(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> Reduc
             f"(t={nodes[worst]:g}, min eigenvalue {eig[worst]:.3e})"
         )
 
-    A = spec.A.node_values()
-    B = spec.B.node_values()
-    C = spec.C.node_values()
-    S1 = spec.S1.node_values()
-    S2 = spec.S2.node_values()
-    R11 = spec.R11.node_values()
-    R12 = spec.R12.node_values()
-    R21 = spec.R21.node_values()
-
-    cross = np.linalg.solve(R22, R21)            # R22^{-1} R21, (N+1, m, n)
-    r22_inv_s2 = np.linalg.solve(R22, S2)
-    script_c = C - B @ cross
-    script_s1 = S1 - R12 @ r22_inv_s2
-    script_r11 = R11 - R12 @ cross
-
+    cs = canonical_samples(spec, MatrixPath.node_values)
     h = solve_h(spec, substeps)
-    H = h.H
-    s1h = script_s1 + np.swapaxes(script_c, -1, -2) @ H
-    s2h = S2 + np.swapaxes(B, -1, -2) @ H
-    r11h = script_r11 + H
+    S1, S2, R11 = (MatrixPath.sampled(x, grid) for x in cs.shifted(h.H))
 
-    fa, fb = spec.f.node_parts()
-    qa, qb = spec.q.node_parts()
-    qh = AffineProcess(
-        MatrixPath.sampled(qa + np.einsum("kij,kj->ki", H, fa), grid),
-        MatrixPath.sampled(qb + np.einsum("kij,kj->ki", H, fb), grid),
-    )
-    r1a, r1b = spec.rho1.node_parts()
-    r2a, r2b = spec.rho2.node_parts()
-    r12_r22inv = np.swapaxes(cross, -1, -2)      # R12 R22^{-1} (symmetric R22)
-    rho1_red = AffineProcess(
-        MatrixPath.sampled(r1a - np.einsum("kij,kj->ki", r12_r22inv, r2a), grid),
-        MatrixPath.sampled(r1b - np.einsum("kij,kj->ki", r12_r22inv, r2b), grid),
-    )
+    def sampled(parts):
+        return AffineProcess(*(MatrixPath.sampled(part, grid) for part in parts))
 
     xa, xb = spec.xi.at_terminal()
-    HT = H[-1]
+    HT = h.H[-1]
     constant_shift = float(xa @ HT @ xa + grid.T * (xb @ HT @ xb))
 
     base = spec.replace(
-        C=MatrixPath.sampled(script_c, grid),
+        C=MatrixPath.sampled(cs.C, grid),
         G=np.zeros((n, n)),
         Q=MatrixPath.zeros((n, n), grid),
-        S1=MatrixPath.sampled(s1h, grid),
-        S2=MatrixPath.sampled(s2h, grid),
-        R11=MatrixPath.sampled(r11h, grid),
+        S1=S1,
+        S2=S2,
+        R11=R11,
         R12=MatrixPath.zeros((n, m), grid),
         R21=MatrixPath.zeros((m, n), grid),
-        q=qh,
-        rho1=rho1_red,
+        q=sampled(cs.shifted_q(h.H)),
+        rho1=sampled(cs.rho1),
     )
     base_report = validate(base)
     if not base_report.ok:
@@ -173,15 +164,11 @@ def reduce_problem(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> Reduc
         base=base,
         source=spec,
         h=h,
-        script_c=script_c,
-        script_s1=script_s1,
-        script_r11=script_r11,
-        s1h=s1h,
-        s2h=s2h,
-        r11h=r11h,
-        qh=qh,
+        script_c=cs.C,
+        script_s1=cs.S1,
+        script_r11=cs.R11,
         constant_shift=constant_shift,
-        cross_gain=cross,
+        cross_gain=cs.cross,
     )
 
 

@@ -27,6 +27,10 @@
 Sigma is symmetrised after every integration substep: the right-hand side
 preserves symmetry analytically, so this only suppresses floating-point
 drift.
+
+Sigma and P are integrated once, over stage tables (:mod:`bslq.ode`); the
+state at every RK4 evaluation is recorded for the linear BSDEs of
+:mod:`bslq.bsde`.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError, SingularityError
-from .grid import MatrixPath, TimeGrid
-from .ode import DEFAULT_SUBSTEPS, integrate_backward, integrate_forward, interior_derivative
+from .grid import TimeGrid
+from .ode import DEFAULT_SUBSTEPS, OdeProblem, integrate, interior_derivative, rk4_stages
 from .problem import ForwardProblemSpec, ProblemSpec
 
 COND_LIMIT = 1e12
@@ -79,15 +83,20 @@ def solve_h(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> HSolution:
     With G = 0 and Q identically zero the result is exactly zero at every
     node (all RK4 stages vanish).
     """
-    A, Q = spec.A, spec.Q
+    times, index = rk4_stages(spec.grid, "forward", substeps)
+    A, Q = spec.A.tabulate(times), spec.Q.tabulate(times)
 
-    def rhs(t, H):
-        At = A(t)
-        return -(H @ At + At.T @ H + Q(t))
+    def rhs(e, H):
+        At = A[index[e]]
+        return -(H @ At + At.T @ H + Q[index[e]])
 
-    H = integrate_forward(spec.grid, rhs, -spec.G, substeps,
-                          post_step=lambda M: 0.5 * (M + M.T))
+    H = integrate(OdeProblem(spec.grid, rhs, "forward", substeps), -spec.G,
+                  post_step=_sym)
     return HSolution(spec.grid, H)
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +110,8 @@ class RiccatiSolution:
     RofSigma: np.ndarray     # (N+1, n, n)   I + Sigma R11
     RofSigmaInv: np.ndarray  # (N+1, n, n)
     conditioning: float      # min over nodes of 1 / cond(R(Sigma))
-
-    def sigma_path(self) -> MatrixPath:
-        return MatrixPath.sampled(self.Sigma, self.grid)
+    substeps: int | None = None       # RK4 substeps of the recorded pass
+    stages: np.ndarray | None = None  # (4 N substeps, 2, n, n)  (H, Sigma) per evaluation
 
     def symmetry_error(self) -> float:
         return float(np.max(np.abs(self.Sigma - np.swapaxes(self.Sigma, -1, -2))))
@@ -164,57 +172,53 @@ def sigma_derivative(t: float, S: np.ndarray, A, B, C, S1, S2, R11, R22) -> np.n
 def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     """Solve the backward Riccati equation of a canonical-form problem.
 
-    A reduced problem is integrated jointly with a backward replay of its
-    shift H, so the stage coefficients stay smooth between nodes; a bare
-    canonical spec is integrated against its own (interpolated) paths.
+    Sigma is integrated jointly with a backward replay of the shift H, with
+    the source coefficients shifted by the current H at every stage (a
+    canonical spec is its own source, H = 0).  The (H, Sigma) state at every
+    RK4 evaluation is kept on the result for the auxiliary BSDE.
 
     Post-conditions checked on the result: Sigma(T) = 0 exactly, symmetry
     and positive semidefiniteness within tolerance, and R(Sigma) invertible
     (condition number below 1e12) at every node.  Violations raise rather
     than return, since downstream formulas divide by R(Sigma) and R22.
     """
+    from .reduction import canonical_samples  # local: reduction builds on this module
+
     spec = _canonical_base(problem)
-    n = spec.n
-    if hasattr(problem, "stage_coefficients"):
-        reduced = problem
+    src, H_T = ((problem.source, problem.h.H[-1]) if problem is not spec
+                else (spec, np.zeros((spec.n, spec.n))))
+    times, index = rk4_stages(spec.grid, "backward", substeps)
+    cs = canonical_samples(src, lambda p: p.tabulate(times))
 
-        def rhs(t, state):
-            H, S = state[0], state[1]
-            A, B, C, S1, S2, R11, R22 = reduced.stage_coefficients(t, H)
-            return np.stack([reduced.shift_derivative(t, H),
-                             sigma_derivative(t, S, A, B, C, S1, S2, R11, R22)])
+    def rhs(e, state):
+        j = index[e]
+        H, S = state[0], state[1]
+        A = cs.A[j]
+        S1, S2, R11 = cs.shifted(H, j)
+        return np.stack([-(H @ A + A.T @ H + cs.Q[j]),
+                         sigma_derivative(times[j], S, A, cs.B[j], cs.C[j],
+                                          S1, S2, R11, cs.R22[j])])
 
-        def sym(state):
-            return 0.5 * (state + np.swapaxes(state, -1, -2))
-
-        anchor = np.stack([reduced.h.H[-1], np.zeros((n, n))])
-        path = integrate_backward(spec.grid, rhs, anchor, substeps, post_step=sym)
-        Sigma = path[:, 1]
-    else:
-        A, B, C = spec.A, spec.B, spec.C
-        S1, S2, R11, R22 = spec.S1, spec.S2, spec.R11, spec.R22
-
-        def rhs(t, S):
-            return sigma_derivative(t, S, A(t), B(t), C(t), S1(t), S2(t),
-                                    R11(t), R22(t))
-
-        Sigma = integrate_backward(spec.grid, rhs, np.zeros((n, n)), substeps,
-                                   post_step=lambda M: 0.5 * (M + M.T))
-    return _derive_sigma_paths(spec, Sigma)
+    path, stages = integrate(OdeProblem(spec.grid, rhs, "backward", substeps),
+                             np.stack([H_T, np.zeros((spec.n, spec.n))]),
+                             post_step=_sym, record=True)
+    return _derive_sigma_paths(spec, path[:, 1], substeps, stages)
 
 
-def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray) -> RiccatiSolution:
+def sigma_terms(Sigma, B, C, S1, S2, R11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B(Sigma), C(Sigma), R(Sigma)) on a stack of times."""
+    BofS = B + Sigma @ np.swapaxes(S2, -1, -2)
+    CofS = C + Sigma @ np.swapaxes(S1, -1, -2)
+    RofS = np.eye(Sigma.shape[-1]) + Sigma @ R11
+    return BofS, CofS, RofS
+
+
+def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray, substeps=None,
+                        stages=None) -> RiccatiSolution:
     nodes = spec.grid.nodes
-    n = spec.n
-    eye = np.eye(n)
-    Bv = spec.B.node_values()
-    Cv = spec.C.node_values()
-    S1v = spec.S1.node_values()
-    S2v = spec.S2.node_values()
-    R11v = spec.R11.node_values()
-    BofS = Bv + Sigma @ np.swapaxes(S2v, -1, -2)
-    CofS = Cv + Sigma @ np.swapaxes(S1v, -1, -2)
-    RofS = eye[None] + Sigma @ R11v
+    BofS, CofS, RofS = sigma_terms(Sigma, spec.B.node_values(), spec.C.node_values(),
+                                   spec.S1.node_values(), spec.S2.node_values(),
+                                   spec.R11.node_values())
     # Invertibility is judged against the natural unit scale of I + Sigma R11
     # (a plain condition number would hide an absolutely tiny 1x1 entry).
     svals = np.linalg.svd(RofS, compute_uv=False)
@@ -243,6 +247,8 @@ def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray) -> RiccatiSolution
         RofSigma=RofS,
         RofSigmaInv=RofSinv,
         conditioning=float(np.min(1.0 / conds)),
+        substeps=substeps,
+        stages=stages,
     )
 
 
@@ -254,6 +260,8 @@ class ForwardRiccatiSolution:
     P: np.ndarray          # (N+1, n, n)
     gain: np.ndarray       # (N+1, m, n)   (R + D^T P D)^{-1} (B^T P + D^T P C + S)
     min_eig_weight: np.ndarray  # (N+1,)   smallest eigenvalue of R + D^T P D
+    substeps: int | None = None       # RK4 substeps of the recorded pass
+    stages: np.ndarray | None = None  # (4 N substeps, n, n)  P per evaluation
 
     def psd_margin(self) -> float:
         return float(np.min(np.linalg.eigvalsh(0.5 * (self.P + np.swapaxes(self.P, -1, -2)))))
@@ -286,19 +294,22 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
                           substeps: int = DEFAULT_SUBSTEPS) -> ForwardRiccatiSolution:
     """Solve the forward LQ Riccati equation backward from P(T) = G_f.
 
+    P at every RK4 evaluation is kept on the result for the adjoint BSDE.
     Raises :class:`PositivityError` if R + D^T P D loses positivity along
     the path.  When the uniform-convexity data conditions hold, P must be
     positive semidefinite and this is asserted.
     """
-    A, B, C, D = spec.cA, spec.cB, spec.cC, spec.cD
-    Q, S, R = spec.cQ, spec.cS, spec.cR
+    times, index = rk4_stages(spec.grid, "backward", substeps)
+    A, B, C, D, Q, S, R = (p.tabulate(times) for p in (
+        spec.cA, spec.cB, spec.cC, spec.cD, spec.cQ, spec.cS, spec.cR))
 
-    def rhs(t, P):
-        return forward_riccati_derivative(t, P, A(t), B(t), C(t), D(t),
-                                          Q(t), S(t), R(t))
+    def rhs(e, P):
+        j = index[e]
+        return forward_riccati_derivative(times[j], P, A[j], B[j], C[j], D[j],
+                                          Q[j], S[j], R[j])
 
-    P = integrate_backward(spec.grid, rhs, spec.cG, substeps,
-                           post_step=lambda M: 0.5 * (M + M.T))
+    P, stages = integrate(OdeProblem(spec.grid, rhs, "backward", substeps), spec.cG,
+                          post_step=_sym, record=True)
     nodes = spec.grid.nodes
     Dv = spec.cD.node_values()
     Wv = spec.cR.node_values() + np.swapaxes(Dv, -1, -2) @ P @ Dv
@@ -309,15 +320,18 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
             f"R + D^T P D loses positivity at node {worst} "
             f"(t={nodes[worst]:g}, min eigenvalue {min_eig[worst]:.3e})"
         )
-    Bv = spec.cB.node_values()
-    Cv = spec.cC.node_values()
-    Sv = spec.cS.node_values()
-    gain = np.linalg.solve(Wv, np.swapaxes(Bv, -1, -2) @ P
-                           + np.swapaxes(Dv, -1, -2) @ P @ Cv + Sv)
-    sol = ForwardRiccatiSolution(spec.grid, P, gain, min_eig)
+    gain = feedback_gain(P, spec.cB.node_values(), spec.cC.node_values(), Dv,
+                         spec.cS.node_values(), spec.cR.node_values())
+    sol = ForwardRiccatiSolution(spec.grid, P, gain, min_eig, substeps, stages)
     if uniform_convexity_conditions(spec) and sol.psd_margin() < -PSD_TOL:
         raise PositivityError(
             f"P not positive semidefinite (margin {sol.psd_margin():.3e}) "
             "although the uniform-convexity data conditions hold"
         )
     return sol
+
+
+def feedback_gain(P, B, C, D, S, R) -> np.ndarray:
+    """(R + D^T P D)^{-1} (B^T P + D^T P C + S) on a stack of times."""
+    Dt = np.swapaxes(D, -1, -2)
+    return np.linalg.solve(R + Dt @ P @ D, np.swapaxes(B, -1, -2) @ P + Dt @ P @ C + S)

@@ -288,14 +288,16 @@ def synthesize_optimal(spec: ProblemSpec, brownian: BrownianEnsemble,
 
 def sample_affine_control(spec: ProblemSpec, control: AffineProcess,
                           brownian: BrownianEnsemble,
-                          substeps: int = DEFAULT_SUBSTEPS) -> ControlledTrajectories:
+                          substeps: int = DEFAULT_SUBSTEPS,
+                          state: AffineBsdeSolution | None = None) -> ControlledTrajectories:
     """Exact (Y, Z) trajectories of the state equation under an affine control.
 
     The backward equation is solved in closed affine form (see
     :func:`bslq.bsde.solve_controlled_state`) and evaluated pathwise; Z is
-    the deterministic loading b(t).
+    the deterministic loading b(t).  ``state`` passes a solution from a
+    batched solve.
     """
-    sol = solve_controlled_state(spec, control, substeps)
+    sol = state if state is not None else solve_controlled_state(spec, [control], substeps)[0]
     W = brownian.W
     Y = sol.phi.sample(W)
     Z = np.broadcast_to(sol.beta.a.node_values(), Y.shape).copy()

@@ -1,11 +1,17 @@
 """Affine-ansatz BSDE solves: drifts, exactness, structure, adjoint pair."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import bslq
-from bslq.bsde import BsdeDriftSpec, assemble_drift, solve_affine_bsde, solve_eta_zeta
+from bslq import ode
+from bslq.bsde import (BsdeDriftSpec, assemble_drift, solve_affine_bsde,
+                       solve_controlled_state, solve_eta_zeta)
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid
+from bslq.ode import integrate_backward
+from bslq.riccati import sigma_derivative
 
 
 def pipeline(name, steps=200, **kw):
@@ -194,3 +200,73 @@ def test_eta_refinement_self_consistency():
     fine = solve_eta_zeta(sf, psol, substeps=8)
     diff = np.max(np.abs(coarse.phi.a.node_values() - fine.phi.a.node_values()))
     assert diff <= 1e-9
+
+
+# -- stage tables and batched passes ------------------------------------------
+
+
+def random_controls(spec, count, seed=11):
+    rng = np.random.default_rng(seed)
+    return [bslq.random_affine_control(spec.grid, spec.m, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["SX", "2x2"])
+def test_batched_controlled_state_equals_single(name, spec_2d):
+    spec = bslq.homogeneous(spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50))
+    controls = random_controls(spec, 5)
+    batched = solve_controlled_state(spec, controls)
+    for control, sol in zip(controls, batched):
+        single = solve_controlled_state(spec, [control])[0]
+        for x, y in zip(sol.phi.node_parts(), single.phi.node_parts()):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", ["SX", "SH", "2x2"])
+def test_sigma_one_pass_matches_reference(name, spec_2d):
+    # Reference: the joint (H, Sigma) pass written against the source
+    # paths' __call__, as a stage-by-stage right-hand side.
+    spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=60)
+    red = bslq.reduce_problem(spec)
+
+    def rhs(t, y):
+        H, S = y[0], y[1]
+        A, B, C, R22 = spec.A(t), spec.B(t), spec.C(t), spec.R22(t)
+        R12, cross = spec.R12(t), np.linalg.solve(R22, spec.R21(t))
+        script_c = C - B @ cross
+        s1h = spec.S1(t) - R12 @ np.linalg.solve(R22, spec.S2(t)) + script_c.T @ H
+        s2h = spec.S2(t) + B.T @ H
+        r11h = spec.R11(t) - R12 @ cross + H
+        return np.stack([-(H @ A + A.T @ H + spec.Q(t)),
+                         sigma_derivative(t, S, A, B, script_c, s1h, s2h, r11h, R22)])
+
+    anchor = np.stack([red.h.H[-1], np.zeros((spec.n, spec.n))])
+    ref = integrate_backward(spec.grid, rhs, anchor,
+                             post_step=lambda y: 0.5 * (y + np.swapaxes(y, -1, -2)))
+    sigma = bslq.solve_sigma(red)
+    assert np.array_equal(sigma.Sigma, ref[:, 1])
+    assert np.array_equal(sigma.stages[::4 * 4, 1], ref[:0:-1, 1])  # interval starts
+
+
+def test_no_path_calls_inside_rk4_loops(monkeypatch):
+    loops = {ode.integrate.__code__, ode.integrate_linear.__code__}
+    inside = []
+    call = MatrixPath.__call__
+
+    def counted(self, t):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in loops:
+            frame = frame.f_back
+        if frame is not None:
+            inside.append(t)
+        return call(self, t)
+
+    monkeypatch.setattr(MatrixPath, "__call__", counted)
+    grid = TimeGrid(1.0, 4)
+    path = MatrixPath.sampled(np.ones((5, 1)), grid)
+    integrate_backward(grid, lambda t, y: path(t), np.zeros(1))
+    assert len(inside) == 4 * 4 * 4  # the counter sees calls from a loop
+    inside.clear()
+    bslq.solve_value(bslq.builtin_scenario("S4", steps=50))
+    sf = bslq.builtin_scenario("SF", steps=50)
+    solve_eta_zeta(sf, bslq.solve_forward_riccati(sf))
+    assert inside == []

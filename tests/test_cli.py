@@ -98,6 +98,27 @@ def test_verify_contract_violation_exits_one(tmp_path, capsys):
     assert "R22" in err
 
 
+def test_integration_blowup_exits_one(tmp_path, capsys):
+    # S4 with S1 = 30: Sigma leaves the finite range before t = 0 on a
+    # 50-step grid; the CLI must report it, not print a traceback.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4"))
+    doc["S1"] = [[30.0]]
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(["value", str(path), "--steps", "50"], capsys)
+    assert code == 1
+    assert "contract violation: non-finite state at node 42" in err
+
+
+def test_drift_form_gap_exits_one(monkeypatch, capsys):
+    # A negative tolerance makes the drift self-check fail on any scenario.
+    monkeypatch.setattr(bslq.bsde, "CROSS_FORM_TOL", -1.0)
+    code, _, err = run(["value", "builtin:SX", "--steps", "20"], capsys)
+    assert code == 1
+    assert "contract violation: collapsed and expanded drift forms disagree" in err
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(["oracle", "builtin:S1", "--tree-steps", "4"], capsys)
     assert code == 0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bslq.errors import IntegrationError
-from bslq.grid import TimeGrid
+from bslq.grid import MatrixPath, TimeGrid
 from bslq.ode import (OdeProblem, integrate, integrate_backward, integrate_forward,
-                      interior_derivative)
+                      integrate_linear, interior_derivative, rk4_stages)
 
 
 def test_zero_rhs_constant():
@@ -100,3 +100,59 @@ def test_interior_derivative_exact_on_cubics():
     sl, d = interior_derivative(vals, grid.dt)
     expected = (3 * t ** 2 - 4 * t)[sl, None]
     np.testing.assert_allclose(d, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("kind", ["constant", "piecewise", "sampled"])
+def test_stage_table_matches_call_bitwise(kind, direction):
+    grid = TimeGrid(1.3, 7)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((1 if kind == "constant" else 8, 2, 3))
+    path = getattr(MatrixPath, kind)(values[0] if kind == "constant" else values, grid)
+    times, index = rk4_stages(grid, direction, 3)
+    assert len(np.unique(times)) == times.size == 2 * 7 * 3 + 1
+    assert index.shape == (4 * 7 * 3,)
+    table = path.tabulate(times)
+    for t, row in zip(times, table):
+        assert np.array_equal(row, path(t))
+
+
+def test_stage_times_are_the_integrator_times():
+    grid = TimeGrid(1.0, 5)
+    for direction, run in (("forward", integrate_forward), ("backward", integrate_backward)):
+        seen = []
+        run(grid, lambda t, y: seen.append(t) or 0.0 * y, np.array([1.0]), substeps=2)
+        times, index = rk4_stages(grid, direction, 2)
+        np.testing.assert_array_equal(seen, times[index])
+        assert times[0] == grid.nodes[0 if direction == "forward" else -1]
+        assert times[-1] == grid.nodes[-1 if direction == "forward" else 0]
+
+
+def test_linear_kernel_matches_generic_rk4():
+    # The batched affine-map form of RK4 against the stage-by-stage loop:
+    # only the association of floating-point operations differs.
+    grid, n, K, sub = TimeGrid(1.0, 6), 2, 3, 2
+    rng = np.random.default_rng(7)
+    E = 4 * grid.steps * sub
+    M, N = rng.standard_normal((2, E, n, n))
+    r0, r1 = rng.standard_normal((2, E, n, K))
+    aT, bT = rng.standard_normal((2, n, K))
+
+    def rhs(e, y):
+        return np.stack([M[e] @ y[0] + N[e] @ y[1] + r0[e], M[e] @ y[1] + r1[e]])
+
+    ref = integrate(OdeProblem(grid, rhs, "backward", sub), np.stack([aT, bT]))
+    a, b = integrate_linear(grid, M, N, r0, r1, aT, bT, sub)
+    assert np.array_equal(a[-1], aT) and np.array_equal(b[-1], bT)
+    np.testing.assert_allclose(a, ref[:, 0], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(b, ref[:, 1], rtol=1e-13, atol=1e-13)
+
+
+def test_record_returns_stage_states():
+    grid, sub = TimeGrid(1.0, 3), 2
+    problem = OdeProblem(grid, lambda e, y: -y, "backward", sub)
+    path, stages = integrate(problem, np.array([1.0]), record=True)
+    assert stages.shape == (4 * 3 * sub, 1)
+    # The first evaluation of each interval sees the state at its start node.
+    np.testing.assert_array_equal(stages[::4 * sub], path[:0:-1])
+    np.testing.assert_array_equal(path, integrate(problem, np.array([1.0])))

@@ -63,9 +63,9 @@ def test_shift_sh(c, expected_shift):
     red = bslq.reduce_problem(spec)
     t = spec.grid.nodes
     # H(t) = -t, so R11 shifts to -t and the running Q weight is absorbed
-    assert np.max(np.abs(red.r11h[:, 0, 0] + t)) < 1e-10
+    assert np.max(np.abs(red.base.R11.node_values()[:, 0, 0] + t)) < 1e-10
     assert red.base.Q.is_zero()
-    assert red.qh.a.is_zero() and red.qh.b.is_zero()
+    assert red.base.q.a.is_zero() and red.base.q.b.is_zero()
     assert red.constant_shift == pytest.approx(expected_shift, abs=1e-10)
 
 
@@ -80,7 +80,8 @@ def test_shift_stochastic_terminal():
 
 def test_r11h_symmetric(spec_2d):
     red = bslq.reduce_problem(spec_2d)
-    dev = np.max(np.abs(red.r11h - np.swapaxes(red.r11h, -1, -2)))
+    r11h = red.base.R11.node_values()
+    dev = np.max(np.abs(r11h - np.swapaxes(r11h, -1, -2)))
     assert dev <= 1e-10
     assert bslq.validate(red.base).ok
 
