@@ -10,9 +10,9 @@ perturbation expansion, binomial-tree brute force).
 
 from .bsde import (AffineBsdeSolution, BsdeDriftSpec, assemble_drift,
                    solve_affine_bsde, solve_controlled_state, solve_eta_zeta)
-from .errors import (ConsistencyError, IntegrationError, PositivityError, ReductionError,
-                     ScenarioError, SimulationError, SingularityError,
-                     SpecValidationError)
+from .errors import (ConsistencyError, ConvexityError, IntegrationError,
+                     PositivityError, ReductionError, ScenarioError,
+                     SimulationError, SingularityError, SpecValidationError)
 from .evaluate import (BoundCheck, CheckRow, CostReport, PerturbationReport,
                        ProbeReport, StationarityReport, VerificationResult,
                        apriori_bound_check, convexity_probe, evaluate_cost,

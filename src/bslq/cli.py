@@ -16,9 +16,9 @@ import numpy as np
 
 from . import evaluate, oracle
 from .bsde import assemble_drift, solve_affine_bsde, solve_eta_zeta
-from .errors import (ConsistencyError, IntegrationError, PositivityError,
-                     ReductionError, ScenarioError, SimulationError,
-                     SingularityError, SpecValidationError)
+from .errors import (ConsistencyError, ConvexityError, IntegrationError,
+                     PositivityError, ReductionError, ScenarioError,
+                     SimulationError, SingularityError, SpecValidationError)
 from .problem import ForwardProblemSpec, load_scenario, resample, save_scenario
 from .reduction import reduce_problem
 from .riccati import solve_forward_riccati, solve_sigma
@@ -302,7 +302,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ReductionError, SingularityError, PositivityError,
-            SimulationError, IntegrationError, ConsistencyError) as exc:
+            SimulationError, IntegrationError, ConsistencyError,
+            ConvexityError) as exc:
         # The scenario parsed but violates a solvability contract.
         print(f"contract violation: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,10 @@ class ConsistencyError(RuntimeError):
     """Two forms of one quantity that agree analytically disagree."""
 
 
+class ConvexityError(RuntimeError):
+    """A problem that must be convex has a negative Hessian eigenvalue."""
+
+
 class SingularityError(RuntimeError):
     """A matrix that must be invertible is numerically singular."""
 

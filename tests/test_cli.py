@@ -142,6 +142,35 @@ def test_oracle_nonconvex_exits_one(tmp_path, capsys):
     assert "nonconvex" in err
 
 
+def test_oracle_compare_nonconvex_exits_one(tmp_path, capsys):
+    # S4 with R11 = -1.2: the tree problem is convex at N = 4 but not at
+    # N = 8, which the gap table reaches; that is a contract violation.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4"))
+    doc["R11"] = [[-1.2]]
+    path = tmp_path / "s4_r11.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["oracle", str(path), "--tree-steps", "4",
+                          "--steps", "50", "--compare"], capsys)
+    assert code == 1
+    assert "value = " in out
+    assert "contract violation: discrete problem at 8 steps is nonconvex" in err
+
+
+def test_oracle_singular_warning(tmp_path, capsys):
+    # S4 with R22 = 0: the tree Hessian is singular, the optimum is not
+    # unique, but the value is.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4"))
+    doc["R22"] = [[0.0]]
+    path = tmp_path / "s4_r22.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["oracle", str(path), "--tree-steps", "4"], capsys)
+    assert code == 0
+    assert "warning: normal equations near-singular (non-unique optimum)" in out
+    value = float(next(line for line in out.splitlines()
+                        if line.startswith("value = "))[len("value = "):])
+    assert value == pytest.approx(0.25, abs=1e-12)
+
+
 def test_oracle_controls_csv(tmp_path, capsys):
     out = str(tmp_path / "oracle")
     code, _, _ = run(["oracle", "builtin:S2", "--tree-steps", "3",
