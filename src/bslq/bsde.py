@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConsistencyError
-from .grid import AffineProcess, MatrixPath, TimeGrid
+from .grid import AffineProcess, MatrixPath, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS, integrate_linear, interior_derivative, rk4_stages
 from .problem import ForwardProblemSpec, ProblemSpec
 from .riccati import (ForwardRiccatiSolution, RiccatiSolution, feedback_gain,
@@ -85,14 +85,10 @@ class AffineBsdeSolution:
         _, db = interior_derivative(b, dt)
         M, N = self.drift.M[sl], self.drift.N[sl]
         r0, r1 = self.drift.r0[sl], self.drift.r1[sl]
-        res_a = da - (_mv(M, a[sl]) + _mv(N, b[sl]) + r0)
-        res_b = db - (_mv(M, b[sl]) + r1)
+        res_a = da - (mv(M, a[sl]) + mv(N, b[sl]) + r0)
+        res_b = db - (mv(M, b[sl]) + r1)
         return float(max(np.max(np.abs(res_a), initial=0.0),
                          np.max(np.abs(res_b), initial=0.0)))
-
-
-def _mv(mat, vec):
-    return np.einsum("kij,kj->ki", mat, vec)
 
 
 def _collapsed_drift(A, S1, S2, R22, Sg, BS, CS, RSinv, f, q, rho1, rho2):
@@ -100,8 +96,8 @@ def _collapsed_drift(A, S1, S2, R22, Sg, BS, CS, RSinv, f, q, rho1, rho2):
     data are (a, b) pairs."""
     CR = CS @ RSinv
     M = A - BS @ np.linalg.solve(R22, S2) - CR @ Sg @ S1
-    r0, r1 = (-_mv(CR @ Sg, p1) - _mv(BS, np.linalg.solve(R22, p2[..., None])[..., 0])
-              + _mv(Sg, qq) + ff for ff, qq, p1, p2 in zip(f, q, rho1, rho2))
+    r0, r1 = (-mv(CR @ Sg, p1) - mv(BS, np.linalg.solve(R22, p2[..., None])[..., 0])
+              + mv(Sg, qq) + ff for ff, qq, p1, p2 in zip(f, q, rho1, rho2))
     return M, CR, r0, r1
 
 
@@ -137,8 +133,8 @@ def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
     gap = 0.0
     for r, ff, qq, p1, p2 in zip((r0, r1), *affine):
         p2 = np.linalg.solve(R22, p2[..., None])[..., 0]
-        r_exp = (-_mv(CRS, p1) - _mv(SRS, p1)
-                 - _mv(B, p2) - _mv(Sg @ np.swapaxes(S2, -1, -2), p2) + _mv(Sg, qq) + ff)
+        r_exp = (-mv(CRS, p1) - mv(SRS, p1)
+                 - mv(B, p2) - mv(Sg @ np.swapaxes(S2, -1, -2), p2) + mv(Sg, qq) + ff)
         gap = max(gap, float(np.max(np.abs(r - r_exp), initial=0.0)))
     if gap > CROSS_FORM_TOL:
         raise ConsistencyError(
@@ -201,7 +197,7 @@ def solve_controlled_state(spec: ProblemSpec, controls: Sequence[AffineProcess],
     """
     grid, K = spec.grid, len(controls)
     A, B, C = spec.A.node_values(), spec.B.node_values(), spec.C.node_values()
-    r0, r1 = (np.stack([_mv(B, u) + f for u in parts], axis=-1)
+    r0, r1 = (np.stack([mv(B, u) + f for u in parts], axis=-1)
               for f, parts in zip(spec.f.node_parts(), zip(*(c.node_parts() for c in controls))))
     a, b = integrate_linear(grid, *BsdeDriftSpec(grid, A, C, r0, r1).stage_coefficients(substeps),
                             *(np.repeat(x[:, None], K, axis=1) for x in spec.xi.at_terminal()),
@@ -215,7 +211,7 @@ def _adjoint_drift(A, B, C, D, P, gain, sigma, rho, b, q):
     L = np.swapaxes(gain, -1, -2)   # (P B + C^T P D + S^T)(R + D^T P D)^{-1}
     theta = np.swapaxes(A, -1, -2) - L @ np.swapaxes(B, -1, -2)
     lam = np.swapaxes(C, -1, -2) - L @ np.swapaxes(D, -1, -2)
-    c0, c1 = (_mv(lam @ P, s) - _mv(L, r) + _mv(P, bb) + qq
+    c0, c1 = (mv(lam @ P, s) - mv(L, r) + mv(P, bb) + qq
               for s, r, bb, qq in zip(sigma, rho, b, q))
     return -theta, -lam, -c0, -c1
 

@@ -116,13 +116,11 @@ def cmd_simulate(args) -> int:
     if isinstance(spec, ForwardProblemSpec):
         psol = solve_forward_riccati(spec, args.substeps)
         adj = solve_eta_zeta(spec, psol, args.substeps)
-        brownian = BrownianEnsemble.generate(args.seed, args.paths, spec.grid,
-                                             args.workers)
+        brownian = BrownianEnsemble.generate(args.seed, args.paths, spec.grid)
         fens = simulate_forward_closed_loop(spec, psol, adj, brownian)
         fields = {"X": fens.X, "v": fens.v}
     else:
-        brownian = BrownianEnsemble.generate(args.seed, args.paths, spec.grid,
-                                             args.workers)
+        brownian = BrownianEnsemble.generate(args.seed, args.paths, spec.grid)
         synth = synthesize_optimal(spec, brownian, args.substeps)
         ens = synth.ensemble
         fields = {"X": ens.X, "Y": ens.Y, "Z": ens.Z, "u": ens.u}
@@ -177,12 +175,20 @@ def cmd_value(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.paths < 2:
+        raise ValueError("--paths must be at least 2 (a standard error needs two paths)")
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     spec = _load(args)
-    eps_grid = tuple(float(e) for e in args.eps_grid.split(","))
-    result = evaluate.verify(
-        spec, paths=args.paths, seed=args.seed, substeps=args.substeps,
-        trials=args.trials, eps_grid=eps_grid, workers=args.workers,
-    )
+    backward = {k: v for k, v in (("trials", args.trials), ("eps_grid", args.eps_grid))
+                if v is not None}
+    if backward and isinstance(spec, ForwardProblemSpec):
+        flags = ", ".join("--" + k.replace("_", "-") for k in backward)
+        raise ValueError(f"{flags}: not used by forward scenarios")
+    if args.eps_grid is not None:
+        backward["eps_grid"] = tuple(float(e) for e in args.eps_grid.split(","))
+    result = evaluate.verify(spec, paths=args.paths, seed=args.seed,
+                             substeps=args.substeps, **backward)
     name_w = max(len(r.name) for r in result.rows)
     print(f"{'check':<{name_w}}  {'value':>13}  {'threshold':>13}  verdict")
     for r in result.rows:
@@ -251,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         if paths:
             p.add_argument("--paths", type=int, default=10000)
             p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=int, default=1,
+                           help="accepted for compatibility; has no effect")
         if tree:
             p.add_argument("--tree-steps", dest="tree_steps", type=int, default=8,
                            help="binomial tree levels (<= 12)")
@@ -278,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification table")
     common(p)
-    p.add_argument("--trials", type=int, default=16,
-                   help="controls sampled by the convexity probe")
-    p.add_argument("--eps-grid", default="-1,-0.5,-0.1,0.1,0.5,1")
+    p.add_argument("--trials", type=int, default=None,
+                   help="controls sampled by the convexity probe (default 16; "
+                        "backward scenarios only)")
+    p.add_argument("--eps-grid", default=None,
+                   help="perturbation sizes (default -1,-0.5,-0.1,0.1,0.5,1; "
+                        "backward scenarios only)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

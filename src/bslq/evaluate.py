@@ -2,7 +2,8 @@
 
 The Monte-Carlo side evaluates the quadratic cost on simulated trajectories
 with left-point quadrature of the running integrand and exact evaluation of
-the t = 0 terms.  The formula side evaluates the closed-form optimal value
+the boundary terms, through one kernel for the paper's block quadratic form
+(:class:`CostForm`).  The formula side evaluates the closed-form optimal value
 
     V(xi) = E[ -<H(T) xi, xi> + 2 <phi(0), g> - <Sigma(0) g, g> ]
             + int_0^T ( closed-form expectation of the running integrand ) dt
@@ -17,14 +18,14 @@ The optimality checks implement three independent characterisations:
 * stationarity: S2 Y + R21 Z - B^T X + R22 u + rho2 = 0 pointwise along the
   adjoint state X, an algebraic identity for synthesized optima;
 * the quadratic expansion J(xi; u* + eps v) - J(xi; u*) = eps^2 J0(0; v)
-  under common random numbers, for exact affine perturbations v;
+  under common random numbers, for exact affine perturbations v, read off
+  the exact per-path polynomial 2 eps C + eps^2 J0 in eps;
 * a uniform-convexity probe estimating min_v J0(0; v) / E int |v|^2 over
   random affine controls, with a certificate when it is credibly negative.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from numpy.random import Philox
 
 from .bsde import (AffineBsdeSolution, assemble_drift, solve_affine_bsde,
                    solve_controlled_state, solve_eta_zeta)
-from .grid import AffineProcess, MatrixPath, TimeGrid
+from .grid import AffineProcess, MatrixPath, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ForwardProblemSpec, ProblemSpec, homogeneous, resample
 from .reduction import ReducedProblem, reduce_problem
@@ -47,9 +48,122 @@ from .simulate import (BrownianEnsemble, ForwardEnsemble, PathEnsemble, sample_a
 # ---------------------------------------------------------------------------
 
 
+def mc_stderr(x: np.ndarray) -> float:
+    """Monte-Carlo standard error of the mean of the per-path values ``x``."""
+    P = x.shape[0]
+    return float(x.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
+
+
+def _bil(M, x, y):
+    """<M x, y> along paths and nodes."""
+    return np.einsum("kij,pkj,pki->pk", M, x, y)
+
+
+@dataclass(frozen=True, eq=False)
+class CostForm:
+    """The cost of one problem as the paper's block quadratic form.
+
+    A trajectory enters as slots s, each (paths, N+1, dim): (Y, Z, u) with
+    M = [[Q, S1^T, S2^T], [S1, R11, R12], [S2, R21, R22]] and linear weights
+    a + b W = (q, rho1, rho2) for a backward problem, (X, v) with
+    M = [[cQ, cS^T], [cS, cR]] and (qTilde, rhoTilde) for a forward one.  Per
+    path, J(s) = B(s, s) + 2 L(s) + <G x, x> + 2 <g, x> with x = s_0 at node
+    ``at``, B(s, t) = sum_{k<N} <M_k s_k, t_k> dt and L(s) = sum_{k<N}
+    (a_k . s_k + W_k (b_k . s_k)) dt.  M is kept as its nonzero blocks
+    (M_ij, j, i, mirrored): the term <M_ij s_j, t_i>, plus <M_ij t_j, s_i>
+    for a block that also stands for its transpose.
+    """
+
+    blocks: tuple
+    linear: tuple  # (slot, a, b), b None where the loading vanishes
+    G: np.ndarray
+    g: np.ndarray
+    at: int
+    steps: int
+    dt: float
+
+    def _bilinear(self, s, t):
+        """Per-node integrand of B(s, t); 0.0 when M vanishes."""
+        N = self.steps
+        out = 0.0
+        for M, j, i, mirrored in self.blocks:
+            term = _bil(M, s[j][:, :N], t[i][:, :N])
+            if mirrored:  # in B(s, s) the block and its transpose give equal terms
+                term = 2.0 * term if t is s else term + _bil(M, t[j][:, :N], s[i][:, :N])
+            out = out + term
+        return out
+
+    def _linear(self, s, W):
+        """Per-node integrand of L(s); 0.0 when the linear weights vanish."""
+        N = self.steps
+        out = 0.0
+        for slot, a, b in self.linear:
+            x = s[slot][:, :N]
+            term = np.einsum("ki,pki->pk", a, x)
+            if b is not None:
+                term = term + W[:, :N] * np.einsum("ki,pki->pk", b, x)
+            out = out + term
+        return out
+
+    def _integrate(self, integrand, paths: int) -> np.ndarray:
+        if np.ndim(integrand) < 2:
+            return np.zeros(paths)
+        return (integrand * self.dt).sum(axis=1)
+
+    def parts(self, s, W) -> tuple[np.ndarray, np.ndarray]:
+        """Per-path (boundary, running) parts of J(s)."""
+        x = s[0][:, self.at, :]
+        boundary = 2.0 * (x @ self.g)
+        if np.any(self.G):
+            boundary = boundary + np.einsum("pi,ij,pj->p", x, self.G, x)
+        running = self._integrate(self._bilinear(s, s) + 2.0 * self._linear(s, W), x.shape[0])
+        return boundary, running
+
+    def cross(self, s, t, W) -> np.ndarray:
+        """Per-path B(s, t) + L(t) + <G x_s, x_t> + <g, x_t>.
+
+        With M and G symmetric, J(s + eps t) = J(s) + 2 eps cross(s, t)
+        + eps^2 J0(t) exactly under the same quadrature, where J0 is the cost
+        with f, g, q, rho1, rho2 and xi set to zero (:func:`homogeneous`).
+        """
+        xs, xt = s[0][:, self.at, :], t[0][:, self.at, :]
+        boundary = xt @ self.g
+        if np.any(self.G):
+            boundary = boundary + np.einsum("pi,ij,pj->p", xs, self.G, xt)
+        return boundary + self._integrate(self._bilinear(s, t) + self._linear(t, W),
+                                          xs.shape[0])
+
+
+def cost_form(spec) -> CostForm:
+    """The :class:`CostForm` of a backward or a forward problem."""
+    N = spec.grid.steps
+    if isinstance(spec, ForwardProblemSpec):
+        blocks = ((spec.cQ, 0, 0, False), (spec.cS, 0, 1, True), (spec.cR, 1, 1, False))
+        linear = ((0, spec.qTilde), (1, spec.rhoTilde))
+        G, g, at = spec.cG, spec.gTilde, N
+    else:
+        blocks = ((spec.Q, 0, 0, False), (spec.R11, 1, 1, False), (spec.R22, 2, 2, False),
+                  (spec.S1, 0, 1, True), (spec.S2, 0, 2, True),
+                  (spec.R12, 2, 1, False), (spec.R21, 1, 2, False))
+        linear = ((0, spec.q), (1, spec.rho1), (2, spec.rho2))
+        G, g, at = spec.G, spec.g, 0
+    tables = ((path.node_values()[:N], j, i, mirrored) for path, j, i, mirrored in blocks)
+    nonzero = [block for block in tables if np.any(block[0])]
+    weights = []
+    for slot, proc in linear:
+        a, b = (part.node_values()[:N] for part in (proc.a, proc.b))
+        if np.any(a) or np.any(b):
+            weights.append((slot, a, b if np.any(b) else None))
+    return CostForm(tuple(nonzero), tuple(weights), G, g, at, N, spec.grid.dt)
+
+
 @dataclass(frozen=True)
 class CostReport:
-    """Monte-Carlo cost estimate with its sampling error and provenance."""
+    """Monte-Carlo cost estimate with its sampling error and provenance.
+
+    ``initial_term`` is the mean boundary term: the t = 0 terms of a
+    backward cost, the t = T terms of a forward one.
+    """
 
     estimate: float
     stderr: float
@@ -67,86 +181,31 @@ def path_costs(spec: ProblemSpec, Y: np.ndarray, Z: np.ndarray, u: np.ndarray,
     Left-point quadrature of the running integrand; the initial terms are
     evaluated exactly at t = 0.
     """
-    parts = path_cost_parts(spec, Y, Z, u, W)
-    return parts[0] + parts[1]
+    return sum(path_cost_parts(spec, Y, Z, u, W))
 
 
 def path_cost_parts(spec: ProblemSpec, Y, Z, u, W) -> tuple[np.ndarray, np.ndarray]:
     """(initial, running) per-path cost contributions."""
-    N = spec.grid.steps
-    dt = spec.grid.dt
-    Yk, Zk, uk = Y[:, :N, :], Z[:, :N, :], u[:, :N, :]
-    Qv = spec.Q.node_values()[:N]
-    S1v = spec.S1.node_values()[:N]
-    S2v = spec.S2.node_values()[:N]
-    R11v = spec.R11.node_values()[:N]
-    R12v = spec.R12.node_values()[:N]
-    R21v = spec.R21.node_values()[:N]
-    R22v = spec.R22.node_values()[:N]
-
-    def bil(Mk, x, y):
-        """<M x, y> along paths and nodes; zero weights are skipped."""
-        if not np.any(Mk):
-            return 0.0
-        return np.einsum("kij,pkj,pki->pk", Mk, x, y)
-
-    integrand = (bil(Qv, Yk, Yk) + bil(R11v, Zk, Zk) + bil(R22v, uk, uk)
-                 + 2.0 * bil(S1v, Yk, Zk) + 2.0 * bil(S2v, Yk, uk)
-                 + bil(R12v, uk, Zk) + bil(R21v, Zk, uk))
-
-    def lin(proc, x):
-        if proc.a.is_zero() and proc.b.is_zero():
-            return 0.0
-        return np.einsum("pki,pki->pk", proc.sample(W)[:, :N, :], x)
-
-    integrand = integrand + 2.0 * (lin(spec.q, Yk) + lin(spec.rho1, Zk)
-                                   + lin(spec.rho2, uk))
-    running = np.asarray(integrand * dt)
-    if running.ndim < 2:
-        running = np.zeros(Y.shape[0])
-    else:
-        running = running.sum(axis=1)
-    Y0 = Y[:, 0, :]
-    initial = 2.0 * (Y0 @ spec.g)
-    if np.any(spec.G):
-        initial = initial + np.einsum("pi,ij,pj->p", Y0, spec.G, Y0)
-    return initial, running
+    return cost_form(spec).parts((Y, Z, u), W)
 
 
-def evaluate_cost(spec: ProblemSpec, traj, workers: int = 1) -> CostReport:
-    """Cost report for an object carrying (Y, Z, u) and a Brownian ensemble.
-
-    Path chunks may be evaluated on several workers; the per-path cost array
-    is reassembled in path order and reduced with a single fixed summation,
-    so the result is bitwise independent of the worker count.
-    """
+def evaluate_cost(spec, traj) -> CostReport:
+    """Cost report for a backward (Y, Z, u) or forward (X, v) ensemble; the
+    per-path costs are reduced with a single fixed summation."""
     W = traj.brownian.W
-    P = W.shape[0]
-    if workers > 1 and P > 1:
-        size = -(-P // workers)
-        bounds = [(lo, min(lo + size, P)) for lo in range(0, P, size)]
-        initial = np.empty(P)
-        running = np.empty(P)
-
-        def run(lo, hi):
-            i, r = path_cost_parts(spec, traj.Y[lo:hi], traj.Z[lo:hi],
-                                   traj.u[lo:hi], W[lo:hi])
-            initial[lo:hi] = i
-            running[lo:hi] = r
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda be: run(*be), bounds))
+    if isinstance(spec, ForwardProblemSpec):
+        boundary, running = cost_form(spec).parts((traj.X, traj.v), W)
     else:
-        initial, running = path_cost_parts(spec, traj.Y, traj.Z, traj.u, W)
-    costs = initial + running
-    stderr = float(costs.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
+        boundary, running = path_cost_parts(spec, traj.Y, traj.Z, traj.u, W)
+    costs = boundary + running
+    P = costs.shape[0]
     return CostReport(
         estimate=float(np.sum(costs) / P),
-        stderr=stderr,
+        stderr=mc_stderr(costs),
         paths=P,
         steps=spec.grid.steps,
         seed=traj.brownian.seed,
-        initial_term=float(np.sum(initial) / P),
+        initial_term=float(np.sum(boundary) / P),
         running_term=float(np.sum(running) / P),
     )
 
@@ -180,9 +239,6 @@ def value_formula(spec: ProblemSpec, reduced: ReducedProblem,
     r1a, r1b = base.rho1.node_parts()
     r2a, r2b = base.rho2.node_parts()
     qa, qb = base.q.node_parts()
-
-    def mv(mat, vec):
-        return np.einsum("kij,kj->ki", mat, vec)
 
     def dot(x, y):
         return np.einsum("ki,ki->k", x, y)
@@ -240,9 +296,6 @@ def stationarity_residual(spec: ProblemSpec, ensemble) -> StationarityReport:
     B = spec.B.node_values()
     rho2 = spec.rho2.sample(ensemble.brownian.W)
 
-    def mv(mat, vec):
-        return np.einsum("kij,pkj->pki", mat, vec)
-
     res = (mv(S2, ensemble.Y) + mv(R21, ensemble.Z)
            - mv(np.swapaxes(B, -1, -2), ensemble.X)
            + mv(R22, ensemble.u) + rho2)
@@ -283,41 +336,33 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
     The perturbed trajectories are exact by superposition: (Y_v, Z_v) solves
     the homogeneous-data state equation under v in closed affine form, and
     the solution under u* + eps v is the base trajectory plus eps times that.
-    All three costs are evaluated on the same Brownian ensemble, so the
-    defect carries only quadrature bias and the (small) common-random-number
-    noise of the vanishing cross term.  ``state`` passes (Y_v, Z_v) already
-    solved in a batched :func:`bslq.bsde.solve_controlled_state` call.
+    The cost is a quadratic form, so per path the difference is exactly the
+    polynomial 2 eps C + eps^2 J0(0; v), with C the cross term of
+    :meth:`CostForm.cross` (zero in expectation at the optimum); every row
+    is read off C and J0 on the same Brownian ensemble, and the defect 2 eps C
+    carries only quadrature bias and common-random-number noise.  ``state``
+    passes (Y_v, Z_v) already solved in a batched
+    :func:`bslq.bsde.solve_controlled_state` call.
     """
     hspec = homogeneous(spec)
     W = ensemble.brownian.W
-    P = W.shape[0]
     traj_v = sample_affine_control(hspec, v, ensemble.brownian, substeps, state)
-    j0_costs = path_costs(hspec, traj_v.Y, traj_v.Z, traj_v.u, W)
-    base_costs = path_costs(spec, ensemble.Y, ensemble.Z, ensemble.u, W)
+    j0 = path_costs(hspec, traj_v.Y, traj_v.Z, traj_v.u, W)
+    cross = cost_form(spec).cross((ensemble.Y, ensemble.Z, ensemble.u),
+                                  (traj_v.Y, traj_v.Z, traj_v.u), W)
     rows = []
     for eps in eps_grid:
-        pert_costs = path_costs(
-            spec,
-            ensemble.Y + eps * traj_v.Y,
-            ensemble.Z + eps * traj_v.Z,
-            ensemble.u + eps * traj_v.u,
-            W,
-        )
-        diff = pert_costs - base_costs
-        defect = diff - eps ** 2 * j0_costs
+        defect = 2.0 * eps * cross
+        diff = defect + eps ** 2 * j0
         rows.append(PerturbationRow(
             eps=float(eps),
             cost_diff=float(diff.mean()),
-            diff_stderr=float(diff.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0,
-            quadratic_term=float(eps ** 2 * j0_costs.mean()),
+            diff_stderr=mc_stderr(diff),
+            quadratic_term=float(eps ** 2 * j0.mean()),
             defect=float(defect.mean()),
-            defect_stderr=float(defect.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0,
+            defect_stderr=mc_stderr(defect),
         ))
-    return PerturbationReport(
-        rows=rows,
-        j0_value=float(j0_costs.mean()),
-        j0_stderr=float(j0_costs.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0,
-    )
+    return PerturbationReport(rows=rows, j0_value=float(j0.mean()), j0_stderr=mc_stderr(j0))
 
 
 def random_affine_control(grid: TimeGrid, m: int, rng: np.random.Generator,
@@ -366,12 +411,11 @@ class ProbeReport:
 
 
 def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
-                    paths: int = 2000, substeps: int = DEFAULT_SUBSTEPS,
-                    workers: int = 1) -> ProbeReport:
+                    paths: int = 2000, substeps: int = DEFAULT_SUBSTEPS) -> ProbeReport:
     """Estimate min_v J0(0; v) / E int |v|^2 over random affine controls."""
     hspec = homogeneous(spec)
     grid = hspec.grid
-    brownian = BrownianEnsemble.generate(seed, paths, grid, workers)
+    brownian = BrownianEnsemble.generate(seed, paths, grid)
     rng = np.random.Generator(Philox(key=np.array([seed, 0xC0FFEE], dtype=np.uint64)))
     dt = grid.dt
     N = grid.steps
@@ -407,41 +451,6 @@ def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
 # ---------------------------------------------------------------------------
 
 
-def forward_path_costs(spec: ForwardProblemSpec, X: np.ndarray, v: np.ndarray,
-                       W: np.ndarray) -> np.ndarray:
-    """Per-path forward cost: terminal quadratic plus left-point running sum."""
-    N = spec.grid.steps
-    dt = spec.grid.dt
-    Xk, vk = X[:, :N, :], v[:, :N, :]
-    Qv = spec.cQ.node_values()[:N]
-    Sv = spec.cS.node_values()[:N]
-    Rv = spec.cR.node_values()[:N]
-    qt = spec.qTilde.sample(W)[:, :N, :]
-    rt = spec.rhoTilde.sample(W)[:, :N, :]
-    integrand = (np.einsum("pki,kij,pkj->pk", Xk, Qv, Xk)
-                 + 2.0 * np.einsum("kij,pkj,pki->pk", Sv, Xk, vk)
-                 + np.einsum("pki,kij,pkj->pk", vk, Rv, vk)
-                 + 2.0 * np.einsum("pki,pki->pk", qt, Xk)
-                 + 2.0 * np.einsum("pki,pki->pk", rt, vk))
-    XT = X[:, N, :]
-    terminal = np.einsum("pi,ij,pj->p", XT, spec.cG, XT) + 2.0 * (XT @ spec.gTilde)
-    return terminal + integrand.sum(axis=1) * dt
-
-
-def evaluate_forward_cost(spec: ForwardProblemSpec, ens: ForwardEnsemble) -> CostReport:
-    costs = forward_path_costs(spec, ens.X, ens.v, ens.brownian.W)
-    P = costs.shape[0]
-    return CostReport(
-        estimate=float(np.sum(costs) / P),
-        stderr=float(costs.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0,
-        paths=P,
-        steps=spec.grid.steps,
-        seed=ens.brownian.seed,
-        initial_term=0.0,
-        running_term=float(np.sum(costs) / P),
-    )
-
-
 @dataclass(frozen=True)
 class ForwardValueReport:
     formula: float          # <P(0) x, x>
@@ -457,7 +466,7 @@ def forward_value(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
     data vanish; for general data the report still records the gap.
     """
     formula = float(spec.x0 @ psol.P[0] @ spec.x0)
-    mc = evaluate_forward_cost(spec, ens)
+    mc = evaluate_cost(spec, ens)
     return ForwardValueReport(formula=formula, mc=mc, gap=abs(formula - mc.estimate))
 
 
@@ -528,7 +537,7 @@ def _row(name: str, value: float, threshold: float, comparator: str) -> CheckRow
 def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
                     substeps: int = DEFAULT_SUBSTEPS, trials: int = 16,
                     eps_grid=(-1.0, -0.5, -0.1, 0.1, 0.5, 1.0),
-                    perturbations: int = 3, workers: int = 1) -> VerificationResult:
+                    perturbations: int = 3) -> VerificationResult:
     """Run the full verification table for a backward problem.
 
     Monte-Carlo tolerances are self-calibrated: every estimate is computed
@@ -537,7 +546,7 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
     the difference between the two, floored at 1e-4.
     """
     fine_spec = resample(spec, 2 * spec.grid.steps)
-    fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid, workers)
+    fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid)
     brownian = fine_brownian.coarsen(2)
 
     synth = synthesize_optimal(spec, brownian, substeps)
@@ -563,15 +572,14 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
                      0.0, "<="))
 
     v_formula = value_formula(spec, reduced, sigma, bsde)
-    mc = evaluate_cost(spec, ens, workers)
-    mc_fine = evaluate_cost(fine_spec, fine_synth.ensemble, workers)
+    mc = evaluate_cost(spec, ens)
+    mc_fine = evaluate_cost(fine_spec, fine_synth.ensemble)
     c_dt = max(2.0 * abs(mc.estimate - mc_fine.estimate), 1e-4)
     rows.append(_row("value_gap", abs(v_formula - mc.estimate),
                      3.0 * mc.stderr + c_dt, "<="))
 
     probe = convexity_probe(spec, trials=trials, seed=seed + 1,
-                            paths=min(paths, 2000), substeps=substeps,
-                            workers=workers)
+                            paths=min(paths, 2000), substeps=substeps)
     rows.append(_row("delta_hat", probe.delta_hat, -3.0 * probe.stderr, ">="))
 
     rng = np.random.Generator(Philox(key=np.array([seed, 0x9E37], dtype=np.uint64)))
@@ -616,11 +624,10 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
 
 
 def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
-                   substeps: int = DEFAULT_SUBSTEPS,
-                   workers: int = 1) -> VerificationResult:
+                   substeps: int = DEFAULT_SUBSTEPS) -> VerificationResult:
     """Verification table for a forward problem."""
     fine_spec = resample(spec, 2 * spec.grid.steps)
-    fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid, workers)
+    fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid)
     brownian = fine_brownian.coarsen(2)
 
     def run(s, bw):
@@ -656,7 +663,7 @@ def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
 
 
 def verify(spec, **kw) -> VerificationResult:
+    """The verification table of a backward or a forward problem."""
     if isinstance(spec, ForwardProblemSpec):
-        allowed = {"paths", "seed", "substeps", "workers"}
-        return verify_forward(spec, **{k: v for k, v in kw.items() if k in allowed})
+        return verify_forward(spec, **kw)
     return verify_backward(spec, **kw)

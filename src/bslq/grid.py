@@ -215,3 +215,14 @@ class AffineProcess:
         extra = (1,) * len(self.shape)
         return a[None, ...] + b[None, ...] * W.reshape(W.shape + extra)
 
+
+def mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Node-wise mat-vec: ``mat`` (K, r, c) against ``vec`` (..., K, c).
+
+    One broadcast product per column, summed in column order; at c <= 2 this
+    is bitwise equal to ``einsum("kij,...kj->...ki")``, and at (10000, 101, 2)
+    about 2x faster than batched ``matmul`` and 2-4x faster than the einsum."""
+    out = mat[..., 0] * vec[..., None, 0]
+    for j in range(1, mat.shape[-1]):
+        out += mat[..., j] * vec[..., None, j]
+    return out

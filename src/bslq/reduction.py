@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReductionError, SpecValidationError
-from .grid import AffineProcess, MatrixPath
+from .grid import AffineProcess, MatrixPath, mv
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ProblemSpec, validate
 from .riccati import HSolution, solve_h
@@ -68,8 +68,7 @@ class CanonicalSamples:
 
     def shifted_q(self, H, at=slice(None)) -> tuple:
         """Affine parts of qH = q + H f at stack positions ``at``."""
-        return tuple(q[at] + np.einsum("kij,kj->ki", H, f[at])
-                     for q, f in zip(self.q, self.f))
+        return tuple(q[at] + mv(H, f[at]) for q, f in zip(self.q, self.f))
 
 
 def canonical_samples(spec: ProblemSpec, sample) -> CanonicalSamples:
@@ -84,8 +83,7 @@ def canonical_samples(spec: ProblemSpec, sample) -> CanonicalSamples:
         return sample(proc.a), sample(proc.b)
 
     rho2 = parts(spec.rho2)
-    rho1 = tuple(r1 - np.einsum("kij,kj->ki", r12_r22inv, r2)
-                 for r1, r2 in zip(parts(spec.rho1), rho2))
+    rho1 = tuple(r1 - mv(r12_r22inv, r2) for r1, r2 in zip(parts(spec.rho1), rho2))
     return CanonicalSamples(
         A=A, B=B, Q=Q,
         C=C - B @ cross,
@@ -178,13 +176,13 @@ def map_control(reduced: ReducedProblem, v: np.ndarray, Z: np.ndarray) -> np.nda
     ``v`` has shape (..., N+1, m) and ``Z`` shape (..., N+1, n) with the
     node axis second-to-last.
     """
-    return v - np.einsum("kij,...kj->...ki", reduced.cross_gain, Z)
+    return v - mv(reduced.cross_gain, Z)
 
 
 def apply_cross_substitution(reduced: ReducedProblem, u: np.ndarray,
                              Z: np.ndarray) -> np.ndarray:
     """Forward map v = u + R22^{-1} R21 Z (inverse of :func:`map_control`)."""
-    return u + np.einsum("kij,...kj->...ki", reduced.cross_gain, Z)
+    return u + mv(reduced.cross_gain, Z)
 
 
 @dataclass(frozen=True)
@@ -208,17 +206,15 @@ def cost_shift_identity_check(spec: ProblemSpec, reduced: ReducedProblem,
     zero in continuous time, so what remains is quadrature bias O(dt) plus
     noise.
     """
-    from .evaluate import path_costs  # deferred: evaluate builds on this module
+    from .evaluate import mc_stderr, path_costs  # deferred: evaluate builds on this module
 
     cost_orig = path_costs(spec, traj.Y, traj.Z, traj.u, traj.brownian.W)
     v = apply_cross_substitution(reduced, traj.u, traj.Z)
     cost_red = path_costs(reduced.base, traj.Y, traj.Z, v, traj.brownian.W)
     diff = cost_orig - (cost_red - reduced.constant_shift)
-    P = diff.shape[0]
-    stderr = float(diff.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
     return ShiftIdentityReport(
         residual=float(abs(diff.mean())),
-        stderr=stderr,
+        stderr=mc_stderr(diff),
         shift=reduced.constant_shift,
         original=float(cost_orig.mean()),
         reduced=float(cost_red.mean()),

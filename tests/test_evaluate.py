@@ -1,9 +1,12 @@
 """Cost evaluation, value formula, and the optimality check battery."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import bslq
+from bslq.evaluate import CostForm, cost_form, mc_stderr
 from bslq.grid import AffineProcess, MatrixPath
 
 
@@ -38,14 +41,6 @@ def test_cost_s2_exact(synth_cache):
     assert rep.estimate == pytest.approx(1.0, abs=1e-12)
     assert rep.initial_term == pytest.approx(0.0, abs=1e-12)
     assert rep.running_term == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cost_worker_count_bitwise(synth_cache):
-    spec, synth = synth_cache("S4")
-    one = bslq.evaluate_cost(spec, synth.ensemble, workers=1)
-    four = bslq.evaluate_cost(spec, synth.ensemble, workers=4)
-    assert one.estimate == four.estimate
-    assert one.stderr == four.stderr
 
 
 # -- closed-form value ----------------------------------------------------------
@@ -142,6 +137,136 @@ def test_perturbation_even_in_eps(synth_cache):
     minus, plus = rep.rows
     tol = 3.0 * (minus.defect_stderr + plus.defect_stderr) + 0.02
     assert abs(plus.cost_diff - minus.cost_diff) <= tol
+
+
+# -- cost kernel against the re-costing references ------------------------------
+
+
+def reference_path_costs(spec, Y, Z, u, W):
+    """Backward cost with the linear data sampled on the paths, block by block."""
+    N = spec.grid.steps
+    Yk, Zk, uk = Y[:, :N], Z[:, :N], u[:, :N]
+
+    def bil(path, x, y):
+        return np.einsum("kij,pkj,pki->pk", path.node_values()[:N], x, y)
+
+    def lin(proc, x):
+        return np.einsum("pki,pki->pk", proc.sample(W)[:, :N], x)
+
+    integrand = (bil(spec.Q, Yk, Yk) + bil(spec.R11, Zk, Zk) + bil(spec.R22, uk, uk)
+                 + 2.0 * bil(spec.S1, Yk, Zk) + 2.0 * bil(spec.S2, Yk, uk)
+                 + bil(spec.R12, uk, Zk) + bil(spec.R21, Zk, uk)
+                 + 2.0 * (lin(spec.q, Yk) + lin(spec.rho1, Zk) + lin(spec.rho2, uk)))
+    Y0 = Y[:, 0]
+    return (np.einsum("pi,ij,pj->p", Y0, spec.G, Y0) + 2.0 * (Y0 @ spec.g)
+            + integrand.sum(axis=1) * spec.grid.dt)
+
+
+def reference_forward_costs(spec, X, v, W):
+    """Forward cost: terminal quadratic plus the left-point running sum."""
+    N = spec.grid.steps
+    Xk, vk = X[:, :N], v[:, :N]
+    Qv, Sv, Rv = (p.node_values()[:N] for p in (spec.cQ, spec.cS, spec.cR))
+    qt = spec.qTilde.sample(W)[:, :N]
+    rt = spec.rhoTilde.sample(W)[:, :N]
+    integrand = (np.einsum("pki,kij,pkj->pk", Xk, Qv, Xk)
+                 + 2.0 * np.einsum("kij,pkj,pki->pk", Sv, Xk, vk)
+                 + np.einsum("pki,kij,pkj->pk", vk, Rv, vk)
+                 + 2.0 * np.einsum("pki,pki->pk", qt, Xk)
+                 + 2.0 * np.einsum("pki,pki->pk", rt, vk))
+    XT = X[:, N]
+    terminal = np.einsum("pi,ij,pj->p", XT, spec.cG, XT) + 2.0 * (XT @ spec.gTilde)
+    return terminal + integrand.sum(axis=1) * spec.grid.dt
+
+
+def optimum(name, spec_2d, brownian_cache, paths=400):
+    spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+    return spec, bslq.synthesize_optimal(spec, brownian_cache(7, paths, spec.grid.steps))
+
+
+@pytest.mark.parametrize("name", ["S4", "SX", "SH", "2x2"])
+def test_perturbation_polynomial_matches_recosting(name, spec_2d, brownian_cache):
+    # The rows are read off the exact polynomial 2 eps C + eps^2 J0; the
+    # reference re-costs every perturbed trajectory.
+    spec, synth = optimum(name, spec_2d, brownian_cache)
+    ens = synth.ensemble
+    W = ens.brownian.W
+    v = bslq.random_affine_control(spec.grid, spec.m, np.random.default_rng(5))
+    eps_grid = (-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0)
+    rep = bslq.perturbation_identity(spec, ens, v, eps_grid)
+    traj = bslq.sample_affine_control(bslq.homogeneous(spec), v, ens.brownian)
+    base = bslq.path_costs(spec, ens.Y, ens.Z, ens.u, W)
+    j0 = bslq.path_costs(bslq.homogeneous(spec), traj.Y, traj.Z, traj.u, W)
+    tol = 1e-12 * max(1.0, np.max(np.abs(base)))
+    np.testing.assert_allclose(base, reference_path_costs(spec, ens.Y, ens.Z, ens.u, W),
+                               rtol=0.0, atol=tol)
+    assert abs(rep.j0_value - j0.mean()) <= tol
+    assert [row.eps for row in rep.rows] == list(eps_grid)
+    for row in rep.rows:
+        eps = row.eps
+        diff = bslq.path_costs(spec, ens.Y + eps * traj.Y, ens.Z + eps * traj.Z,
+                               ens.u + eps * traj.u, W) - base
+        defect = diff - eps ** 2 * j0
+        assert abs(row.cost_diff - diff.mean()) <= tol, eps
+        assert abs(row.defect - defect.mean()) <= tol, eps
+        assert abs(row.diff_stderr - mc_stderr(diff)) <= tol, eps
+        assert abs(row.defect_stderr - mc_stderr(defect)) <= tol, eps
+        assert row.quadratic_term == pytest.approx(eps ** 2 * j0.mean(), abs=tol)
+
+
+def noisy_forward():
+    """SF with additive noise, and a companion cost with every block,
+    linear weight and terminal weight of the forward form nonzero."""
+    sf = bslq.builtin_scenario("SF", steps=50, x0=1.0)
+    sf = sf.replace(sigma=AffineProcess.of_constants([0.3], [0.2], sf.grid))
+    psol = bslq.solve_forward_riccati(sf)
+    bw = bslq.BrownianEnsemble.generate(3, 300, sf.grid)
+    ens = bslq.simulate_forward_closed_loop(sf, psol, bslq.solve_eta_zeta(sf, psol), bw)
+    grid = sf.grid
+    full = sf.replace(cQ=MatrixPath.constant([[0.4]], grid),
+                      cS=MatrixPath.constant([[0.2]], grid),
+                      qTilde=AffineProcess.of_constants([0.3], [0.2], grid),
+                      rhoTilde=AffineProcess.of_constants([-0.1], [0.4], grid),
+                      gTilde=np.array([0.5]))
+    return full, ens
+
+
+def test_forward_cost_matches_reference():
+    spec, ens = noisy_forward()
+    W = ens.brownian.W
+    ref = reference_forward_costs(spec, ens.X, ens.v, W)
+    terminal, running = cost_form(spec).parts((ens.X, ens.v), W)
+    np.testing.assert_allclose(terminal + running, ref, rtol=0.0,
+                               atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+    rep = bslq.evaluate_cost(spec, ens)
+    assert rep.estimate == pytest.approx(ref.mean(), rel=1e-12)
+    assert rep.stderr == pytest.approx(mc_stderr(ref), rel=1e-10)
+
+
+def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
+    # The linear form reads a and b at the nodes: no (paths, N+1, dim)
+    # sample of q, rho1, rho2, qTilde or rhoTilde is built inside the kernel.
+    kernel = {f.__code__ for f in (cost_form, CostForm.parts, CostForm.cross,
+                                   CostForm._linear, CostForm._bilinear)}
+    inside, outside = [], []
+    sample = AffineProcess.sample
+
+    def counted(self, W):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in kernel:
+            frame = frame.f_back
+        (inside if frame is not None else outside).append(self)
+        return sample(self, W)
+
+    monkeypatch.setattr(AffineProcess, "sample", counted)
+    spec, synth = optimum("2x2", spec_2d, brownian_cache, paths=50)
+    v = bslq.random_affine_control(spec.grid, spec.m, np.random.default_rng(1))
+    bslq.evaluate_cost(spec, synth.ensemble)
+    bslq.perturbation_identity(spec, synth.ensemble, v, [0.5])
+    fspec, fens = noisy_forward()
+    bslq.evaluate_cost(fspec, fens)
+    assert outside  # the counter sees the sampling done outside the kernel
+    assert inside == []
 
 
 # -- convexity probe -------------------------------------------------------------

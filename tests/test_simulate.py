@@ -21,13 +21,6 @@ def test_increment_is_pure_function_of_seed_path_step():
     np.testing.assert_array_equal(small.W, again.W)
 
 
-def test_worker_count_does_not_change_increments():
-    grid = TimeGrid(1.0, 64)
-    one = bslq.BrownianEnsemble.generate(7, 257, grid, workers=1)
-    four = bslq.BrownianEnsemble.generate(7, 257, grid, workers=4)
-    np.testing.assert_array_equal(one.W, four.W)
-
-
 def test_different_seeds_differ():
     grid = TimeGrid(1.0, 16)
     a = bslq.BrownianEnsemble.generate(1, 4, grid)
