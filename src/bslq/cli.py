@@ -110,6 +110,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.paths < 1:
+        raise ValueError("--paths must be at least 1")
     spec = _load(args)
     out = _ensure_out(args.out)
     t = spec.grid.nodes

@@ -56,6 +56,8 @@ def rk4_stages(grid: TimeGrid, direction: str,
     Within an interval the substep times accumulate from its start node as
     ``t, t + h/2, t + h``; the interval's last time is the next node itself.
     """
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     nodes = grid.nodes
     if direction == "forward":
         starts, ends, h = nodes[:-1], nodes[1:], grid.dt / substeps

@@ -69,9 +69,6 @@ class BinomialTree:
     def sqrt_dt(self) -> float:
         return math.sqrt(self.dt)
 
-    def node_count(self) -> int:
-        return 2 ** (self.steps + 1) - 1
-
     def control_count(self) -> int:
         return 2 ** self.steps - 1
 

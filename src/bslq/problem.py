@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError, SpecValidationError
-from .grid import CONSTANT, SAMPLED, AffineProcess, MatrixPath, TimeGrid
+from .grid import CONSTANT, PIECEWISE, SAMPLED, AffineProcess, MatrixPath, TimeGrid
 
 SYMMETRY_TOL = 1e-12
 
@@ -372,11 +372,14 @@ def _parse_path(name: str, entry, shape: tuple, grid: TimeGrid) -> MatrixPath:
             raise ScenarioError(f"{name}: shape {arr.shape} != expected {shape}")
         return MatrixPath.constant(arr, grid)
     if isinstance(entry, dict):
-        unknown = set(entry) - {"t", "values"}
+        unknown = set(entry) - {"t", "values", "kind"}
         if unknown:
             raise ScenarioError(f"{name}: unknown keys {sorted(unknown)}")
+        kind = entry.get("kind", SAMPLED)
+        if kind not in (SAMPLED, PIECEWISE):
+            raise ScenarioError(f"{name}: kind must be {SAMPLED!r} or {PIECEWISE!r}")
         if "t" not in entry or "values" not in entry:
-            raise ScenarioError(f"{name}: grid-sampled entry needs 't' and 'values'")
+            raise ScenarioError(f"{name}: {kind} entry needs 't' and 'values'")
         t = np.asarray(entry["t"], dtype=float)
         vals = np.asarray(entry["values"], dtype=float)
         if t.shape != (grid.steps + 1,) or np.max(np.abs(t - grid.nodes)) > 1e-12:
@@ -386,7 +389,7 @@ def _parse_path(name: str, entry, shape: tuple, grid: TimeGrid) -> MatrixPath:
                 f"{name}: values shape {vals.shape} != expected "
                 f"{(grid.steps + 1,) + shape}"
             )
-        return MatrixPath.sampled(vals, grid)
+        return MatrixPath(kind, vals, grid)
     raise ScenarioError(f"{name}: invalid entry of type {type(entry).__name__}")
 
 
@@ -495,7 +498,8 @@ def parse_scenario(doc: dict):
 def _dump_path(path: MatrixPath) -> object:
     if path.kind == CONSTANT:
         return path.values[0].tolist()
-    return {"t": path.grid.nodes.tolist(), "values": path.node_values().tolist()}
+    kind = {"kind": PIECEWISE} if path.kind == PIECEWISE else {}  # grid-sampled by default
+    return {"t": path.grid.nodes.tolist(), "values": path.node_values().tolist(), **kind}
 
 
 def _dump_affine(proc: AffineProcess) -> dict:
@@ -556,8 +560,7 @@ def resample(spec, steps: int):
     def re_path(p: MatrixPath) -> MatrixPath:
         if p.kind == CONSTANT:
             return MatrixPath(CONSTANT, p.values, grid)
-        vals = p.tabulate(grid.nodes)
-        return MatrixPath(SAMPLED if p.kind == SAMPLED else p.kind, vals, grid)
+        return MatrixPath(p.kind, p.tabulate(grid.nodes), grid)
 
     def re_proc(a: AffineProcess) -> AffineProcess:
         return AffineProcess(re_path(a.a), re_path(a.b))

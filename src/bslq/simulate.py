@@ -50,11 +50,14 @@ from .reduction import ReducedProblem, map_control, reduce_problem
 from .riccati import ForwardRiccatiSolution, RiccatiSolution, solve_sigma
 
 
+def philox(seed: int, salt: int) -> Philox:
+    """Philox4x64 keyed by (seed, salt) modulo 2**64: seed -1 is seed 2**64 - 1."""
+    return Philox(key=np.array([seed % 2 ** 64, salt % 2 ** 64], dtype=np.uint64))
+
+
 def _path_normals(seed: int, path: int, count: int) -> np.ndarray:
     """Standard normals for one path of one ensemble; see module docstring."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    raw = Philox(key=key).random_raw(count)
+    raw = philox(seed, path).random_raw(count)
     u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
     return ndtri(u)
 
@@ -265,16 +268,14 @@ def synthesize_optimal(spec: ProblemSpec, brownian: BrownianEnsemble,
 
 def sample_affine_control(spec: ProblemSpec, control: AffineProcess,
                           brownian: BrownianEnsemble,
-                          substeps: int = DEFAULT_SUBSTEPS,
-                          state: AffineBsdeSolution | None = None) -> ControlledTrajectories:
+                          substeps: int = DEFAULT_SUBSTEPS) -> ControlledTrajectories:
     """Exact (Y, Z) trajectories of the state equation under an affine control.
 
     The backward equation is solved in closed affine form (see
     :func:`bslq.bsde.solve_controlled_state`) and evaluated pathwise; Z is
-    the deterministic loading b(t).  ``state`` passes a solution from a
-    batched solve.
+    the deterministic loading b(t).
     """
-    sol = state if state is not None else solve_controlled_state(spec, [control], substeps)[0]
+    sol = solve_controlled_state(spec, [control], substeps)[0]
     W = brownian.W
     Y = sol.phi.sample(W)
     Z = np.broadcast_to(sol.beta.a.node_values(), Y.shape).copy()

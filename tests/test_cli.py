@@ -106,6 +106,37 @@ def test_verify_rejects_unusable_sizes(flags, message, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_negative_seed_is_taken_modulo_2_64(capsys):
+    # Every Philox key takes the seed modulo 2**64, as the Brownian paths do.
+    args = ["verify", "builtin:S4", "--paths", "10", "--steps", "10", "--trials", "1"]
+    negative = run(args + ["--seed", "-5"], capsys)
+    wrapped = run(args + ["--seed", str(2 ** 64 - 5)], capsys)
+    assert negative[0] in (0, 1)
+    assert "delta_hat" in negative[1]
+    assert negative == wrapped
+
+
+@pytest.mark.parametrize("command", [["value", "builtin:S4"], ["value", "builtin:SF"],
+                                     ["verify", "builtin:S4", "--paths", "10"]],
+                         ids=["value", "value-forward", "verify"])
+def test_substeps_below_one_exits_two(command, capsys):
+    code, out, err = run(command + ["--steps", "10", "--substeps", "0"], capsys)
+    assert code == 2
+    assert err == "error: substeps must be >= 1, got 0\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("paths", ["0", "-1"])
+def test_simulate_rejects_no_paths(paths, tmp_path, capsys):
+    out = str(tmp_path / "sim")
+    code, stdout, err = run(["simulate", "builtin:S4", "--steps", "10", "--paths", paths,
+                             "--out", out], capsys)
+    assert code == 2
+    assert err == "error: --paths must be at least 1\n"
+    assert stdout == ""
+    assert not os.path.exists(out)
+
+
 def test_verify_contract_violation_exits_one(tmp_path, capsys):
     # R22 < 0 makes the problem non-solvable; verify must exit 1.
     doc = bslq.scenario_document(bslq.builtin_scenario("S1", steps=20))

@@ -244,10 +244,12 @@ def test_forward_cost_matches_reference():
 
 
 def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
-    # The linear form reads a and b at the nodes: no (paths, N+1, dim)
-    # sample of q, rho1, rho2, qTilde or rhoTilde is built inside the kernel.
+    # The kernel reads the linear weights and affine trajectories at the
+    # nodes: no (paths, N+1, dim) sample of q, rho1, rho2, qTilde or rhoTilde
+    # is built inside it, and the perturbation table and the probe, which
+    # cost affine trajectories only, sample no process at all.
     kernel = {f.__code__ for f in (cost_form, CostForm.parts, CostForm.cross,
-                                   CostForm._linear, CostForm._bilinear)}
+                                   CostForm.pair, CostForm._form)}
     inside, outside = [], []
     sample = AffineProcess.sample
 
@@ -262,14 +264,58 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     spec, synth = optimum("2x2", spec_2d, brownian_cache, paths=50)
     v = bslq.random_affine_control(spec.grid, spec.m, np.random.default_rng(1))
     bslq.evaluate_cost(spec, synth.ensemble)
-    bslq.perturbation_identity(spec, synth.ensemble, v, [0.5])
     fspec, fens = noisy_forward()
     bslq.evaluate_cost(fspec, fens)
     assert outside  # the counter sees the sampling done outside the kernel
     assert inside == []
+    outside.clear()
+    bslq.perturbation_identity(spec, synth.ensemble, v, [0.5])
+    bslq.convexity_probe(spec, trials=2, seed=3, paths=50)
+    assert outside == [] and inside == []
 
 
 # -- convexity probe -------------------------------------------------------------
+
+
+def reference_probe(spec, trials, seed, paths):
+    """(ratio, stderr, textbook stderr) per trial of the probe on sampled
+    trajectories: sample_affine_control, path_costs and the einsum energy.
+    The textbook delta-method stderr from cov(num, den) is the same variance
+    with cancellation between its terms."""
+    hspec = bslq.homogeneous(spec)
+    grid, N = hspec.grid, hspec.grid.steps
+    brownian = bslq.BrownianEnsemble.generate(seed, paths, grid)
+    key = np.array([seed, 0xC0FFEE], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    out = []
+    for _ in range(trials):
+        v = bslq.random_affine_control(grid, hspec.m, rng)
+        traj = bslq.sample_affine_control(hspec, v, brownian)
+        num = bslq.path_costs(hspec, traj.Y, traj.Z, traj.u, brownian.W)
+        den = np.einsum("pki,pki->p", traj.u[:, :N], traj.u[:, :N]) * grid.dt
+        nbar, dbar = num.mean(), den.mean()
+        ratio = nbar / dbar
+        residual = (num - ratio * den) / dbar
+        cov = np.cov(num, den, ddof=1)
+        var = (cov[0, 0] / dbar ** 2 + nbar ** 2 * cov[1, 1] / dbar ** 4
+               - 2.0 * nbar * cov[0, 1] / dbar ** 3)
+        out.append((ratio, residual.std(ddof=1) / np.sqrt(paths), np.sqrt(var / paths)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["S4", "SX", "SH", "2x2"])
+def test_probe_matches_sampled_route(name, spec_2d):
+    # The probe costs each control on its node arrays; the reference samples
+    # the trajectories and costs them path by path.
+    spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+    rep = bslq.convexity_probe(spec, trials=16, seed=11, paths=400)
+    ref = reference_probe(spec, 16, 11, 400)
+    assert len(rep.trials) == len(ref) == 16
+    for trial, (ratio, stderr, textbook) in zip(rep.trials, ref):
+        assert abs(trial.ratio - ratio) <= 1e-12 * abs(ratio)
+        assert abs(trial.stderr - stderr) <= 1e-12 * stderr
+        assert abs(trial.stderr - textbook) <= 1e-9 * textbook
+    assert rep.delta_hat == min(trial.ratio for trial in rep.trials)
 
 
 def test_probe_unit_ratio_s1():

@@ -117,6 +117,12 @@ def test_stage_table_matches_call_bitwise(kind, direction):
         assert np.array_equal(row, path(t))
 
 
+@pytest.mark.parametrize("substeps", [0, -2])
+def test_stage_table_rejects_substeps_below_one(substeps):
+    with pytest.raises(ValueError, match=f"substeps must be >= 1, got {substeps}"):
+        rk4_stages(TimeGrid(1.0, 4), "backward", substeps)
+
+
 def test_stage_times_are_the_integrator_times():
     grid = TimeGrid(1.0, 5)
     for direction, run in (("forward", integrate_forward), ("backward", integrate_backward)):

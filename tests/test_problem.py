@@ -140,6 +140,32 @@ def test_scenario_round_trip_sampled_path(tmp_path):
     np.testing.assert_array_equal(loaded.Q.node_values(), vals)
 
 
+def test_scenario_round_trip_piecewise_path(tmp_path):
+    # The kind of a node-valued path survives the file: a piecewise A
+    # reloaded as grid-sampled would interpolate and change the value.
+    spec = bslq.builtin_scenario("S4", steps=10)
+    values = np.where(spec.grid.nodes < 0.5, 0.5, -0.5).reshape(11, 1, 1)
+    spec = spec.replace(A=MatrixPath.piecewise(values, spec.grid))
+    path = tmp_path / "piecewise.json"
+    bslq.save_scenario(spec, str(path))
+    loaded = bslq.load_scenario(str(path))
+    assert loaded.A.kind == spec.A.kind == "piecewise-constant"
+    np.testing.assert_array_equal(loaded.A.node_values(), values)
+    assert bslq.solve_value(loaded)[0] == bslq.solve_value(spec)[0]
+
+
+def test_scenario_entry_kind_defaults_and_is_checked(tmp_path):
+    spec = bslq.builtin_scenario("S4", steps=4)
+    doc = bslq.scenario_document(spec.replace(
+        Q=MatrixPath.sampled(np.ones((5, 1, 1)), spec.grid)))
+    assert "kind" not in doc["Q"]
+    doc["Q"]["kind"] = "spline"
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="Q: kind must be"):
+        bslq.load_scenario(str(path))
+
+
 def test_scenario_missing_field(tmp_path):
     spec = bslq.builtin_scenario("S1", steps=4)
     doc = bslq.scenario_document(spec)
