@@ -179,6 +179,9 @@ def cmd_value(args) -> int:
 def cmd_verify(args) -> int:
     if args.paths < 2:
         raise ValueError("--paths must be at least 2 (a standard error needs two paths)")
+    if args.steps < 2:
+        raise ValueError("--steps must be at least 2 (the residual checks need an "
+                         "interior node)")
     if args.trials is not None and args.trials < 1:
         raise ValueError("--trials must be at least 1")
     spec = _load(args)

@@ -189,9 +189,12 @@ def interior_derivative(path: np.ndarray, dt: float) -> tuple[slice, np.ndarray]
     Uses the 5-point central stencil (fourth order) so that residual checks
     built on it stay far below the solver error; near the ends of short grids
     it falls back to the 3-point stencil.  Returns the node slice the
-    estimate covers and the derivative array.
+    estimate covers and the derivative array.  A path of fewer than three
+    nodes has no interior node and raises ``ValueError``.
     """
     N = path.shape[0] - 1
+    if N < 2:
+        raise ValueError(f"a derivative needs at least 3 nodes, got {N + 1}")
     if N >= 4:
         sl = slice(2, N - 1)
         d = (path[0:N - 3] - 8.0 * path[1:N - 2]

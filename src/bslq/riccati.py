@@ -161,21 +161,29 @@ def _canonical_base(problem) -> ProblemSpec:
 
 def sigma_derivative(t: float, S: np.ndarray, A, B, C, S1, S2, R11, R22) -> np.ndarray:
     """Right-hand side of the backward Riccati equation at one time point."""
-    BS = B + S @ S2.T
-    CS = C + S @ S1.T
-    RS = np.eye(S.shape[0]) + S @ R11
+    return _sigma_rhs(t, S, A, A.T, B, C, S1.T, S2.T, R11, R22, np.eye(S.shape[0]))
+
+
+def _sigma_rhs(t, S, A, At, B, C, S1t, S2t, R11, R22, eye) -> np.ndarray:
+    """:func:`sigma_derivative` with the transposes and the identity given."""
+    BS = B + S @ S2t
+    CS = C + S @ S1t
+    RS = eye + S @ R11
     term_b = BS @ _solve(R22, BS.T, t, "R22")
     term_c = CS @ _solve(RS, S @ CS.T, t, "R(Sigma)")
-    return A @ S + S @ A.T - term_b - term_c
+    return A @ S + S @ At - term_b - term_c
 
 
 def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     """Solve the backward Riccati equation of a canonical-form problem.
 
-    Sigma is integrated jointly with a backward replay of the shift H, with
-    the source coefficients shifted by the current H at every stage (a
-    canonical spec is its own source, H = 0).  The (H, Sigma) state at every
-    RK4 evaluation is kept on the result for the auxiliary BSDE.
+    The shift H is first replayed backward on its own recorded pass; the
+    source coefficients shifted by H at every RK4 evaluation are then formed
+    in one batch (a canonical spec is its own source, H = 0), so the Sigma
+    right-hand side only indexes arrays.  Every component of RK4 and of the
+    symmetrisation is elementwise, so the two passes give the (H, Sigma)
+    stage states of one joint pass bitwise; they are kept on the result for
+    the auxiliary BSDE.
 
     Post-conditions checked on the result: Sigma(T) = 0 exactly, symmetry
     and positive semidefiniteness within tolerance, and R(Sigma) invertible
@@ -190,19 +198,26 @@ def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     times, index = rk4_stages(spec.grid, "backward", substeps)
     cs = canonical_samples(src, lambda p: p.tabulate(times))
 
-    def rhs(e, state):
+    def h_rhs(e, H):
         j = index[e]
-        H, S = state[0], state[1]
         A = cs.A[j]
-        S1, S2, R11 = cs.shifted(H, j)
-        return np.stack([-(H @ A + A.T @ H + cs.Q[j]),
-                         sigma_derivative(times[j], S, A, cs.B[j], cs.C[j],
-                                          S1, S2, R11, cs.R22[j])])
+        return -(H @ A + A.T @ H + cs.Q[j])
+
+    _, H = integrate(OdeProblem(spec.grid, h_rhs, "backward", substeps), H_T,
+                     post_step=_sym, record=True)
+    t = times[index]
+    A, B, C, R22 = (x[index] for x in (cs.A, cs.B, cs.C, cs.R22))
+    S1, S2, R11 = cs.shifted(H, index)
+    At, S1t, S2t = (np.swapaxes(x, -1, -2) for x in (A, S1, S2))
+    eye = np.eye(spec.n)
+
+    def rhs(e, S):
+        return _sigma_rhs(t[e], S, A[e], At[e], B[e], C[e], S1t[e], S2t[e], R11[e],
+                          R22[e], eye)
 
     path, stages = integrate(OdeProblem(spec.grid, rhs, "backward", substeps),
-                             np.stack([H_T, np.zeros((spec.n, spec.n))]),
-                             post_step=_sym, record=True)
-    return _derive_sigma_paths(spec, path[:, 1], substeps, stages)
+                             np.zeros((spec.n, spec.n)), post_step=_sym, record=True)
+    return _derive_sigma_paths(spec, path, substeps, np.stack([H, stages], axis=1))
 
 
 def sigma_terms(Sigma, B, C, S1, S2, R11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,6 +25,22 @@ X* = X - H Y (the identity X*(0) = G Y(0) + g then holds by construction).
 These synthesis formulas satisfy the first-order optimality relation exactly
 at every path and node, independently of the time step.
 
+Every input except X is affine in W (phi = a + b W, beta deterministic, and
+the data rho1, rho2, q by assumption), and K (a + W b) = K a + W (K b).  So
+each forcing and each output has the node-affine form
+
+    K X + c0 + W c1,
+
+with K, c0 and c1 formed once on the (N+1)-node arrays: the dual drift and
+diffusion forcings are c0 + W c1 and e0 + W e1, and
+
+    Y = -Sigma X + phi,   Z = K_Z X + z0 + W z1,   u = K_u X + u0 + W u1,
+
+where K_u = R22^{-1} B(Sigma)^T - R22^{-1} R21 K_Z folds the cross-term map
+into one gain.  The forward closed loop is formed the same way, with
+v = -K X + feed and feed affine.  No (paths, N+1, dim) sample of the data
+is built.
+
 Randomness is counter-based: path p of an ensemble with seed s draws its
 increments from a Philox4x64 generator keyed by (s, p), with the k-th
 increment produced from the k-th 64-bit word of that stream via the inverse
@@ -149,28 +165,60 @@ def _euler_loop(X0: np.ndarray, drift_parts, diff_parts, brownian: BrownianEnsem
 
     ``drift_parts`` is (F, c) with F of shape (N+1, n, n) and c of shape
     (paths, N+1, n) (already evaluated pathwise); same for ``diff_parts``.
+    The state is stored time-major, so each step reads and writes one
+    contiguous block; forcings laid out by :func:`_time_major` are read the
+    same way.  Returns (paths, N+1, n).
     """
     F, c = drift_parts
     D, e = diff_parts
     P = brownian.paths
     N = brownian.grid.steps
     dt = brownian.grid.dt
-    X = np.empty((P, N + 1, X0.shape[-1]))
-    X[:, 0, :] = X0
-    x = X[:, 0, :]
-    dW = brownian.increments
+    X = np.empty((N + 1, P, X0.shape[-1]))
+    X[0] = X0
+    x = X[0]
+    dW = np.ascontiguousarray(brownian.increments.T)
     for k in range(N):
         drift = x @ F[k].T + c[:, k, :]
         diff = x @ D[k].T + e[:, k, :]
-        x = x + drift * dt + diff * dW[:, k, None]
+        x = x + drift * dt + diff * dW[k, :, None]
         if not np.all(np.isfinite(x)):
             bad = int(np.argwhere(~np.isfinite(x))[0][0])
             raise SimulationError(
                 f"{what} blew up at path {bad}, step {k + 1} "
                 f"(t={(k + 1) * dt:g})"
             )
-        X[:, k + 1, :] = x
-    return X
+        X[k + 1] = x
+    return np.ascontiguousarray(np.swapaxes(X, 0, 1))
+
+
+def _parts(proc: AffineProcess) -> np.ndarray:
+    """Node parts (a, b) of a + b W stacked on a leading axis: (2, N+1, dim).
+    ``mv`` maps such a stack part by part, since K (a + W b) = K a + W (K b)."""
+    return np.stack(proc.node_parts())
+
+
+def _time_major(parts: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """a + W b on every path, stored (N+1, paths, dim) and returned as the
+    (paths, N+1, dim) view that :func:`_euler_loop` reads step by step."""
+    Wt = np.ascontiguousarray(W.T)
+    out = np.empty(Wt.shape + parts.shape[-1:])
+    for i in range(out.shape[-1]):
+        col = out[..., i]
+        np.multiply(Wt, parts[1][:, None, i], out=col)
+        col += parts[0][:, None, i]
+    return np.swapaxes(out, 0, 1)
+
+
+def _gain_affine(K: np.ndarray, X: np.ndarray, parts: np.ndarray,
+                 W: np.ndarray) -> np.ndarray:
+    """K X + a + W b at every path and node, for node-level K and (a, b)."""
+    out = mv(K, X)
+    for i in range(out.shape[-1]):
+        col = out[..., i]
+        col += parts[0][:, i]
+        col += W * parts[1][:, i]
+    return out
 
 
 def simulate_dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
@@ -186,7 +234,6 @@ def simulate_dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
     Sg, BS, CS = sigma.Sigma, sigma.BofSigma, sigma.CofSigma
     RSinv = sigma.RofSigmaInv
     S1t = np.swapaxes(S1, -1, -2)
-    S2t = np.swapaxes(S2, -1, -2)
 
     s1_rinv = S1t @ RSinv
     s2_r22inv = np.swapaxes(np.linalg.solve(R22, S2), -1, -2)  # S2^T R22^{-1}
@@ -195,20 +242,17 @@ def simulate_dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
     Gphi = -(s1_rinv @ Sg @ S1 + s2_r22inv @ S2)
     D = -np.swapaxes(RSinv, -1, -2) @ np.swapaxes(CS, -1, -2)
 
-    W = brownian.W
-    phi = bsde.phi.sample(W)
-    beta = bsde.beta.a.node_values()          # deterministic integrand
-    rho1 = spec.rho1.sample(W)
-    rho2 = spec.rho2.sample(W)
-    q = spec.q.sample(W)
-
+    phi, beta = _parts(bsde.phi), _parts(bsde.beta)
+    rho1, rho2, q = _parts(spec.rho1), _parts(spec.rho2), _parts(spec.q)
     c = (mv(Gphi, phi) + mv(s1_rinv, beta) - mv(s1_rinv @ Sg, rho1)
          - mv(s2_r22inv, rho2) + q)
     RSinvT = np.swapaxes(RSinv, -1, -2)
     e = mv(RSinvT @ S1, phi) + mv(RSinvT @ R11, beta) + mv(RSinvT, rho1)
 
+    W = brownian.W
     X0 = np.broadcast_to(spec.g, (brownian.paths, spec.n))
-    return _euler_loop(X0, (F, c), (D, e), brownian, "dual SDE")
+    return _euler_loop(X0, (F, _time_major(c, W)), (D, _time_major(e, W)), brownian,
+                       "dual SDE")
 
 
 def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
@@ -218,29 +262,32 @@ def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
 
     All formulas are algebraic in (X, phi, beta) at each node, so the
     first-order optimality relation of the original problem holds to
-    rounding error regardless of the Euler step used for X.
+    rounding error regardless of the Euler step used for X.  Each output is
+    one gain applied to X plus an affine-in-W term formed at the nodes.
     """
     spec = reduced.base
     S1 = spec.S1.node_values()
     S2 = spec.S2.node_values()
-    R22 = spec.R22.node_values()
+    R22inv = np.linalg.inv(spec.R22.node_values())
     Sg, BS, CS = sigma.Sigma, sigma.BofSigma, sigma.CofSigma
     RSinv = sigma.RofSigmaInv
 
-    W = brownian.W
-    phi = bsde.phi.sample(W)
-    beta = bsde.beta.a.node_values()
-    rho1 = spec.rho1.sample(W)
-    rho2 = spec.rho2.sample(W)
+    phi, beta = _parts(bsde.phi), _parts(bsde.beta)
+    rho1, rho2 = _parts(spec.rho1), _parts(spec.rho2)
 
-    Y = -mv(Sg, X_dual) + phi
-    Z = mv(RSinv @ Sg @ np.swapaxes(CS, -1, -2), X_dual) \
-        - mv(RSinv @ Sg @ S1, phi) - mv(RSinv @ Sg, rho1) + mv(RSinv, beta)
-    v_raw = mv(np.swapaxes(BS, -1, -2), X_dual) - mv(S2, phi) - rho2
-    v = mv(np.linalg.inv(R22), v_raw)
-    u = map_control(reduced, v, Z)
+    # Z = K_Z X + z_aff and u = K_u X + u_aff, with (a, b) node parts z_aff, u_aff.
+    RSg = RSinv @ Sg
+    K_Z = RSg @ np.swapaxes(CS, -1, -2)
+    z_aff = -mv(RSg @ S1, phi) - mv(RSg, rho1) + mv(RSinv, beta)
+    K_u = R22inv @ np.swapaxes(BS, -1, -2) - reduced.cross_gain @ K_Z
+    u_aff = map_control(reduced, mv(R22inv, -mv(S2, phi) - rho2), z_aff)
+
+    W = brownian.W
+    Y = _gain_affine(-Sg, X_dual, phi, W)
+    Z = _gain_affine(K_Z, X_dual, z_aff, W)
     X_adj = X_dual - mv(reduced.h.H, Y)
-    return PathEnsemble(brownian, X=X_adj, X_dual=X_dual, u=u, Y=Y, Z=Z)
+    return PathEnsemble(brownian, X=X_adj, X_dual=X_dual,
+                        u=_gain_affine(K_u, X_dual, u_aff, W), Y=Y, Z=Z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,24 +356,17 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
     R = spec.cR.node_values()
     P = psol.P
     K = psol.gain
-    W = brownian.W
 
     Dt = np.swapaxes(D, -1, -2)
     weight = R + Dt @ P @ D
-    eta = adjoint.phi.sample(W)
-    zeta = adjoint.beta.a.node_values()
-    sig = spec.sigma.sample(W)
-    rho = spec.rhoTilde.sample(W)
-    bdrift = spec.b.sample(W)
-
-    open_loop = mv(np.swapaxes(B, -1, -2), eta) + mv(Dt, zeta) + mv(Dt @ P, sig) + rho
+    sig = _parts(spec.sigma)
+    open_loop = (mv(np.swapaxes(B, -1, -2), _parts(adjoint.phi)) + mv(Dt, _parts(adjoint.beta))
+                 + mv(Dt @ P, sig) + _parts(spec.rhoTilde))
     feed = -mv(np.linalg.inv(weight), open_loop)
 
-    F = A - B @ K
-    c = mv(B, feed) + bdrift
-    Dd = C - D @ K
-    e = mv(D, feed) + sig
+    W = brownian.W
+    c = _time_major(mv(B, feed) + _parts(spec.b), W)
+    e = _time_major(mv(D, feed) + sig, W)
     X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)),
-                    (F, c), (Dd, e), brownian, "forward closed loop")
-    v = -mv(K, X) + feed
-    return ForwardEnsemble(brownian, X=X, v=v)
+                    (A - B @ K, c), (C - D @ K, e), brownian, "forward closed loop")
+    return ForwardEnsemble(brownian, X=X, v=_gain_affine(-K, X, feed, W))

@@ -99,7 +99,10 @@ def test_verify_forward_rejects_backward_flags(capsys):
     (["--paths", "0"], "--paths must be at least 2 (a standard error needs two paths)"),
     (["--paths", "1"], "--paths must be at least 2 (a standard error needs two paths)"),
     (["--trials", "0"], "--trials must be at least 1"),
-], ids=["paths0", "paths1", "trials0"])
+    # A 2-node path has no interior node: every residual row would read 0.
+    (["--steps", "1"], "--steps must be at least 2 (the residual checks need an "
+                       "interior node)"),
+], ids=["paths0", "paths1", "trials0", "steps1"])
 def test_verify_rejects_unusable_sizes(flags, message, capsys):
     code, _, err = run(["verify", "builtin:S4", "--steps", "20"] + flags, capsys)
     assert code == 2

@@ -266,6 +266,8 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     bslq.evaluate_cost(spec, synth.ensemble)
     fspec, fens = noisy_forward()
     bslq.evaluate_cost(fspec, fens)
+    # The stationarity check samples rho2 on purpose, outside the kernel.
+    bslq.stationarity_residual(spec, synth.ensemble)
     assert outside  # the counter sees the sampling done outside the kernel
     assert inside == []
     outside.clear()

@@ -102,6 +102,12 @@ def test_interior_derivative_exact_on_cubics():
     np.testing.assert_allclose(d, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_interior_derivative_needs_an_interior_node(nodes):
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        interior_derivative(np.zeros((nodes, 2)), 0.5)
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 @pytest.mark.parametrize("kind", ["constant", "piecewise", "sampled"])
 def test_stage_table_matches_call_bitwise(kind, direction):

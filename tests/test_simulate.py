@@ -1,12 +1,16 @@
 """Brownian ensembles, dual SDE simulation and pointwise synthesis."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import bslq
+from bslq.bsde import assemble_drift, solve_affine_bsde
 from bslq.errors import SimulationError
-from bslq.grid import TimeGrid
-from bslq.simulate import _euler_loop
+from bslq.grid import AffineProcess, MatrixPath, TimeGrid, mv
+from bslq import simulate as sim
+from bslq.simulate import _euler_loop, _time_major
 
 
 # -- Brownian ensembles -------------------------------------------------------
@@ -232,3 +236,188 @@ def test_forward_loop_closed_form():
                                np.broadcast_to((2.0 - t) / 2.0, ens.X[:, :, 0].shape),
                                atol=1e-12)
     np.testing.assert_allclose(ens.v, -0.5, atol=1e-12)
+
+
+# -- node-affine synthesis against the sampled formulas -------------------------
+
+
+def reference_euler_loop(X0, drift_parts, diff_parts, brownian, what):
+    """The path-major Euler loop: strided [:, k, :] reads and writes."""
+    F, c = drift_parts
+    D, e = diff_parts
+    P, N, dt = brownian.paths, brownian.grid.steps, brownian.grid.dt
+    X = np.empty((P, N + 1, X0.shape[-1]))
+    X[:, 0, :] = X0
+    x = X[:, 0, :]
+    dW = brownian.increments
+    for k in range(N):
+        drift = x @ F[k].T + c[:, k, :]
+        diff = x @ D[k].T + e[:, k, :]
+        x = x + drift * dt + diff * dW[:, k, None]
+        if not np.all(np.isfinite(x)):
+            bad = int(np.argwhere(~np.isfinite(x))[0][0])
+            raise SimulationError(
+                f"{what} blew up at path {bad}, step {k + 1} (t={(k + 1) * dt:g})")
+        X[:, k + 1, :] = x
+    return X
+
+
+def reference_dual_sde(reduced, sigma, bsde, brownian):
+    """The dual SDE with every data process sampled onto the paths."""
+    spec = reduced.base
+    A, S1, S2, R11, R22 = (p.node_values() for p in (
+        spec.A, spec.S1, spec.S2, spec.R11, spec.R22))
+    Sg, BS, CS, RSinv = sigma.Sigma, sigma.BofSigma, sigma.CofSigma, sigma.RofSigmaInv
+    T = lambda M: np.swapaxes(M, -1, -2)  # noqa: E731
+    s1_rinv = T(S1) @ RSinv
+    s2_r22inv = T(np.linalg.solve(R22, S2))
+    F = s1_rinv @ Sg @ T(CS) + s2_r22inv @ T(BS) - T(A)
+    Gphi = -(s1_rinv @ Sg @ S1 + s2_r22inv @ S2)
+    D = -T(RSinv) @ T(CS)
+    W = brownian.W
+    phi, rho1, rho2, q = (p.sample(W) for p in (bsde.phi, spec.rho1, spec.rho2, spec.q))
+    beta = bsde.beta.a.node_values()
+    c = (mv(Gphi, phi) + mv(s1_rinv, beta) - mv(s1_rinv @ Sg, rho1)
+         - mv(s2_r22inv, rho2) + q)
+    e = mv(T(RSinv) @ S1, phi) + mv(T(RSinv) @ R11, beta) + mv(T(RSinv), rho1)
+    X0 = np.broadcast_to(spec.g, (brownian.paths, spec.n))
+    return reference_euler_loop(X0, (F, c), (D, e), brownian, "dual SDE")
+
+
+def reference_synthesize(reduced, sigma, bsde, X_dual, brownian):
+    """(X, Y, Z, u) from the sampled phi, rho1, rho2 and map_control."""
+    spec = reduced.base
+    S1, S2, R22 = (p.node_values() for p in (spec.S1, spec.S2, spec.R22))
+    Sg, BS, CS, RSinv = sigma.Sigma, sigma.BofSigma, sigma.CofSigma, sigma.RofSigmaInv
+    W = brownian.W
+    phi, rho1, rho2 = (p.sample(W) for p in (bsde.phi, spec.rho1, spec.rho2))
+    beta = bsde.beta.a.node_values()
+    Y = -mv(Sg, X_dual) + phi
+    Z = (mv(RSinv @ Sg @ np.swapaxes(CS, -1, -2), X_dual) - mv(RSinv @ Sg @ S1, phi)
+         - mv(RSinv @ Sg, rho1) + mv(RSinv, beta))
+    v = mv(np.linalg.inv(R22), mv(np.swapaxes(BS, -1, -2), X_dual) - mv(S2, phi) - rho2)
+    u = bslq.map_control(reduced, v, Z)
+    return X_dual - mv(reduced.h.H, Y), Y, Z, u
+
+
+def reference_forward(spec, psol, adjoint, brownian):
+    """(X, v) of the forward closed loop from the sampled eta, sigma,
+    rhoTilde and b."""
+    B, C, D, R = (p.node_values() for p in (spec.cB, spec.cC, spec.cD, spec.cR))
+    P, K, W = psol.P, psol.gain, brownian.W
+    Dt = np.swapaxes(D, -1, -2)
+    eta, sig, rho, bdrift = (p.sample(W) for p in (
+        adjoint.phi, spec.sigma, spec.rhoTilde, spec.b))
+    open_loop = (mv(np.swapaxes(B, -1, -2), eta) + mv(Dt, adjoint.beta.a.node_values())
+                 + mv(Dt @ P, sig) + rho)
+    feed = -mv(np.linalg.inv(R + Dt @ P @ D), open_loop)
+    X = reference_euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)),
+                             (spec.cA.node_values() - B @ K, mv(B, feed) + bdrift),
+                             (C - D @ K, mv(D, feed) + sig), brownian,
+                             "forward closed loop")
+    return X, -mv(K, X) + feed
+
+
+def noisy_sf():
+    """SF with state and control noise loadings and affine noise in sigma,
+    rhoTilde and b, so every forcing of the closed loop has a W part."""
+    sf = bslq.builtin_scenario("SF", steps=100, x0=1.0)
+    return sf.replace(cC=MatrixPath.constant([[0.2]], sf.grid),
+                      cD=MatrixPath.constant([[0.3]], sf.grid),
+                      sigma=AffineProcess.of_constants([0.3], [0.2], sf.grid),
+                      rhoTilde=AffineProcess.of_constants([-0.1], [0.4], sf.grid),
+                      b=AffineProcess.of_constants([0.2], [-0.3], sf.grid))
+
+
+def assert_close(actual, reference):
+    np.testing.assert_allclose(actual, reference, rtol=0.0,
+                               atol=1e-13 * max(1.0, np.max(np.abs(reference))))
+
+
+@pytest.mark.parametrize("name", ["S2", "S4", "SX", "SH", "2x2", "SF"])
+def test_node_affine_matches_sampled_route(name, spec_2d):
+    # K (a + W b) = K a + W (K b): the node-level route is the sampled one
+    # up to rounding, output by output.
+    if name == "SF":
+        spec = noisy_sf()
+        psol = bslq.solve_forward_riccati(spec)
+        adj = bslq.solve_eta_zeta(spec, psol)
+        bw = bslq.BrownianEnsemble.generate(5, 300, spec.grid)
+        ens = sim.simulate_forward_closed_loop(spec, psol, adj, bw)
+        for actual, ref in zip((ens.X, ens.v), reference_forward(spec, psol, adj, bw)):
+            assert_close(actual, ref)
+        return
+    spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=100)
+    bw = bslq.BrownianEnsemble.generate(5, 300, spec.grid)
+    reduced = bslq.reduce_problem(spec)
+    sigma = bslq.solve_sigma(reduced)
+    bsde = solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi)
+    X_dual = sim.simulate_dual_sde(reduced, sigma, bsde, bw)
+    ens = sim.synthesize(reduced, sigma, bsde, X_dual, bw)
+    ref_dual = reference_dual_sde(reduced, sigma, bsde, bw)
+    assert_close(X_dual, ref_dual)
+    ref = reference_synthesize(reduced, sigma, bsde, ref_dual, bw)
+    for actual, expected in zip((ens.X, ens.Y, ens.Z, ens.u), ref):
+        assert_close(actual, expected)
+    assert np.all(ens.Y[:, 0] == ens.Y[0, 0])
+
+
+def test_time_major_loop_matches_strided_loop():
+    grid = TimeGrid(1.0, 40)
+    bw = bslq.BrownianEnsemble.generate(9, 7, grid)
+    rng = np.random.default_rng(4)
+    F, D = rng.standard_normal((2, 41, 2, 2))
+    c, e = rng.standard_normal((2, 7, 41, 2))
+    X0 = rng.standard_normal((7, 2))
+    ref = reference_euler_loop(X0, (F, c), (D, e), bw, "test SDE")
+    np.testing.assert_array_equal(_euler_loop(X0, (F, c), (D, e), bw, "test SDE"), ref)
+    # Forcings laid out time-major give the same values, read contiguously.
+    cp, ep = rng.standard_normal((2, 2, 41, 2))
+    ct, et = _time_major(cp, bw.W), _time_major(ep, bw.W)
+    np.testing.assert_array_equal(ct, cp[0] + bw.W[..., None] * cp[1])
+    np.testing.assert_array_equal(_euler_loop(X0, (F, ct), (D, et), bw, "test SDE"),
+                                  reference_euler_loop(X0, (F, ct), (D, et), bw, "test SDE"))
+
+
+def test_time_major_loop_blows_up_at_the_same_path_and_step():
+    grid = TimeGrid(1.0, 200)
+    bw = bslq.BrownianEnsemble.generate(0, 4, grid)
+    F = np.full((201, 1, 1), 1e4)
+    zeros = np.zeros((4, 201, 1))
+    X0 = np.array([[1.0], [1.0], [1e200], [1.0]])
+    messages = []
+    for loop in (_euler_loop, reference_euler_loop):
+        with pytest.raises(SimulationError) as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                loop(X0, (F, zeros), (0.0 * F, zeros), bw, "test SDE")
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "path 2, step " in messages[0]
+
+
+def test_synthesis_samples_no_process(monkeypatch, spec_2d):
+    # The dual SDE, the synthesis and the forward closed loop form their
+    # forcings and outputs at the nodes: no data process is sampled inside.
+    path_layer = {f.__code__ for f in (sim.simulate_dual_sde, sim.synthesize,
+                                       sim.simulate_forward_closed_loop)}
+    inside, outside = [], []
+    sample = AffineProcess.sample
+
+    def counted(self, W):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in path_layer:
+            frame = frame.f_back
+        (inside if frame is not None else outside).append(self)
+        return sample(self, W)
+
+    monkeypatch.setattr(AffineProcess, "sample", counted)
+    bw = bslq.BrownianEnsemble.generate(2, 50, spec_2d.grid)
+    synth = bslq.synthesize_optimal(spec_2d, bw)
+    spec_2d.xi.sample(bw.W)
+    sf = noisy_sf()
+    psol = bslq.solve_forward_riccati(sf)
+    sim.simulate_forward_closed_loop(sf, psol, bslq.solve_eta_zeta(sf, psol),
+                                 bslq.BrownianEnsemble.generate(2, 50, sf.grid))
+    assert synth.ensemble.u.shape == (50, 101, 2)
+    assert outside  # the counter sees the sampling done outside the path layer
+    assert inside == []
