@@ -32,8 +32,7 @@ from .errors import ConsistencyError
 from .grid import AffineProcess, MatrixPath, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS, integrate_linear, interior_derivative, rk4_stages
 from .problem import ForwardProblemSpec, ProblemSpec
-from .riccati import (ForwardRiccatiSolution, RiccatiSolution, feedback_gain,
-                      solve_forward_riccati, solve_sigma, sigma_terms)
+from .riccati import ForwardRiccatiSolution, RiccatiSolution, feedback_gain, sigma_terms
 
 CROSS_FORM_TOL = 1e-10
 
@@ -43,8 +42,9 @@ class BsdeDriftSpec:
     """Canonical drift  M phi + N beta + r0 + r1 W  sampled on the grid.
 
     The node arrays (r0, r1 may carry a trailing batch axis) are the
-    reference for residual checks.  ``at_stages(substeps)``, when set, gives
-    (M, N, r0, r1) at every RK4 evaluation; else the nodes are interpolated.
+    reference for residual checks.  The coefficient ODEs run at ``substeps``
+    RK4 substeps per interval; ``at_stages()``, when set, gives (M, N, r0, r1)
+    at every RK4 evaluation, else the nodes are interpolated.
     """
 
     grid: TimeGrid
@@ -53,12 +53,13 @@ class BsdeDriftSpec:
     r0: np.ndarray  # (N+1, n)
     r1: np.ndarray  # (N+1, n)
     cross_form_gap: float = 0.0
-    at_stages: Callable[[int], tuple] | None = None
+    at_stages: Callable[[], tuple] | None = None
+    substeps: int = DEFAULT_SUBSTEPS
 
-    def stage_coefficients(self, substeps: int) -> tuple:
+    def stage_coefficients(self) -> tuple:
         if self.at_stages is not None:
-            return self.at_stages(substeps)
-        times, index = rk4_stages(self.grid, "backward", substeps)
+            return self.at_stages()
+        times, index = rk4_stages(self.grid, "backward", self.substeps)
         return tuple(MatrixPath.sampled(x, self.grid).tabulate(times)[index]
                      for x in (self.M, self.N, self.r0, self.r1))
 
@@ -115,7 +116,8 @@ def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
     well and the two are compared; they agree identically, so any gap is a
     coding or data error and raises :class:`ConsistencyError`.  For a
     reduced problem the same collapsed form is evaluated at every RK4
-    evaluation from the recorded (H, Sigma) stage states.
+    evaluation from the recorded (H, Sigma) stage states.  The drift runs at
+    the substep count of that record.
     """
     spec: ProblemSpec = getattr(problem, "base", problem)
     if spec.grid is not sigma.grid and spec.grid != sigma.grid:
@@ -142,12 +144,10 @@ def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
         )
     at_stages = None
     if hasattr(problem, "source"):
-        def at_stages(substeps):
-            states = (sigma.stages if sigma.substeps == substeps
-                      else solve_sigma(problem, substeps).stages)
-            return _reduced_stage_drift(problem, states, substeps)
+        def at_stages():
+            return _reduced_stage_drift(problem, sigma.stages, sigma.substeps)
     return BsdeDriftSpec(spec.grid, M, N, r0, r1, cross_form_gap=gap,
-                         at_stages=at_stages)
+                         at_stages=at_stages, substeps=sigma.substeps)
 
 
 def _reduced_stage_drift(reduced, states: np.ndarray, substeps: int) -> tuple:
@@ -164,16 +164,16 @@ def _reduced_stage_drift(reduced, states: np.ndarray, substeps: int) -> tuple:
                             f, cs.shifted_q(H, at), rho1, rho2)
 
 
-def solve_affine_bsde(drift: BsdeDriftSpec, xi: AffineProcess,
-                      substeps: int = DEFAULT_SUBSTEPS) -> AffineBsdeSolution:
-    """Integrate the coefficient ODEs backward from (a(T), b(T)) = xi parts.
+def solve_affine_bsde(drift: BsdeDriftSpec, xi: AffineProcess) -> AffineBsdeSolution:
+    """Integrate the coefficient ODEs backward from (a(T), b(T)) = xi parts,
+    at the drift's substep count.
 
     The terminal node of the result carries the affine components of the
     terminal value bitwise.
     """
     aT, bT = xi.at_terminal()
-    a, b = integrate_linear(drift.grid, *drift.stage_coefficients(substeps),
-                            aT, bT, substeps)
+    a, b = integrate_linear(drift.grid, *drift.stage_coefficients(),
+                            aT, bT, drift.substeps)
     return _wrap_solution(drift, a, b)
 
 
@@ -199,10 +199,11 @@ def solve_controlled_state(spec: ProblemSpec, controls: Sequence[AffineProcess],
     A, B, C = spec.A.node_values(), spec.B.node_values(), spec.C.node_values()
     r0, r1 = (np.stack([mv(B, u) + f for u in parts], axis=-1)
               for f, parts in zip(spec.f.node_parts(), zip(*(c.node_parts() for c in controls))))
-    a, b = integrate_linear(grid, *BsdeDriftSpec(grid, A, C, r0, r1).stage_coefficients(substeps),
+    drift = BsdeDriftSpec(grid, A, C, r0, r1, substeps=substeps)
+    a, b = integrate_linear(grid, *drift.stage_coefficients(),
                             *(np.repeat(x[:, None], K, axis=1) for x in spec.xi.at_terminal()),
                             substeps)
-    return [_wrap_solution(BsdeDriftSpec(grid, A, C, r0[..., i], r1[..., i]),
+    return [_wrap_solution(BsdeDriftSpec(grid, A, C, r0[..., i], r1[..., i], substeps=substeps),
                            a[..., i], b[..., i]) for i in range(K)]
 
 
@@ -216,8 +217,7 @@ def _adjoint_drift(A, B, C, D, P, gain, sigma, rho, b, q):
     return -theta, -lam, -c0, -c1
 
 
-def solve_eta_zeta(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
-                   substeps: int = DEFAULT_SUBSTEPS) -> AffineBsdeSolution:
+def solve_eta_zeta(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution) -> AffineBsdeSolution:
     """Adjoint pair (eta, zeta) of the forward closed loop, terminal gTilde.
 
     d eta = -(Theta eta + Lambda zeta + c) dt + zeta dW with
@@ -228,22 +228,21 @@ def solve_eta_zeta(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
 
     which is the canonical affine form with M = -Theta, N = -Lambda,
     r = -c.  The stage coefficients come from the P states recorded by
-    :func:`bslq.riccati.solve_forward_riccati` (recorded again for another
-    ``substeps``); the drift node arrays from the supplied solution.
+    :func:`bslq.riccati.solve_forward_riccati`, at its substep count; the
+    drift node arrays from the same solution.
     """
     grid = spec.grid
     paths = (spec.cA, spec.cB, spec.cC, spec.cD)
     affine = (spec.sigma, spec.rhoTilde, spec.b, spec.qTilde)
     drift = BsdeDriftSpec(grid, *_adjoint_drift(
         *(p.node_values() for p in paths), psol.P, psol.gain,
-        *(proc.node_parts() for proc in affine)))
+        *(proc.node_parts() for proc in affine)), substeps=psol.substeps)
 
-    times, index = rk4_stages(grid, "backward", substeps)
-    P = (psol.stages if psol.substeps == substeps
-         else solve_forward_riccati(spec, substeps).stages)
+    times, index = rk4_stages(grid, "backward", psol.substeps)
+    P = psol.stages
     A, B, C, D, S, R = (p.tabulate(times)[index] for p in paths + (spec.cS, spec.cR))
     coeffs = _adjoint_drift(A, B, C, D, P, feedback_gain(P, B, C, D, S, R),
                             *((p.a.tabulate(times)[index], p.b.tabulate(times)[index])
                               for p in affine))
-    a, b = integrate_linear(grid, *coeffs, spec.gTilde, np.zeros(spec.n), substeps)
+    a, b = integrate_linear(grid, *coeffs, spec.gTilde, np.zeros(spec.n), psol.substeps)
     return _wrap_solution(drift, a, b)

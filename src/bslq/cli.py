@@ -75,7 +75,7 @@ def cmd_solve(args) -> int:
         return 0
     reduced = reduce_problem(spec, args.substeps)
     sigma = solve_sigma(reduced, args.substeps)
-    bsde = solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi, args.substeps)
+    bsde = solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi)
     n = spec.n
     write_csv(os.path.join(out, "sigma.csv"),
               ["t"] + _matrix_header("Sigma", n, n),
@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
     t = spec.grid.nodes
     if isinstance(spec, ForwardProblemSpec):
         psol = solve_forward_riccati(spec, args.substeps)
-        adj = solve_eta_zeta(spec, psol, args.substeps)
+        adj = solve_eta_zeta(spec, psol)
         brownian = BrownianEnsemble.generate(args.seed, args.paths, spec.grid)
         fens = simulate_forward_closed_loop(spec, psol, adj, brownian)
         fields = {"X": fens.X, "v": fens.v}

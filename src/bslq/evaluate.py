@@ -273,7 +273,7 @@ def solve_value(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS):
     """Convenience: reduce, solve, and return (value, reduced, sigma, bsde)."""
     reduced = reduce_problem(spec, substeps)
     sigma = solve_sigma(reduced, substeps)
-    bsde = solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi, substeps)
+    bsde = solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi)
     return value_formula(spec, reduced, sigma, bsde), reduced, sigma, bsde
 
 
@@ -628,7 +628,7 @@ def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
 
     def run(s, bw):
         psol = solve_forward_riccati(s, substeps)
-        adj = solve_eta_zeta(s, psol, substeps)
+        adj = solve_eta_zeta(s, psol)
         ens = simulate_forward_closed_loop(s, psol, adj, bw)
         return psol, adj, ens
 

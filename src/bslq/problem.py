@@ -19,13 +19,23 @@ Stochastic data (f, q, rho1, rho2, xi and the forward b, sigma, qTilde,
 rhoTilde) is restricted to the affine class a(t) + b(t) W(t), which keeps the
 auxiliary backward equations exactly solvable while still exercising every
 noise-dependent term.
+
+Each coefficient is declared once, as a field of :class:`ProblemSpec` or
+:class:`ForwardProblemSpec`: its type is its form (a :class:`MatrixPath`, an
+:class:`AffineProcess` or a constant array) and ``_coef`` states its shape in
+terms of n and m and whether it must be symmetric.  :func:`validate`, the
+scenario-file parser and writer, the zero templates of the builtins and
+:func:`resample` all loop over these declarations.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from dataclasses import dataclass
+import numbers
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,37 +47,60 @@ SYMMETRY_TOL = 1e-12
 BUILTIN_NAMES = ("S1", "S2", "S4", "S5", "SX", "SH", "SF")
 
 
+def _coef(*shape: str, symmetric: bool = False):
+    """Declare a coefficient field: its shape as a tuple of "n"/"m"."""
+    return field(metadata={"shape": shape, "symmetric": symmetric})
+
+
+@functools.cache
+def _coefficients(kind: type) -> tuple:
+    """(name, form, shape, symmetric) of each coefficient of a problem kind,
+    in declaration order; the form is the field's type."""
+    hints = typing.get_type_hints(kind)
+    return tuple((f.name, hints[f.name], f.metadata["shape"], f.metadata["symmetric"])
+                 for f in dataclasses.fields(kind) if "shape" in f.metadata)
+
+
+def _shape(symbols: tuple, n: int, m: int) -> tuple:
+    return tuple({"n": n, "m": m}[s] for s in symbols)
+
+
+class _Problem:
+    """Behaviour shared by the two problem kinds."""
+
+    def __post_init__(self):
+        for name, form, _, _ in _coefficients(type(self)):
+            if form is np.ndarray:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    def replace(self, **kw):
+        return dataclasses.replace(self, **kw)
+
+
 @dataclass(frozen=True, eq=False)
-class ProblemSpec:
+class ProblemSpec(_Problem):
     """Coefficients of a backward stochastic LQ problem."""
 
     n: int
     m: int
     grid: TimeGrid
-    A: MatrixPath
-    B: MatrixPath
-    C: MatrixPath
-    f: AffineProcess
-    G: np.ndarray
-    g: np.ndarray
-    Q: MatrixPath
-    S1: MatrixPath
-    S2: MatrixPath
-    R11: MatrixPath
-    R12: MatrixPath
-    R21: MatrixPath
-    R22: MatrixPath
-    q: AffineProcess
-    rho1: AffineProcess
-    rho2: AffineProcess
-    xi: AffineProcess
-
-    def __post_init__(self):
-        object.__setattr__(self, "G", np.asarray(self.G, dtype=float))
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-
-    def replace(self, **kw) -> "ProblemSpec":
-        return dataclasses.replace(self, **kw)
+    A: MatrixPath = _coef("n", "n")
+    B: MatrixPath = _coef("n", "m")
+    C: MatrixPath = _coef("n", "n")
+    f: AffineProcess = _coef("n")
+    G: np.ndarray = _coef("n", "n", symmetric=True)
+    g: np.ndarray = _coef("n")
+    Q: MatrixPath = _coef("n", "n", symmetric=True)
+    S1: MatrixPath = _coef("n", "n")
+    S2: MatrixPath = _coef("m", "n")
+    R11: MatrixPath = _coef("n", "n", symmetric=True)
+    R12: MatrixPath = _coef("n", "m")
+    R21: MatrixPath = _coef("m", "n")
+    R22: MatrixPath = _coef("m", "m", symmetric=True)
+    q: AffineProcess = _coef("n")
+    rho1: AffineProcess = _coef("n")
+    rho2: AffineProcess = _coef("m")
+    xi: AffineProcess = _coef("n")
 
     def coefficient_bound(self) -> float:
         """Largest sup-norm over the state-equation coefficients."""
@@ -75,34 +108,26 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ForwardProblemSpec:
+class ForwardProblemSpec(_Problem):
     """Coefficients of a forward stochastic LQ problem."""
 
     n: int
     m: int
     grid: TimeGrid
-    cA: MatrixPath
-    cB: MatrixPath
-    cC: MatrixPath
-    cD: MatrixPath
-    b: AffineProcess
-    sigma: AffineProcess
-    cG: np.ndarray
-    gTilde: np.ndarray
-    cQ: MatrixPath
-    cS: MatrixPath
-    cR: MatrixPath
-    qTilde: AffineProcess
-    rhoTilde: AffineProcess
-    x0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "cG", np.asarray(self.cG, dtype=float))
-        object.__setattr__(self, "gTilde", np.asarray(self.gTilde, dtype=float))
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-
-    def replace(self, **kw) -> "ForwardProblemSpec":
-        return dataclasses.replace(self, **kw)
+    cA: MatrixPath = _coef("n", "n")
+    cB: MatrixPath = _coef("n", "m")
+    cC: MatrixPath = _coef("n", "n")
+    cD: MatrixPath = _coef("n", "m")
+    b: AffineProcess = _coef("n")
+    sigma: AffineProcess = _coef("n")
+    cG: np.ndarray = _coef("n", "n", symmetric=True)
+    gTilde: np.ndarray = _coef("n")
+    cQ: MatrixPath = _coef("n", "n", symmetric=True)
+    cS: MatrixPath = _coef("m", "n")
+    cR: MatrixPath = _coef("m", "m", symmetric=True)
+    qTilde: AffineProcess = _coef("n")
+    rhoTilde: AffineProcess = _coef("m")
+    x0: np.ndarray = _coef("n")
 
 
 @dataclass
@@ -119,35 +144,24 @@ class ValidationReport:
         return self.ok
 
 
-def _check_finite(name: str, path: MatrixPath, out: list[str]) -> None:
-    vals = path.values
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        k = 0 if path.kind == CONSTANT else int(bad[0])
-        out.append(f"{name}: non-finite sample at t={k * path.grid.dt:g}")
-
-
-def _check_shape(name: str, path: MatrixPath, shape: tuple, out: list[str]) -> None:
-    if path.shape != shape:
-        out.append(f"{name}: shape {path.shape} != expected {shape}")
-
-
-def _check_symmetric_path(name: str, path: MatrixPath, out: list[str]) -> None:
-    vals = path.node_values()
-    dev = np.max(np.abs(vals - np.swapaxes(vals, -1, -2)), axis=(-1, -2))
-    worst = int(np.argmax(dev))
-    if dev[worst] > SYMMETRY_TOL:
-        out.append(
-            f"{name}: not symmetric at t={worst * path.grid.dt:g} "
-            f"(deviation {dev[worst]:.3e})"
-        )
-
-
-def _check_affine(name: str, proc: AffineProcess, dim: int, out: list[str]) -> None:
-    _check_shape(f"{name}.a", proc.a, (dim,), out)
-    _check_shape(f"{name}.b", proc.b, (dim,), out)
-    _check_finite(f"{name}.a", proc.a, out)
-    _check_finite(f"{name}.b", proc.b, out)
+def _check(name: str, samples: np.ndarray, shape: tuple, symmetric: bool,
+           dt: float | None, out: list[str]) -> None:
+    """Shape, finiteness and (when declared) symmetry of samples stacked on a
+    leading axis: a path's values with its step ``dt``, or a constant array
+    as one sample with ``dt`` None."""
+    if samples.shape[1:] != shape:
+        out.append(f"{name}: shape {samples.shape[1:]} != expected {shape}")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        k = int(np.argwhere(~finite)[0, 0])
+        out.append(f"{name}: non-finite " + ("entry" if dt is None else f"sample at t={k * dt:g}"))
+    elif symmetric and samples.shape[1:] == shape:
+        dev = np.max(np.abs(samples - np.swapaxes(samples, -1, -2)), axis=(-1, -2),
+                     initial=0.0)
+        k = int(np.argmax(dev))
+        if dev[k] > SYMMETRY_TOL:
+            where = "" if dt is None else f" at t={k * dt:g} (deviation {dev[k]:.3e})"
+            out.append(f"{name}: not symmetric{where}")
 
 
 def validate(spec) -> ValidationReport:
@@ -156,46 +170,19 @@ def validate(spec) -> ValidationReport:
     Violations are data, not exceptions: the report lists all symmetry,
     dimension and finiteness problems with their location.
     """
-    if isinstance(spec, ForwardProblemSpec):
-        return _validate_forward(spec)
     out: list[str] = []
-    n, m = spec.n, spec.m
-    for name, path, shape in (
-        ("A", spec.A, (n, n)),
-        ("B", spec.B, (n, m)),
-        ("C", spec.C, (n, n)),
-        ("Q", spec.Q, (n, n)),
-        ("S1", spec.S1, (n, n)),
-        ("S2", spec.S2, (m, n)),
-        ("R11", spec.R11, (n, n)),
-        ("R12", spec.R12, (n, m)),
-        ("R21", spec.R21, (m, n)),
-        ("R22", spec.R22, (m, m)),
-    ):
-        _check_shape(name, path, shape, out)
-        _check_finite(name, path, out)
-    if spec.G.shape != (n, n):
-        out.append(f"G: shape {spec.G.shape} != expected {(n, n)}")
-    elif np.max(np.abs(spec.G - spec.G.T), initial=0.0) > SYMMETRY_TOL:
-        out.append("G: not symmetric")
-    if not np.all(np.isfinite(spec.G)):
-        out.append("G: non-finite entry")
-    if spec.g.shape != (n,):
-        out.append(f"g: shape {spec.g.shape} != expected {(n,)}")
-    if not np.all(np.isfinite(spec.g)):
-        out.append("g: non-finite entry")
-    for name, proc, dim in (
-        ("f", spec.f, n),
-        ("q", spec.q, n),
-        ("rho1", spec.rho1, n),
-        ("rho2", spec.rho2, m),
-        ("xi", spec.xi, n),
-    ):
-        _check_affine(name, proc, dim, out)
+    for name, form, symbols, symmetric in _coefficients(type(spec)):
+        value, shape = getattr(spec, name), _shape(symbols, spec.n, spec.m)
+        if form is AffineProcess:
+            for part in ("a", "b"):
+                path = getattr(value, part)
+                _check(f"{name}.{part}", path.values, shape, False, path.grid.dt, out)
+        elif form is MatrixPath:
+            _check(name, value.values, shape, symmetric, value.grid.dt, out)
+        else:
+            _check(name, value[None], shape, symmetric, None, out)
 
-    if not out:
-        for name, path in (("Q", spec.Q), ("R11", spec.R11), ("R22", spec.R22)):
-            _check_symmetric_path(name, path, out)
+    if not out and isinstance(spec, ProblemSpec):
         r12 = spec.R12.node_values()
         r21 = spec.R21.node_values()
         dev = np.max(np.abs(r12 - np.swapaxes(r21, -1, -2)), axis=(-1, -2))
@@ -208,35 +195,18 @@ def validate(spec) -> ValidationReport:
     return ValidationReport(out)
 
 
-def _validate_forward(spec: ForwardProblemSpec) -> ValidationReport:
-    out: list[str] = []
-    n, m = spec.n, spec.m
-    for name, path, shape in (
-        ("cA", spec.cA, (n, n)),
-        ("cB", spec.cB, (n, m)),
-        ("cC", spec.cC, (n, n)),
-        ("cD", spec.cD, (n, m)),
-        ("cQ", spec.cQ, (n, n)),
-        ("cS", spec.cS, (m, n)),
-        ("cR", spec.cR, (m, m)),
-    ):
-        _check_shape(name, path, shape, out)
-        _check_finite(name, path, out)
-    if np.max(np.abs(spec.cG - spec.cG.T), initial=0.0) > SYMMETRY_TOL:
-        out.append("cG: not symmetric")
-    for name, proc, dim in (
-        ("b", spec.b, n),
-        ("sigma", spec.sigma, n),
-        ("qTilde", spec.qTilde, n),
-        ("rhoTilde", spec.rhoTilde, m),
-    ):
-        _check_affine(name, proc, dim, out)
-    if spec.x0.shape != (n,):
-        out.append(f"x0: shape {spec.x0.shape} != expected {(n,)}")
-    if not out:
-        for name, path in (("cQ", spec.cQ), ("cR", spec.cR)):
-            _check_symmetric_path(name, path, out)
-    return ValidationReport(out)
+# The zero coefficient of each form, given its shape.
+_ZERO = {
+    MatrixPath: MatrixPath.zeros,
+    AffineProcess: AffineProcess.zero,
+    np.ndarray: lambda shape, grid: np.zeros(shape),
+}
+
+
+def _zeros(kind: type, n: int, m: int, grid: TimeGrid) -> dict:
+    """Every coefficient of a problem kind, zero."""
+    return {name: _ZERO[form](_shape(symbols, n, m), grid)
+            for name, form, symbols, _ in _coefficients(kind)}
 
 
 def homogeneous(spec: ProblemSpec) -> ProblemSpec:
@@ -246,15 +216,8 @@ def homogeneous(spec: ProblemSpec) -> ProblemSpec:
     nonnegativity characterises solvability and whose uniform positivity
     is probed by :func:`bslq.evaluate.convexity_probe`.
     """
-    grid, n, m = spec.grid, spec.n, spec.m
-    return spec.replace(
-        f=AffineProcess.zero((n,), grid),
-        g=np.zeros(n),
-        q=AffineProcess.zero((n,), grid),
-        rho1=AffineProcess.zero((n,), grid),
-        rho2=AffineProcess.zero((m,), grid),
-        xi=AffineProcess.zero((n,), grid),
-    )
+    zeros = _zeros(ProblemSpec, spec.n, spec.m, spec.grid)
+    return spec.replace(**{name: zeros[name] for name in ("f", "g", "q", "rho1", "rho2", "xi")})
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +225,9 @@ def homogeneous(spec: ProblemSpec) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_backward(grid: TimeGrid, **overrides) -> ProblemSpec:
-    """Scalar template: every coefficient zero except B = R22 = 1."""
-    zero_mat = MatrixPath.constant([[0.0]], grid)
-    zero_proc = AffineProcess.zero((1,), grid)
-    fields = dict(
-        n=1,
-        m=1,
-        grid=grid,
-        A=zero_mat,
-        B=MatrixPath.constant([[1.0]], grid),
-        C=zero_mat,
-        f=zero_proc,
-        G=np.zeros((1, 1)),
-        g=np.zeros(1),
-        Q=zero_mat,
-        S1=zero_mat,
-        S2=zero_mat,
-        R11=zero_mat,
-        R12=zero_mat,
-        R21=zero_mat,
-        R22=MatrixPath.constant([[1.0]], grid),
-        q=zero_proc,
-        rho1=zero_proc,
-        rho2=zero_proc,
-        xi=zero_proc,
-    )
-    fields.update(overrides)
-    return ProblemSpec(**fields)
+def _scalar(kind: type, grid: TimeGrid, **overrides):
+    """A scalar (n = m = 1) problem: every coefficient zero, then the overrides."""
+    return kind(n=1, m=1, grid=grid, **(_zeros(kind, 1, 1, grid) | overrides))
 
 
 def builtin_scenario(name: str, steps: int = 200, c: float = 1.0, x0: float = 1.0):
@@ -300,48 +238,22 @@ def builtin_scenario(name: str, steps: int = 200, c: float = 1.0, x0: float = 1.
     """
     grid = TimeGrid(1.0, steps)
     one = MatrixPath.constant([[1.0]], grid)
+    half = MatrixPath.constant([[0.5]], grid)
     w_terminal = AffineProcess.of_constants([0.0], [1.0], grid)
-    if name == "S1":
-        return _scalar_backward(grid)
-    if name == "S2":
-        return _scalar_backward(
-            grid, g=np.array([1.0]), xi=AffineProcess.of_constants([c], [0.0], grid)
-        )
-    if name == "S4":
-        return _scalar_backward(grid, R11=one, xi=w_terminal)
-    if name == "S5":
-        return _scalar_backward(
-            grid, R11=MatrixPath.constant([[-0.5]], grid), xi=w_terminal
-        )
-    if name == "SX":
-        half = MatrixPath.constant([[0.5]], grid)
-        return _scalar_backward(grid, R11=one, R12=half, R21=half, xi=w_terminal)
-    if name == "SH":
-        return _scalar_backward(
-            grid, Q=one, xi=AffineProcess.of_constants([c], [0.0], grid)
-        )
+    xi_c = AffineProcess.of_constants([c], [0.0], grid)
+    backward = {
+        "S1": {},
+        "S2": {"g": np.array([1.0]), "xi": xi_c},
+        "S4": {"R11": one, "xi": w_terminal},
+        "S5": {"R11": MatrixPath.constant([[-0.5]], grid), "xi": w_terminal},
+        "SX": {"R11": one, "R12": half, "R21": half, "xi": w_terminal},
+        "SH": {"Q": one, "xi": xi_c},
+    }
+    if name in backward:
+        return _scalar(ProblemSpec, grid, B=one, R22=one, **backward[name])
     if name == "SF":
-        zero_mat = MatrixPath.constant([[0.0]], grid)
-        zero_proc = AffineProcess.zero((1,), grid)
-        return ForwardProblemSpec(
-            n=1,
-            m=1,
-            grid=grid,
-            cA=zero_mat,
-            cB=one,
-            cC=zero_mat,
-            cD=zero_mat,
-            b=zero_proc,
-            sigma=zero_proc,
-            cG=np.array([[1.0]]),
-            gTilde=np.zeros(1),
-            cQ=zero_mat,
-            cS=zero_mat,
-            cR=one,
-            qTilde=zero_proc,
-            rhoTilde=zero_proc,
-            x0=np.array([x0]),
-        )
+        return _scalar(ForwardProblemSpec, grid, cB=one, cR=one,
+                       cG=np.array([[1.0]]), x0=np.array([x0]))
     raise ScenarioError(f"unknown builtin scenario {name!r}")
 
 
@@ -349,15 +261,6 @@ def builtin_scenario(name: str, steps: int = 200, c: float = 1.0, x0: float = 1.
 # Scenario files (JSON)
 # ---------------------------------------------------------------------------
 
-_BACKWARD_FIELDS = (
-    "A", "B", "C", "f", "G", "g", "Q", "S1", "S2",
-    "R11", "R12", "R21", "R22", "q", "rho1", "rho2", "xi",
-)
-_FORWARD_FIELDS = (
-    "cA", "cB", "cC", "cD", "b", "sigma", "cG", "gTilde",
-    "cQ", "cS", "cR", "qTilde", "rhoTilde", "x0",
-)
-_AFFINE_FIELDS = {"f", "q", "rho1", "rho2", "xi", "b", "sigma", "qTilde", "rhoTilde"}
 _HEADER_FIELDS = ("kind", "n", "m", "T", "steps")
 
 
@@ -393,17 +296,46 @@ def _parse_path(name: str, entry, shape: tuple, grid: TimeGrid) -> MatrixPath:
     raise ScenarioError(f"{name}: invalid entry of type {type(entry).__name__}")
 
 
-def _parse_affine(name: str, entry, dim: int, grid: TimeGrid) -> AffineProcess:
+def _parse_affine(name: str, entry, shape: tuple, grid: TimeGrid) -> AffineProcess:
     if isinstance(entry, dict) and ("a" in entry or "b" in entry):
         unknown = set(entry) - {"a", "b"}
         if unknown:
             raise ScenarioError(f"{name}: unknown keys {sorted(unknown)}")
-        a = _parse_path(f"{name}.a", entry.get("a", 0.0 if dim == 1 else [0.0] * dim),
-                        (dim,), grid)
-        b = _parse_path(f"{name}.b", entry.get("b", 0.0 if dim == 1 else [0.0] * dim),
-                        (dim,), grid)
-        return AffineProcess(a, b)
-    return AffineProcess.deterministic(_parse_path(name, entry, (dim,), grid))
+        return AffineProcess(*(
+            _parse_path(f"{name}.{part}", entry[part], shape, grid) if part in entry
+            else MatrixPath.zeros(shape, grid) for part in ("a", "b")))
+    return AffineProcess.deterministic(_parse_path(name, entry, shape, grid))
+
+
+def _parse_array(name: str, entry, shape: tuple, grid: TimeGrid) -> np.ndarray:
+    """A constant array: a nested list, or a scalar for a dimension-1 matrix
+    (a scalar vector entry reads as length 1)."""
+    if isinstance(entry, dict):
+        raise ScenarioError(f"{name}: invalid entry of type dict")
+    arr = np.asarray(entry, dtype=float)
+    if arr.ndim == 0 and len(shape) == 2:
+        if shape != (1, 1):
+            raise ScenarioError(f"{name}: scalar entry requires dimension 1")
+        arr = arr.reshape(1, 1)
+    arr = np.atleast_1d(arr)
+    if arr.shape != shape:
+        raise ScenarioError(f"{name}: shape {arr.shape} != expected {shape}")
+    return arr
+
+
+_PARSE = {MatrixPath: _parse_path, AffineProcess: _parse_affine, np.ndarray: _parse_array}
+
+
+def _header(doc: dict, name: str):
+    """Header number ``name``: T is any real, n, m and steps integers >= 1."""
+    value, integral = doc[name], name != "T"
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else numbers.Real):
+        raise ScenarioError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                            f"got {json.dumps(value, default=repr)}")
+    if integral and value < 1:
+        raise ScenarioError(f"{name} must be >= 1, got {value}")
+    return int(value) if integral else float(value)
 
 
 def load_scenario(source: str):
@@ -432,63 +364,20 @@ def parse_scenario(doc: dict):
     kind = doc.get("kind")
     if kind not in ("backward", "forward"):
         raise ScenarioError("field 'kind' must be 'backward' or 'forward'")
-    coeff_fields = _BACKWARD_FIELDS if kind == "backward" else _FORWARD_FIELDS
-    allowed = set(_HEADER_FIELDS) | set(coeff_fields)
-    unknown = set(doc) - allowed
+    cls = ProblemSpec if kind == "backward" else ForwardProblemSpec
+    coefficients = _coefficients(cls)
+    names = _HEADER_FIELDS + tuple(c[0] for c in coefficients)
+    unknown = set(doc) - set(names)
     if unknown:
         raise ScenarioError(f"unknown fields {sorted(unknown)}")
-    for field_name in _HEADER_FIELDS + coeff_fields:
-        if field_name not in doc:
-            raise ScenarioError(f"missing field '{field_name}'")
-    n, m = int(doc["n"]), int(doc["m"])
-    grid = TimeGrid(float(doc["T"]), int(doc["steps"]))
-
-    def path(name, shape):
-        return _parse_path(name, doc[name], shape, grid)
-
-    def affine(name, dim):
-        return _parse_affine(name, doc[name], dim, grid)
-
-    def const_vec(name, dim):
-        entry = doc[name]
-        arr = np.atleast_1d(np.asarray(entry, dtype=float))
-        if arr.shape != (dim,):
-            raise ScenarioError(f"{name}: shape {arr.shape} != expected {(dim,)}")
-        return arr
-
-    def const_mat(name, dim):
-        arr = np.asarray(doc[name], dtype=float)
-        if np.ndim(doc[name]) == 0:
-            if dim != 1:
-                raise ScenarioError(f"{name}: scalar entry requires dimension 1")
-            arr = arr.reshape(1, 1)
-        if arr.shape != (dim, dim):
-            raise ScenarioError(f"{name}: shape {arr.shape} != expected {(dim, dim)}")
-        return arr
-
-    if kind == "backward":
-        spec = ProblemSpec(
-            n=n, m=m, grid=grid,
-            A=path("A", (n, n)), B=path("B", (n, m)), C=path("C", (n, n)),
-            f=affine("f", n),
-            G=const_mat("G", n), g=const_vec("g", n),
-            Q=path("Q", (n, n)), S1=path("S1", (n, n)), S2=path("S2", (m, n)),
-            R11=path("R11", (n, n)), R12=path("R12", (n, m)),
-            R21=path("R21", (m, n)), R22=path("R22", (m, m)),
-            q=affine("q", n), rho1=affine("rho1", n), rho2=affine("rho2", m),
-            xi=affine("xi", n),
-        )
-    else:
-        spec = ForwardProblemSpec(
-            n=n, m=m, grid=grid,
-            cA=path("cA", (n, n)), cB=path("cB", (n, m)), cC=path("cC", (n, n)),
-            cD=path("cD", (n, m)),
-            b=affine("b", n), sigma=affine("sigma", n),
-            cG=const_mat("cG", n), gTilde=const_vec("gTilde", n),
-            cQ=path("cQ", (n, n)), cS=path("cS", (m, n)), cR=path("cR", (m, m)),
-            qTilde=affine("qTilde", n), rhoTilde=affine("rhoTilde", m),
-            x0=const_vec("x0", n),
-        )
+    for name in names:
+        if name not in doc:
+            raise ScenarioError(f"missing field '{name}'")
+    n, m, T, steps = (_header(doc, name) for name in _HEADER_FIELDS[1:])
+    grid = TimeGrid(T, steps)
+    spec = cls(n=n, m=m, grid=grid, **{
+        name: _PARSE[form](name, doc[name], _shape(symbols, n, m), grid)
+        for name, form, symbols, _ in coefficients})
     report = validate(spec)
     if not report.ok:
         raise SpecValidationError(report)
@@ -506,37 +395,15 @@ def _dump_affine(proc: AffineProcess) -> dict:
     return {"a": _dump_path(proc.a), "b": _dump_path(proc.b)}
 
 
+_DUMP = {MatrixPath: _dump_path, AffineProcess: _dump_affine, np.ndarray: np.ndarray.tolist}
+
+
 def scenario_document(spec) -> dict:
     """Serialisable dict in the scenario-file layout."""
-    if isinstance(spec, ProblemSpec):
-        doc = {
-            "kind": "backward",
-            "n": spec.n, "m": spec.m,
-            "T": spec.grid.T, "steps": spec.grid.steps,
-            "A": _dump_path(spec.A), "B": _dump_path(spec.B),
-            "C": _dump_path(spec.C), "f": _dump_affine(spec.f),
-            "G": spec.G.tolist(), "g": spec.g.tolist(),
-            "Q": _dump_path(spec.Q), "S1": _dump_path(spec.S1),
-            "S2": _dump_path(spec.S2), "R11": _dump_path(spec.R11),
-            "R12": _dump_path(spec.R12), "R21": _dump_path(spec.R21),
-            "R22": _dump_path(spec.R22), "q": _dump_affine(spec.q),
-            "rho1": _dump_affine(spec.rho1), "rho2": _dump_affine(spec.rho2),
-            "xi": _dump_affine(spec.xi),
-        }
-    else:
-        doc = {
-            "kind": "forward",
-            "n": spec.n, "m": spec.m,
-            "T": spec.grid.T, "steps": spec.grid.steps,
-            "cA": _dump_path(spec.cA), "cB": _dump_path(spec.cB),
-            "cC": _dump_path(spec.cC), "cD": _dump_path(spec.cD),
-            "b": _dump_affine(spec.b), "sigma": _dump_affine(spec.sigma),
-            "cG": spec.cG.tolist(), "gTilde": spec.gTilde.tolist(),
-            "cQ": _dump_path(spec.cQ), "cS": _dump_path(spec.cS),
-            "cR": _dump_path(spec.cR), "qTilde": _dump_affine(spec.qTilde),
-            "rhoTilde": _dump_affine(spec.rhoTilde),
-            "x0": spec.x0.tolist(),
-        }
+    doc = {"kind": "backward" if isinstance(spec, ProblemSpec) else "forward",
+           "n": spec.n, "m": spec.m, "T": spec.grid.T, "steps": spec.grid.steps}
+    for name, form, _, _ in _coefficients(type(spec)):
+        doc[name] = _DUMP[form](getattr(spec, name))
     return doc
 
 
@@ -562,18 +429,8 @@ def resample(spec, steps: int):
             return MatrixPath(CONSTANT, p.values, grid)
         return MatrixPath(p.kind, p.tabulate(grid.nodes), grid)
 
-    def re_proc(a: AffineProcess) -> AffineProcess:
-        return AffineProcess(re_path(a.a), re_path(a.b))
-
-    kw = {}
-    for fld in dataclasses.fields(spec):
-        val = getattr(spec, fld.name)
-        if isinstance(val, MatrixPath):
-            kw[fld.name] = re_path(val)
-        elif isinstance(val, AffineProcess):
-            kw[fld.name] = re_proc(val)
-        elif fld.name == "grid":
-            kw[fld.name] = grid
-        else:
-            kw[fld.name] = val
-    return type(spec)(**kw)
+    redo = {MatrixPath: re_path,
+            AffineProcess: lambda proc: AffineProcess(re_path(proc.a), re_path(proc.b)),
+            np.ndarray: lambda arr: arr}
+    return spec.replace(grid=grid, **{name: redo[form](getattr(spec, name))
+                                      for name, form, _, _ in _coefficients(type(spec))})

@@ -84,15 +84,21 @@ def solve_h(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> HSolution:
     node (all RK4 stages vanish).
     """
     times, index = rk4_stages(spec.grid, "forward", substeps)
-    A, Q = spec.A.tabulate(times), spec.Q.tabulate(times)
-
-    def rhs(e, H):
-        At = A[index[e]]
-        return -(H @ At + At.T @ H + Q[index[e]])
-
+    rhs = _h_rhs(spec.A.tabulate(times), spec.Q.tabulate(times), index)
     H = integrate(OdeProblem(spec.grid, rhs, "forward", substeps), -spec.G,
                   post_step=_sym)
     return HSolution(spec.grid, H)
+
+
+def _h_rhs(A: np.ndarray, Q: np.ndarray, index: np.ndarray):
+    """Right-hand side H' = -(H A + A^T H + Q) of the shift equation, with
+    A and Q tabulated at the stage times and ``index`` the table row of
+    each RK4 evaluation."""
+    def rhs(e, H):
+        j = index[e]
+        At = A[j]
+        return -(H @ At + At.T @ H + Q[j])
+    return rhs
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -198,13 +204,8 @@ def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     times, index = rk4_stages(spec.grid, "backward", substeps)
     cs = canonical_samples(src, lambda p: p.tabulate(times))
 
-    def h_rhs(e, H):
-        j = index[e]
-        A = cs.A[j]
-        return -(H @ A + A.T @ H + cs.Q[j])
-
-    _, H = integrate(OdeProblem(spec.grid, h_rhs, "backward", substeps), H_T,
-                     post_step=_sym, record=True)
+    _, H = integrate(OdeProblem(spec.grid, _h_rhs(cs.A, cs.Q, index), "backward", substeps),
+                     H_T, post_step=_sym, record=True)
     t = times[index]
     A, B, C, R22 = (x[index] for x in (cs.A, cs.B, cs.C, cs.R22))
     S1, S2, R11 = cs.shifted(H, index)

@@ -307,7 +307,7 @@ def synthesize_optimal(spec: ProblemSpec, brownian: BrownianEnsemble,
     reduced = reduce_problem(spec, substeps)
     sigma = solve_sigma(reduced, substeps)
     drift = assemble_drift(reduced, sigma)
-    bsde = solve_affine_bsde(drift, spec.xi, substeps)
+    bsde = solve_affine_bsde(drift, spec.xi)
     X_dual = simulate_dual_sde(reduced, sigma, bsde, brownian)
     ensemble = synthesize(reduced, sigma, bsde, X_dual, brownian)
     return OptimalSynthesis(spec, reduced, sigma, bsde, ensemble)

@@ -195,9 +195,8 @@ def test_eta_refinement_self_consistency():
     # stable under substep refinement.
     sf = bslq.builtin_scenario("SF")
     sf = sf.replace(qTilde=AffineProcess.of_constants([1.0], [0.0], sf.grid))
-    psol = bslq.solve_forward_riccati(sf, substeps=4)
-    coarse = solve_eta_zeta(sf, psol, substeps=4)
-    fine = solve_eta_zeta(sf, psol, substeps=8)
+    coarse = solve_eta_zeta(sf, bslq.solve_forward_riccati(sf, substeps=4))
+    fine = solve_eta_zeta(sf, bslq.solve_forward_riccati(sf, substeps=8))
     diff = np.max(np.abs(coarse.phi.a.node_values() - fine.phi.a.node_values()))
     assert diff <= 1e-9
 
@@ -270,3 +269,18 @@ def test_no_path_calls_inside_rk4_loops(monkeypatch):
     sf = bslq.builtin_scenario("SF", steps=50)
     solve_eta_zeta(sf, bslq.solve_forward_riccati(sf))
     assert inside == []
+
+
+def test_substeps_follow_the_riccati_record(monkeypatch):
+    # solve_affine_bsde and solve_eta_zeta take no substep count: each runs
+    # at the count its Riccati solution was recorded with.
+    seen = []
+    real = bslq.bsde.integrate_linear
+    monkeypatch.setattr(bslq.bsde, "integrate_linear",
+                        lambda *args: seen.append(args[-1]) or real(*args))
+    spec = bslq.builtin_scenario("SX", steps=20)
+    red = bslq.reduce_problem(spec, substeps=3)
+    solve_affine_bsde(assemble_drift(red, bslq.solve_sigma(red, substeps=3)), spec.xi)
+    sf = bslq.builtin_scenario("SF", steps=20)
+    solve_eta_zeta(sf, bslq.solve_forward_riccati(sf, substeps=5))
+    assert seen == [3, 5]

@@ -260,3 +260,49 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x0", [float("nan")]),        # value printed nan and exited 0
+    ("cG", [[float("nan")]]),      # the Riccati pass blew up: exit 1
+    ("gTilde", [float("inf")]),    # value exited 0
+])
+def test_forward_constants_must_be_finite(field, value, tmp_path, capsys):
+    doc = bslq.scenario_document(bslq.builtin_scenario("SF", steps=20))
+    doc[field] = value
+    path = tmp_path / "sf.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["value", str(path), "--steps", "20"], capsys)
+    assert (code, out, err) == (2, "", f"error: {field}: non-finite entry\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 1.7, "n must be an integer, got 1.7"),
+    ("steps", 20.9, "steps must be an integer, got 20.9"),
+    ("n", True, "n must be an integer, got true"),
+    ("steps", "20", 'steps must be an integer, got "20"'),
+    ("m", 20.0, "m must be an integer, got 20.0"),
+    ("m", 0, "m must be >= 1, got 0"),
+    ("steps", 0, "steps must be >= 1, got 0"),
+    ("T", None, "T must be a number, got null"),
+], ids=["n-float", "steps-float", "n-bool", "steps-string", "m-integral-float",
+        "m-zero", "steps-zero", "T-null"])
+def test_scenario_header_numbers_are_checked(field, value, message, tmp_path, capsys):
+    # A fractional or boolean size used to be truncated by int() and load.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4", steps=20))
+    doc[field] = value
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["value", str(path), "--steps", "20"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field", ["G", "g", "x0"])
+def test_constant_given_as_a_path_exits_two(field, tmp_path, capsys):
+    name = "SF" if field == "x0" else "S4"
+    doc = bslq.scenario_document(bslq.builtin_scenario(name, steps=2))
+    doc[field] = {"t": [0.0, 0.5, 1.0], "values": [[0.0], [0.0], [0.0]]}
+    path = tmp_path / "dict.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["value", str(path), "--steps", "2"], capsys)
+    assert (code, out, err) == (2, "", f"error: {field}: invalid entry of type dict\n")

@@ -1,5 +1,6 @@
 """Problem data: grids, paths, validation, builtins and scenario files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -221,3 +222,128 @@ def test_resample_keeps_constants_exact():
     assert re.R11.node_values()[0, 0, 0] == 1.0
     aT, bT = re.xi.at_terminal()
     assert bT[0] == 1.0
+
+
+# Every coefficient's shape at n = 3, m = 2 (n != m tells the two apart),
+# read off the state equations and the costs.
+SHAPES_3X2 = {
+    "A": (3, 3), "B": (3, 2), "C": (3, 3), "f": (3,), "G": (3, 3), "g": (3,),
+    "Q": (3, 3), "S1": (3, 3), "S2": (2, 3), "R11": (3, 3), "R12": (3, 2),
+    "R21": (2, 3), "R22": (2, 2), "q": (3,), "rho1": (3,), "rho2": (2,), "xi": (3,),
+    "cA": (3, 3), "cB": (3, 2), "cC": (3, 3), "cD": (3, 2), "b": (3,), "sigma": (3,),
+    "cG": (3, 3), "gTilde": (3,), "cQ": (3, 3), "cS": (2, 3), "cR": (2, 2),
+    "qTilde": (3,), "rhoTilde": (2,), "x0": (3,),
+}
+KINDS = (bslq.ProblemSpec, bslq.ForwardProblemSpec)
+COEFFICIENTS = [(kind, f.name) for kind in KINDS for f in dataclasses.fields(kind)
+                if f.name not in ("n", "m", "grid")]
+
+
+def zero_spec_3x2(kind):
+    """A valid n = 3, m = 2 problem of the given kind with every coefficient
+    zero, built from SHAPES_3X2; forms are taken from the scalar builtins."""
+    grid = TimeGrid(1.0, 4)
+    forms = bslq.builtin_scenario("S1" if kind is bslq.ProblemSpec else "SF", steps=4)
+
+    def zero(name):
+        shape, form = SHAPES_3X2[name], type(getattr(forms, name))
+        return (MatrixPath.zeros(shape, grid) if form is MatrixPath
+                else AffineProcess.zero(shape, grid) if form is AffineProcess
+                else np.zeros(shape))
+
+    return kind(n=3, m=2, grid=grid,
+                **{name: zero(name) for k, name in COEFFICIENTS if k is kind})
+
+
+def test_every_coefficient_declares_its_shape():
+    for kind in KINDS:
+        for f in dataclasses.fields(kind):
+            if f.name not in ("n", "m", "grid"):
+                declared = tuple({"n": 3, "m": 2}[s] for s in f.metadata["shape"])
+                assert declared == SHAPES_3X2[f.name], f.name
+    assert len(COEFFICIENTS) == len(SHAPES_3X2)
+    for kind in KINDS:
+        assert bslq.validate(zero_spec_3x2(kind)).ok
+
+
+def _with_nan(value):
+    if isinstance(value, AffineProcess):
+        return AffineProcess(_with_nan(value.a), value.b)
+    if isinstance(value, MatrixPath):
+        return MatrixPath(value.kind, _with_nan(value.values), value.grid)
+    bad = np.array(value, dtype=float)
+    bad.flat[-1] = np.nan
+    return bad
+
+
+def _wrong_shape(value):
+    if isinstance(value, AffineProcess):
+        return AffineProcess.zero((value.shape[0] + 1,), value.grid)
+    if isinstance(value, MatrixPath):
+        return MatrixPath.zeros(value.shape[:-1] + (value.shape[-1] + 1,), value.grid)
+    return np.zeros(value.shape[:-1] + (value.shape[-1] + 1,))
+
+
+@pytest.mark.parametrize("kind, name", COEFFICIENTS,
+                         ids=[name for _, name in COEFFICIENTS])
+def test_each_coefficient_is_checked_for_shape_and_finiteness(kind, name):
+    spec = zero_spec_3x2(kind)
+    value = getattr(spec, name)
+    label = f"{name}.a" if isinstance(value, AffineProcess) else name
+
+    violations = bslq.validate(spec.replace(**{name: _with_nan(value)})).violations
+    assert len(violations) == 1 and violations[0].startswith(f"{label}: non-finite")
+
+    violations = bslq.validate(spec.replace(**{name: _wrong_shape(value)})).violations
+    parts = [f"{name}.a", f"{name}.b"] if isinstance(value, AffineProcess) else [name]
+    assert [v.split(": shape ")[0] for v in violations] == parts, violations
+
+
+def test_forward_round_trip_with_paths_and_affine_loading(tmp_path):
+    sf = bslq.builtin_scenario("SF", steps=10)
+    grid = sf.grid
+    t = grid.nodes
+    sf = sf.replace(
+        cA=MatrixPath.sampled(np.sin(3.0 * t).reshape(11, 1, 1), grid),
+        cQ=MatrixPath.piecewise(np.where(t < 0.5, 0.5, 2.0).reshape(11, 1, 1), grid),
+        sigma=AffineProcess(MatrixPath.sampled(0.1 * t.reshape(11, 1), grid),
+                            MatrixPath.constant([0.3], grid)),
+        rhoTilde=AffineProcess.of_constants([0.2], [-0.4], grid),
+        gTilde=np.array([0.25]), x0=np.array([-0.7]))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    bslq.save_scenario(sf, str(first))
+    loaded = bslq.load_scenario(str(first))
+    bslq.save_scenario(loaded, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.cA.kind == "grid-sampled" and loaded.cQ.kind == "piecewise-constant"
+    for f in dataclasses.fields(sf):
+        mine, theirs = getattr(sf, f.name), getattr(loaded, f.name)
+        if isinstance(mine, AffineProcess):
+            for a, b in zip(mine.node_parts(), theirs.node_parts()):
+                np.testing.assert_array_equal(a, b)
+        elif isinstance(mine, MatrixPath):
+            np.testing.assert_array_equal(mine.node_values(), theirs.node_values())
+        elif isinstance(mine, np.ndarray):
+            np.testing.assert_array_equal(mine, theirs)
+    psol, again = bslq.solve_forward_riccati(sf), bslq.solve_forward_riccati(loaded)
+    np.testing.assert_array_equal(psol.P, again.P)
+    np.testing.assert_array_equal(bslq.solve_eta_zeta(sf, psol).phi.a.node_values(),
+                                  bslq.solve_eta_zeta(loaded, again).phi.a.node_values())
+
+
+SQUARE = [(kind, name) for kind, name in COEFFICIENTS
+          if len(SHAPES_3X2[name]) == 2 and len(set(SHAPES_3X2[name])) == 1]
+
+
+@pytest.mark.parametrize("kind, name", SQUARE, ids=[name for _, name in SQUARE])
+def test_symmetry_is_checked_where_declared(kind, name):
+    spec = zero_spec_3x2(kind)
+    value = getattr(spec, name)
+    skew = np.zeros(SHAPES_3X2[name])
+    skew[0, 1] = 1.0
+    bad = skew if isinstance(value, np.ndarray) else MatrixPath.constant(skew, spec.grid)
+    violations = bslq.validate(spec.replace(**{name: bad})).violations
+    if name in ("G", "Q", "R11", "R22", "cG", "cQ", "cR"):
+        assert len(violations) == 1 and violations[0].startswith(f"{name}: not symmetric")
+    else:
+        assert violations == []
