@@ -264,16 +264,25 @@ def builtin_scenario(name: str, steps: int = 200, c: float = 1.0, x0: float = 1.
 _HEADER_FIELDS = ("kind", "n", "m", "T", "steps")
 
 
+def _numeric(name: str, entry) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array.  A boolean,
+    string, null or object inside it, or rows of unequal length, raise a
+    ScenarioError naming the field."""
+    pending = [[entry]]
+    while pending:
+        for item in pending.pop():
+            if isinstance(item, list):
+                pending.append(item)
+            elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+                raise ScenarioError(
+                    f"{name}: non-numeric entry {json.dumps(item, default=repr)}")
+    try:
+        return np.asarray(entry, dtype=float)
+    except ValueError:
+        raise ScenarioError(f"{name}: ragged nested list") from None
+
+
 def _parse_path(name: str, entry, shape: tuple, grid: TimeGrid) -> MatrixPath:
-    if isinstance(entry, (int, float)):
-        if shape not in ((1,), (1, 1)):
-            raise ScenarioError(f"{name}: scalar entry requires dimension 1")
-        return MatrixPath.constant(np.full(shape, float(entry)), grid)
-    if isinstance(entry, list):
-        arr = np.asarray(entry, dtype=float)
-        if arr.shape != shape:
-            raise ScenarioError(f"{name}: shape {arr.shape} != expected {shape}")
-        return MatrixPath.constant(arr, grid)
     if isinstance(entry, dict):
         unknown = set(entry) - {"t", "values", "kind"}
         if unknown:
@@ -283,8 +292,8 @@ def _parse_path(name: str, entry, shape: tuple, grid: TimeGrid) -> MatrixPath:
             raise ScenarioError(f"{name}: kind must be {SAMPLED!r} or {PIECEWISE!r}")
         if "t" not in entry or "values" not in entry:
             raise ScenarioError(f"{name}: {kind} entry needs 't' and 'values'")
-        t = np.asarray(entry["t"], dtype=float)
-        vals = np.asarray(entry["values"], dtype=float)
+        t = _numeric(name, entry["t"])
+        vals = _numeric(name, entry["values"])
         if t.shape != (grid.steps + 1,) or np.max(np.abs(t - grid.nodes)) > 1e-12:
             raise ScenarioError(f"{name}: sample times do not match the grid")
         if vals.shape != (grid.steps + 1,) + shape:
@@ -293,7 +302,7 @@ def _parse_path(name: str, entry, shape: tuple, grid: TimeGrid) -> MatrixPath:
                 f"{(grid.steps + 1,) + shape}"
             )
         return MatrixPath(kind, vals, grid)
-    raise ScenarioError(f"{name}: invalid entry of type {type(entry).__name__}")
+    return MatrixPath.constant(_parse_array(name, entry, shape, grid), grid)
 
 
 def _parse_affine(name: str, entry, shape: tuple, grid: TimeGrid) -> AffineProcess:
@@ -308,16 +317,14 @@ def _parse_affine(name: str, entry, shape: tuple, grid: TimeGrid) -> AffineProce
 
 
 def _parse_array(name: str, entry, shape: tuple, grid: TimeGrid) -> np.ndarray:
-    """A constant array: a nested list, or a scalar for a dimension-1 matrix
-    (a scalar vector entry reads as length 1)."""
+    """A constant array: a nested list, or a scalar for dimension 1."""
     if isinstance(entry, dict):
         raise ScenarioError(f"{name}: invalid entry of type dict")
-    arr = np.asarray(entry, dtype=float)
-    if arr.ndim == 0 and len(shape) == 2:
-        if shape != (1, 1):
+    arr = _numeric(name, entry)
+    if arr.ndim == 0:
+        if shape not in ((1,), (1, 1)):
             raise ScenarioError(f"{name}: scalar entry requires dimension 1")
-        arr = arr.reshape(1, 1)
-    arr = np.atleast_1d(arr)
+        arr = np.full(shape, arr)
     if arr.shape != shape:
         raise ScenarioError(f"{name}: shape {arr.shape} != expected {shape}")
     return arr

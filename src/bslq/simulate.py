@@ -46,7 +46,11 @@ increments from a Philox4x64 generator keyed by (s, p), with the k-th
 increment produced from the k-th 64-bit word of that stream via the inverse
 normal CDF.  The increment at (seed, path, step) is therefore a pure
 function of those three integers, independent of how many paths or steps are
-generated and of chunking.
+generated and of chunking.  The generator is evaluated in numpy for a fixed
+block of PATH_BLOCK paths at a time, every (path, counter) pair at once, and
+reproduces numpy's ``Philox(key=(s, p)).random_raw`` bitwise.  scipy, which
+supplies the inverse normal CDF, is loaded at the first draw, so commands
+that never draw do not import it.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .bsde import AffineBsdeSolution, assemble_drift, solve_affine_bsde, solve_controlled_state
 from .errors import SimulationError
@@ -71,11 +74,39 @@ def philox(seed: int, salt: int) -> Philox:
     return Philox(key=np.array([seed % 2 ** 64, salt % 2 ** 64], dtype=np.uint64))
 
 
-def _path_normals(seed: int, path: int, count: int) -> np.ndarray:
-    """Standard normals for one path of one ensemble; see module docstring."""
-    raw = philox(seed, path).random_raw(count)
-    u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
-    return ndtri(u)
+# Philox4x64-10 (Salmon et al., SC 2011): round multipliers and key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Paths per kernel evaluation.  It bounds the kernel's temporaries (about
+# 0.5 MB at 100 steps); the increments do not depend on it.
+PATH_BLOCK = 1024
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of m * x, the high word from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    mid = x_hi * m_lo
+    cross = (x_lo * m_lo >> _S32) + (mid & _LO32) + x_lo * m_hi
+    return x_hi * m_hi + (mid >> _S32) + (cross >> _S32), x * np.uint64(m)
+
+
+def _philox_words(seed: int, first: int, paths: int, count: int) -> np.ndarray:
+    """The first `count` words of ``philox(seed, p).random_raw`` for paths
+    p = first, ..., first + paths - 1, as one (paths, count) array."""
+    blocks = -(-count // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]  # counters from 1
+    c1 = c2 = c3 = np.zeros((1, 1), np.uint64)
+    k0 = seed % 2 ** 64
+    k1 = np.arange(first, first + paths, dtype=np.uint64)[:, None]
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+        k0 = (k0 + _PHILOX_W[0]) % 2 ** 64
+        k1 = k1 + np.uint64(_PHILOX_W[1])  # array addition wraps silently
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(paths, 4 * blocks)[:, :count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +128,15 @@ class BrownianEnsemble:
 
     @classmethod
     def generate(cls, seed: int, paths: int, grid: TimeGrid) -> "BrownianEnsemble":
+        from scipy.special import ndtri  # loaded at the first draw, not at import
+
         inc = np.empty((paths, grid.steps))
-        for p in range(paths):
-            inc[p] = _path_normals(seed, p, grid.steps)
+        for first in range(0, paths, PATH_BLOCK):
+            block = inc[first:first + PATH_BLOCK]
+            raw = _philox_words(seed, first, len(block), grid.steps)
+            np.multiply(raw >> np.uint64(11), 2.0 ** -53, out=block)
+            block += 2.0 ** -54  # u in (0, 1)
+            ndtri(block, out=block)
         inc *= np.sqrt(grid.dt)
         W = np.zeros((paths, grid.steps + 1))
         np.cumsum(inc, axis=1, out=W[:, 1:])

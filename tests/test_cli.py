@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,3 +309,42 @@ def test_constant_given_as_a_path_exits_two(field, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run(["value", str(path), "--steps", "2"], capsys)
     assert (code, out, err) == (2, "", f"error: {field}: invalid entry of type dict\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", True, "A: non-numeric entry true"),
+    ("G", "1.0", 'G: non-numeric entry "1.0"'),
+    ("A", [[1.0], [1.0, 2.0]], "A: ragged nested list"),
+    ("g", ["abc"], 'g: non-numeric entry "abc"'),
+    ("B", [[{"a": 1}]], 'B: non-numeric entry {"a": 1}'),
+], ids=["path-bool", "constant-string", "ragged", "string-in-list", "object-in-list"])
+def test_scenario_entries_must_be_numbers(field, value, message, tmp_path, capsys):
+    # A boolean or a numeric string used to load as a number; a ragged list
+    # or a string in a list exited with numpy's message and no field name.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4", steps=20))
+    doc[field] = value
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["value", str(path), "--steps", "20"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_scipy_loads_at_the_first_draw(tmp_path):
+    script = f"""
+import sys
+import bslq.cli
+assert "scipy.special" not in sys.modules
+for argv in (["value", "builtin:S4", "--steps", "20"],
+             ["oracle", "builtin:SX", "--tree-steps", "6"]):
+    assert bslq.cli.main(argv) == 0
+    assert "scipy.special" not in sys.modules, argv
+assert bslq.cli.main(["simulate", "builtin:S4", "--steps", "20", "--paths", "10",
+                      "--out", {str(tmp_path)!r}]) == 0
+assert "scipy.special" in sys.modules
+"""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

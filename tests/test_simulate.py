@@ -1,6 +1,8 @@
 """Brownian ensembles, dual SDE simulation and pointwise synthesis."""
 
+import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,51 @@ from bslq.simulate import _euler_loop, _time_major
 
 
 # -- Brownian ensembles -------------------------------------------------------
+
+
+def _per_path_reference(seed, paths, steps):
+    """The per-path generator the blocked kernel replaces: one numpy Philox
+    per path, counters from 1, and one ndtri call per path."""
+    from scipy.special import ndtri
+
+    inc = np.empty((paths, steps))
+    for p in range(paths):
+        key = np.array([seed % 2 ** 64, p], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(steps)
+        inc[p] = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+    return inc * np.sqrt(TimeGrid(1.0, steps).dt)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 37, 401])
+@pytest.mark.parametrize("seed", [0, 7, -5, 2 ** 64 - 1])
+def test_increments_reproduce_the_per_path_stream(seed, steps):
+    block = sim.PATH_BLOCK
+    reference = _per_path_reference(seed, 2 * block + 1, steps)
+    for paths in (1, block - 1, block, block + 1, 2 * block + 1):
+        bw = bslq.BrownianEnsemble.generate(seed, paths, TimeGrid(1.0, steps))
+        assert bw.increments.tobytes() == reference[:paths].tobytes(), paths
+
+
+def test_increments_match_a_frozen_digest():
+    # Taken from the per-path generator: pins the stream even if numpy's
+    # Philox and the kernel were to change together.
+    bw = bslq.BrownianEnsemble.generate(-5, 3, TimeGrid(1.0, 37))
+    assert hashlib.sha256(bw.increments.tobytes()).hexdigest() == (
+        "69eadd5d799f9a749fefdb97e0cbad534224a3de372a55f58841f360d6f83f72")
+
+
+def test_generate_memory_is_bounded():
+    grid = TimeGrid(1.0, 50)
+    bslq.BrownianEnsemble.generate(3, 1, grid)  # the first draw loads scipy
+    tracemalloc.start()
+    try:
+        bw = bslq.BrownianEnsemble.generate(3, 20000, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The kernel works on fixed path blocks, so its temporaries do not grow
+    # with the path count.
+    assert peak - bw.increments.nbytes - bw.W.nbytes <= 2 * 2 ** 20
 
 
 def test_increment_is_pure_function_of_seed_path_step():
