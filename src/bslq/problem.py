@@ -266,8 +266,8 @@ _HEADER_FIELDS = ("kind", "n", "m", "T", "steps")
 
 def _numeric(name: str, entry) -> np.ndarray:
     """A JSON number or nested list of numbers as a float array.  A boolean,
-    string, null or object inside it, or rows of unequal length, raise a
-    ScenarioError naming the field."""
+    string, null or object inside it, an integer beyond the float range, or
+    rows of unequal length, raise a ScenarioError naming the field."""
     pending = [[entry]]
     while pending:
         for item in pending.pop():
@@ -278,6 +278,8 @@ def _numeric(name: str, entry) -> np.ndarray:
                     f"{name}: non-numeric entry {json.dumps(item, default=repr)}")
     try:
         return np.asarray(entry, dtype=float)
+    except OverflowError:
+        raise ScenarioError(f"{name}: number out of the float range") from None
     except ValueError:
         raise ScenarioError(f"{name}: ragged nested list") from None
 

@@ -317,10 +317,13 @@ def test_constant_given_as_a_path_exits_two(field, tmp_path, capsys):
     ("A", [[1.0], [1.0, 2.0]], "A: ragged nested list"),
     ("g", ["abc"], 'g: non-numeric entry "abc"'),
     ("B", [[{"a": 1}]], 'B: non-numeric entry {"a": 1}'),
-], ids=["path-bool", "constant-string", "ragged", "string-in-list", "object-in-list"])
+    ("A", 10 ** 400, "A: number out of the float range"),
+], ids=["path-bool", "constant-string", "ragged", "string-in-list", "object-in-list",
+        "huge-integer"])
 def test_scenario_entries_must_be_numbers(field, value, message, tmp_path, capsys):
     # A boolean or a numeric string used to load as a number; a ragged list
-    # or a string in a list exited with numpy's message and no field name.
+    # or a string in a list exited with numpy's message and no field name; an
+    # object in a list or a huge integer raised a traceback.
     doc = bslq.scenario_document(bslq.builtin_scenario("S4", steps=20))
     doc[field] = value
     path = tmp_path / "s4.json"
