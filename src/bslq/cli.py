@@ -312,6 +312,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.substeps < 1:            # checked before any command prints
+            raise ValueError(f"substeps must be >= 1, got {args.substeps}")
         return args.func(args)
     except (ScenarioError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,9 @@ The elimination is a congruence, so by Sylvester's law and Haynsworth's
 inertia additivity the negative eigenvalues of the pivots, each counted
 2^level times, number the eigenvalues of Lam below a shift sigma (the shift
 enters each node's u-block).  One count at NONCONVEX_TOL decides convexity;
-bisection on the count, many shifts per pass, gives the extreme eigenvalues.  The value and the
+bisection on the count, many shifts per pass, gives the extreme eigenvalues
+for solve_discrete.  compare needs no extreme eigenvalue and bisects only if
+a pivot eigenvalue falls under bound / SINGULAR_COND.  The value and the
 gradient norm come from a separate forward and adjoint sweep over the
 returned controls, not from the factorisation.  Controls are indexed
 depth-first, up child first, so every subtree owns a contiguous index block.
@@ -332,16 +334,17 @@ def _step_y(spec, lv: _Level, y: np.ndarray, s: float, dt: float, w, Bu=0.0):
     return np.linalg.solve(lv.K, rhs.T).T, Z
 
 
-def _optimal_controls(spec, tree, levels, ws, drop: float) -> list[np.ndarray]:
+def _optimal_controls(spec, tree, levels, ws, drop: float) -> tuple[list[np.ndarray], bool]:
     """Minimise the cost by block elimination leaves-first, then
-    back-substitute root-first; the controls of each level as a
-    (2^level, m) array.  Pivot eigenvalues of magnitude <= drop are left
-    out of the pivot's inverse (a pseudo-inverse for a singular Lam)."""
+    back-substitute root-first: the controls of each level as (2^level, m)
+    arrays, and whether a pivot eigenvalue of magnitude <= drop was left out
+    of the pivot's inverse (a pseudo-inverse for a singular Lam)."""
     m, N = spec.m, tree.steps
     dt, s = tree.dt, tree.sqrt_dt
     y = _affine_at(spec.xi, spec.grid.T, ws[N])
     P, p = np.zeros((0, 0)), np.zeros((2 ** N, 0))
     gains: list = [None] * N
+    dropped = False
     for k in reversed(range(N)):
         lv = levels[k]
         rc, r = lv.child, lv.rank
@@ -361,6 +364,7 @@ def _optimal_controls(spec, tree, levels, ws, drop: float) -> list[np.ndarray]:
         # for range coordinates alpha the kernel ones are -(alpha F + h)
         lam, Q = np.linalg.eigh(X[r:, r:])
         keep = np.abs(lam) > drop
+        dropped = dropped or not keep.all()
         inv = (Q[:, keep] / lam[keep]) @ Q[:, keep].T
         F, h = X[:r, r:] @ inv, px[:, r:] @ inv
         P = X[:r, :r] - F @ X[r:, :r]
@@ -379,7 +383,7 @@ def _optimal_controls(spec, tree, levels, ws, drop: float) -> list[np.ndarray]:
         alpha = _interleave(x[:, :rc], x[:, rc:2 * rc])
         F, h = gains[k + 1]
         x = alpha @ nxt.basis[:, :rc].T - (alpha @ F + h) @ nxt.basis[:, rc:].T
-    return controls
+    return controls, dropped
 
 
 def _sweep(spec, tree, levels, ws, controls) -> tuple[float, float, np.ndarray]:
@@ -415,13 +419,8 @@ def _sweep(spec, tree, levels, ws, controls) -> tuple[float, float, np.ndarray]:
     return total, float(np.linalg.norm(grad)), y0
 
 
-def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
-    """Solve the tree-discretised quadratic program exactly.
-
-    Requires steps <= 12 and state/control dimensions <= 3.  The step count
-    must also keep I + dt A safely invertible:
-    steps >= T (2 max|A| + max|C| + 1).
-    """
+def _tree(spec: ProblemSpec, steps: int):
+    """Check the preconditions; the tree, its levels and its node layout."""
     if steps > MAX_STEPS:
         raise ValueError(f"binomial oracle capped at {MAX_STEPS} steps, got {steps}")
     if spec.n > 3 or spec.m > 3:
@@ -433,10 +432,19 @@ def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
             f"(need >= {min_steps:g})"
         )
     tree = BinomialTree(steps, spec.grid.T)
+    return (tree, _levels(spec, tree)) + _node_layout(steps, tree.sqrt_dt)
+
+
+def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
+    """Solve the tree-discretised quadratic program exactly.
+
+    Requires steps <= 12 and state/control dimensions <= 3.  The step count
+    must also keep I + dt A safely invertible:
+    steps >= T (2 max|A| + max|C| + 1).
+    """
+    tree, levels, ws, dfs = _tree(spec, steps)
     m, N = spec.m, steps
     D = m * tree.control_count()
-    levels = _levels(spec, tree)
-    ws, dfs = _node_layout(N, tree.sqrt_dt)
     level_of = np.repeat(np.arange(N), 2 ** np.arange(N))
     w_of = np.concatenate(ws[:N])
     meta = [ControlNode(m * i, int(level_of[j]), levels[level_of[j]].t, float(w_of[j]))
@@ -454,13 +462,31 @@ def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
     if negative:
         return DiscreteSolution(steps, None, None, None, min_eig, negative,
                                 convex=False, singular=False, y0=None, nodes=meta)
-    controls = _optimal_controls(spec, tree, levels, ws, tiny)
+    controls = _optimal_controls(spec, tree, levels, ws, tiny)[0]
     u_opt = np.empty(D)
     for k in range(N):
         u_opt[(m * dfs[k])[:, None] + np.arange(m)] = controls[k]
     value, grad_norm, y0 = _sweep(spec, tree, levels, ws, controls)
     return DiscreteSolution(steps, u_opt, value, grad_norm, min_eig, negative,
                             convex=True, singular=singular, y0=y0, nodes=meta)
+
+
+def _tree_value(spec: ProblemSpec, steps: int) -> float:
+    """``solve_discrete(spec, steps).value``, bitwise, with no bisection: that
+    drops no pivot eigenvalue above bound / SINGULAR_COND, so if none is at or
+    below it either, the two eliminations are one computation."""
+    tree, levels, ws, _ = _tree(spec, steps)
+    spectrum = _Spectrum(levels, spec.m, spec.m * tree.control_count())
+    if spectrum.bound and not spectrum.below([0.5 * NONCONVEX_TOL])[0]:
+        controls, dropped = _optimal_controls(spec, tree, levels, ws,
+                                              spectrum.bound / SINGULAR_COND)
+        if not dropped:
+            return _sweep(spec, tree, levels, ws, controls)[0]
+    sol = solve_discrete(spec, steps)
+    if sol.convex:
+        return sol.value
+    raise ConvexityError(f"discrete problem at {steps} steps is nonconvex "
+                         f"(hessian min eigenvalue {sol.hessian_min_eig:.6g})")
 
 
 def replay_cost(spec: ProblemSpec, steps: int, control: np.ndarray) -> float:
@@ -527,23 +553,22 @@ def compare(formula_value: float, spec: ProblemSpec,
 
     The tree error is first order in dt, so the extrapolation
     (N2 v2 - N1 v1) / (N2 - N1) from the two finest resolutions removes the
-    leading term.  A nonconvex resolution raises ConvexityError.
+    leading term; ``steps`` are at least two increasing counts.  One pivot
+    count decides convexity, and the spectrum is bisected only if a pivot
+    eigenvalue falls under bound / SINGULAR_COND.  The values are those of
+    solve_discrete, bitwise.  A nonconvex resolution raises ConvexityError.
     """
-    values = []
-    for N in steps:
-        sol = solve_discrete(spec, N)
-        if not sol.convex:
-            raise ConvexityError(
-                f"discrete problem at {N} steps is nonconvex "
-                f"(hessian min eigenvalue {sol.hessian_min_eig:.6g})")
-        values.append(sol.value)
+    steps = tuple(steps)
+    if len(steps) < 2 or any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"compare needs two or more increasing step counts, got {steps}")
+    values = [_tree_value(spec, N) for N in steps]
     gaps = [abs(v - formula_value) for v in values]
     monotone = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
     n1, n2 = steps[-2], steps[-1]
     v1, v2 = values[-2], values[-1]
     extrapolated = (n2 * v2 - n1 * v1) / (n2 - n1)
     return OracleComparison(
-        steps=tuple(steps),
+        steps=steps,
         values=tuple(values),
         gaps=tuple(gaps),
         monotone=monotone,

@@ -123,8 +123,9 @@ def test_negative_seed_is_taken_modulo_2_64(capsys):
 
 
 @pytest.mark.parametrize("command", [["value", "builtin:S4"], ["value", "builtin:SF"],
-                                     ["verify", "builtin:S4", "--paths", "10"]],
-                         ids=["value", "value-forward", "verify"])
+                                     ["verify", "builtin:S4", "--paths", "10"],
+                                     ["oracle", "builtin:SX", "--tree-steps", "4", "--compare"]],
+                         ids=["value", "value-forward", "verify", "oracle-compare"])
 def test_substeps_below_one_exits_two(command, capsys):
     code, out, err = run(command + ["--steps", "10", "--substeps", "0"], capsys)
     assert code == 2

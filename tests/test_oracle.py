@@ -115,6 +115,57 @@ def test_oracle_2d(spec_2d):
     assert sol.convex and sol.gradient_norm <= 1e-10
 
 
+# ---------------------------------------------------------------------------
+# compare's value path: no bisection, values bitwise those of solve_discrete
+# ---------------------------------------------------------------------------
+
+
+def _count_extremes(monkeypatch):
+    calls = []
+    extremes = oracle._Spectrum.extremes
+    monkeypatch.setattr(oracle._Spectrum, "extremes",
+                        lambda self: calls.append(1) or extremes(self))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S4", "S5", "SX", "SH", "2x2"])
+def test_compare_values_are_solve_discrete_values(name, monkeypatch):
+    # N = 1 is too coarse for the 2x2 fixture's coefficients.
+    spec, ladder = ((make_spec_2d(100), range(2, 11)) if name == "2x2"
+                    else (bslq.builtin_scenario(name), range(1, 11)))
+    calls = _count_extremes(monkeypatch)
+    comp = bslq.compare(0.0, spec, steps=ladder)
+    assert calls == []
+    assert comp.values == tuple(bslq.solve_discrete(spec, N).value for N in ladder)
+
+
+def test_compare_singular_falls_back_bitwise(monkeypatch):
+    # R22 = 0 makes Lam singular: the value path drops a pivot eigenvalue and
+    # hands the resolution to solve_discrete.
+    spec = bslq.builtin_scenario("S4")
+    spec = spec.replace(R22=MatrixPath.constant([[0.0]], spec.grid))
+    calls = _count_extremes(monkeypatch)
+    comp = bslq.compare(0.25, spec, steps=(4, 6))
+    assert len(calls) == 2
+    assert comp.values == (bslq.solve_discrete(spec, 4).value,
+                           bslq.solve_discrete(spec, 6).value)
+
+
+def test_compare_flip_message():
+    spec = bslq.builtin_scenario("S1")
+    spec = spec.replace(R22=MatrixPath.constant([[-1.0]], spec.grid))
+    with pytest.raises(bslq.ConvexityError) as info:
+        bslq.compare(0.0, spec)
+    assert str(info.value) == ("discrete problem at 4 steps is nonconvex "
+                               "(hessian min eigenvalue -0.5)")
+
+
+@pytest.mark.parametrize("steps", [(), (6,), (6, 6), (8, 6), (4, 8, 6)])
+def test_compare_rejects_degenerate_ladder(steps):
+    with pytest.raises(ValueError, match="two or more increasing step counts"):
+        bslq.compare(0.0, bslq.builtin_scenario("S4"), steps=steps)
+
+
 def test_preconditions_enforced():
     spec = bslq.builtin_scenario("S1")
     with pytest.raises(ValueError, match="capped"):
@@ -276,3 +327,16 @@ def test_structured_matches_dense_property(problem):
     assert abs(sol.hessian_min_eig - ref.hessian_min_eig) <= 1e-10 * scale
     if ref.convex and not ref.singular:
         assert abs(sol.value - ref.value) <= 1e-10 * max(1.0, abs(ref.value))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_problems())
+def test_tree_value_matches_solve_discrete_property(problem):
+    spec, N = problem
+    sol = bslq.solve_discrete(spec, N)
+    if not sol.convex:
+        with pytest.raises(bslq.ConvexityError, match="nonconvex"):
+            oracle._tree_value(spec, N)
+        return
+    assert oracle._tree_value(spec, N) == sol.value
