@@ -12,10 +12,18 @@ Stage-table contract: :func:`rk4_stages` is the one source of the
 Paths are tabulated there once (:meth:`bslq.grid.MatrixPath.tabulate`,
 bitwise equal to ``MatrixPath.__call__`` at every stage time), so
 right-hand sides index arrays instead of evaluating paths in the loop.
+
+A float state runs the same RK4 loop on Python floats, without the cost of
+numpy calls on 0-d or 1x1 arrays.  The Riccati solves of n = m = 1 problems
+use this, with float right-hand sides that are bitwise equal to the matrix
+kernels (:mod:`bslq.riccati`).  The loop runs with numpy overflow and
+invalid-value warnings off: a blow-up surfaces once, as the
+:class:`IntegrationError` of the node where the state stops being finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,7 +82,7 @@ def rk4_stages(grid: TimeGrid, direction: str,
             2 * (evals // 4) + np.array([0, 1, 1, 2])[evals % 4])
 
 
-def integrate(problem: OdeProblem, state: np.ndarray, post_step=None,
+def integrate(problem: OdeProblem, state: np.ndarray | float, post_step=None,
               record: bool = False):
     """Integrate from the anchor node across the whole grid.
 
@@ -83,38 +91,51 @@ def integrate(problem: OdeProblem, state: np.ndarray, post_step=None,
     (steps + 1, *state.shape); the anchor node equals ``state`` exactly.
     With ``record`` it returns ``(path, stages)`` where ``stages[e]`` is the
     state the e-th evaluation saw, shape (4 steps substeps, *state.shape).
-    A non-finite state aborts with :class:`IntegrationError` naming the node.
+    A float ``state`` stays a Python float inside the loop: ``rhs`` and
+    ``post_step`` see and return floats, and the results have shape
+    (steps + 1,) and (4 steps substeps,).  A non-finite state aborts with
+    :class:`IntegrationError` naming the node.
     """
     grid = problem.grid
-    state = np.asarray(state, dtype=float)
+    if isinstance(state, float):
+        finite = math.isfinite
+    else:
+        state = np.asarray(state, dtype=float)
+        finite = _all_finite
+    shape = np.shape(state)
     N, s = grid.steps, problem.substeps
     forward = problem.direction == "forward"
     dt = (grid.dt if forward else -grid.dt) / s
     rhs = problem.rhs
-    out = np.empty((N + 1,) + state.shape)
-    stages = np.empty((4 * N * s,) + state.shape) if record else None
+    out = np.empty((N + 1,) + shape)
+    stages = np.empty((4 * N * s,) + shape) if record else None
     out[0 if forward else N] = state
     y = state
     e = 0
-    for k in (range(1, N + 1) if forward else range(N - 1, -1, -1)):
-        for _ in range(s):
-            k1 = rhs(e, y)
-            y2 = y + 0.5 * dt * k1
-            k2 = rhs(e + 1, y2)
-            y3 = y + 0.5 * dt * k2
-            k3 = rhs(e + 2, y3)
-            y4 = y + dt * k3
-            k4 = rhs(e + 3, y4)
-            if record:
-                stages[e:e + 4] = (y, y2, y3, y4)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if post_step is not None:
-                y = post_step(y)
-            e += 4
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at node {k} (t={grid.nodes[k]:g})")
-        out[k] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (range(1, N + 1) if forward else range(N - 1, -1, -1)):
+            for _ in range(s):
+                k1 = rhs(e, y)
+                y2 = y + 0.5 * dt * k1
+                k2 = rhs(e + 1, y2)
+                y3 = y + 0.5 * dt * k2
+                k3 = rhs(e + 2, y3)
+                y4 = y + dt * k3
+                k4 = rhs(e + 3, y4)
+                if record:
+                    stages[e:e + 4] = (y, y2, y3, y4)
+                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if post_step is not None:
+                    y = post_step(y)
+                e += 4
+            if not finite(y):
+                raise IntegrationError(f"non-finite state at node {k} (t={grid.nodes[k]:g})")
+            out[k] = y
     return (out, stages) if record else out
+
+
+def _all_finite(y: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(y)))
 
 
 def integrate_forward(grid: TimeGrid, rhs, y0, substeps: int = DEFAULT_SUBSTEPS,

@@ -31,6 +31,13 @@ drift.
 Sigma and P are integrated once, over stage tables (:mod:`bslq.ode`); the
 state at every RK4 evaluation is recorded for the linear BSDEs of
 :mod:`bslq.bsde`.
+
+For n = m = 1 the three RK4 loops run on Python floats, with right-hand
+sides that read the coefficient tables as floats and keep the matrix forms'
+operation order.  A 1x1 matmul is one product summed from +0.0 and a 1x1
+solve is one division, so the paths and stages are bitwise those of the
+matrix kernels, at a small fraction of the cost of numpy calls on 1x1
+arrays.  Results keep their (.., 1, 1) shapes.
 """
 
 from __future__ import annotations
@@ -54,6 +61,30 @@ def _solve(mat: np.ndarray, rhs: np.ndarray, t: float, name: str) -> np.ndarray:
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"{name} singular at t={t:g}") from exc
+
+
+def _on_floats(spec) -> bool:
+    """Whether the RK4 loops of ``spec`` run on Python floats (n = m = 1)."""
+    return spec.n == 1 and spec.m == 1
+
+
+def _floats(x: np.ndarray) -> memoryview:
+    """The entries of ``x``, read as Python floats.  A memoryview keeps the
+    8-byte doubles; ``tolist`` would make a float object per entry, which
+    raised the peak RSS of a scalar verify by about 1 MB."""
+    return memoryview(x.ravel())
+
+
+def _integrate(grid: TimeGrid, rhs, direction: str, substeps: int, anchor,
+               record: bool = False):
+    """RK4 with symmetrisation after every substep.  A float ``anchor`` runs
+    the float loop; its path (and stages) come back with shape (.., 1, 1)."""
+    problem = OdeProblem(grid, rhs, direction, substeps)
+    if not isinstance(anchor, float):
+        return integrate(problem, anchor, post_step=_sym, record=record)
+    result = integrate(problem, anchor, post_step=_sym_float, record=record)
+    return (tuple(x.reshape(-1, 1, 1) for x in result) if record
+            else result.reshape(-1, 1, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +115,16 @@ def solve_h(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> HSolution:
     node (all RK4 stages vanish).
     """
     times, index = rk4_stages(spec.grid, "forward", substeps)
-    rhs = _h_rhs(spec.A.tabulate(times), spec.Q.tabulate(times), index)
-    H = integrate(OdeProblem(spec.grid, rhs, "forward", substeps), -spec.G,
-                  post_step=_sym)
-    return HSolution(spec.grid, H)
+    rhs, H0 = _h_pass(spec, spec.A.tabulate(times), spec.Q.tabulate(times), index, -spec.G)
+    return HSolution(spec.grid, _integrate(spec.grid, rhs, "forward", substeps, H0))
+
+
+def _h_pass(spec, A: np.ndarray, Q: np.ndarray, index: np.ndarray, anchor: np.ndarray):
+    """Right-hand side and anchor of the shift equation, on floats when
+    ``spec`` is scalar."""
+    if _on_floats(spec):
+        return _h_rhs_float(A[index], Q[index]), float(anchor[0, 0])
+    return _h_rhs(A, Q, index), anchor
 
 
 def _h_rhs(A: np.ndarray, Q: np.ndarray, index: np.ndarray):
@@ -101,8 +138,26 @@ def _h_rhs(A: np.ndarray, Q: np.ndarray, index: np.ndarray):
     return rhs
 
 
+def _h_rhs_float(A: np.ndarray, Q: np.ndarray):
+    """:func:`_h_rhs` for n = 1, with A and Q given at every evaluation.
+
+    A matmul sums from +0.0, so a zero product sum is +0.0; the ``+ 0.0``
+    after the first products gives the float sums the same zero signs.
+    """
+    A, Q = _floats(A), _floats(Q)
+
+    def rhs(e, h):
+        a = A[e]
+        return -(h * a + a * h + 0.0 + Q[e])
+    return rhs
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _sym_float(y: float) -> float:
+    return 0.5 * (y + y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,21 +259,42 @@ def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     times, index = rk4_stages(spec.grid, "backward", substeps)
     cs = canonical_samples(src, lambda p: p.tabulate(times))
 
-    _, H = integrate(OdeProblem(spec.grid, _h_rhs(cs.A, cs.Q, index), "backward", substeps),
-                     H_T, post_step=_sym, record=True)
+    h_rhs, H_T = _h_pass(spec, cs.A, cs.Q, index, H_T)
+    _, H = _integrate(spec.grid, h_rhs, "backward", substeps, H_T, record=True)
     t = times[index]
     A, B, C, R22 = (x[index] for x in (cs.A, cs.B, cs.C, cs.R22))
     S1, S2, R11 = cs.shifted(H, index)
-    At, S1t, S2t = (np.swapaxes(x, -1, -2) for x in (A, S1, S2))
-    eye = np.eye(spec.n)
+    if _on_floats(spec):
+        rhs, S_T = _sigma_rhs_float(t, A, B, C, S1, S2, R11, R22), 0.0
+    else:
+        At, S1t, S2t = (np.swapaxes(x, -1, -2) for x in (A, S1, S2))
+        eye = np.eye(spec.n)
 
-    def rhs(e, S):
-        return _sigma_rhs(t[e], S, A[e], At[e], B[e], C[e], S1t[e], S2t[e], R11[e],
-                          R22[e], eye)
+        def rhs(e, S):
+            return _sigma_rhs(t[e], S, A[e], At[e], B[e], C[e], S1t[e], S2t[e], R11[e],
+                              R22[e], eye)
+        S_T = np.zeros((spec.n, spec.n))
 
-    path, stages = integrate(OdeProblem(spec.grid, rhs, "backward", substeps),
-                             np.zeros((spec.n, spec.n)), post_step=_sym, record=True)
+    path, stages = _integrate(spec.grid, rhs, "backward", substeps, S_T, record=True)
     return _derive_sigma_paths(spec, path, substeps, np.stack([H, stages], axis=1))
+
+
+def _sigma_rhs_float(t, A, B, C, S1, S2, R11, R22):
+    """:func:`_sigma_rhs` for n = m = 1, with every coefficient given at
+    every evaluation (``+ 0.0`` as in :func:`_h_rhs_float`)."""
+    t, A, B, C, S1, S2, R11, R22 = (_floats(x) for x in (t, A, B, C, S1, S2, R11, R22))
+
+    def rhs(e, s):
+        a, r22 = A[e], R22[e]
+        bs = B[e] + s * S2[e]
+        cs = C[e] + s * S1[e]
+        rs = 1.0 + s * R11[e]
+        try:
+            return a * s + s * a + 0.0 - bs * (bs / r22) - cs * ((s * cs) / rs)
+        except ZeroDivisionError:
+            name = "R22" if r22 == 0.0 else "R(Sigma)"
+            raise SingularityError(f"{name} singular at t={t[e]:g}") from None
+    return rhs
 
 
 def sigma_terms(Sigma, B, C, S1, S2, R11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,14 +394,17 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
     times, index = rk4_stages(spec.grid, "backward", substeps)
     A, B, C, D, Q, S, R = (p.tabulate(times) for p in (
         spec.cA, spec.cB, spec.cC, spec.cD, spec.cQ, spec.cS, spec.cR))
+    if _on_floats(spec):
+        rhs = _forward_rhs_float(*(x[index] for x in (times, A, B, C, D, Q, S, R)))
+        P_T = float(spec.cG[0, 0])
+    else:
+        def rhs(e, P):
+            j = index[e]
+            return forward_riccati_derivative(times[j], P, A[j], B[j], C[j], D[j],
+                                              Q[j], S[j], R[j])
+        P_T = spec.cG
 
-    def rhs(e, P):
-        j = index[e]
-        return forward_riccati_derivative(times[j], P, A[j], B[j], C[j], D[j],
-                                          Q[j], S[j], R[j])
-
-    P, stages = integrate(OdeProblem(spec.grid, rhs, "backward", substeps), spec.cG,
-                          post_step=_sym, record=True)
+    P, stages = _integrate(spec.grid, rhs, "backward", substeps, P_T, record=True)
     nodes = spec.grid.nodes
     Dv = spec.cD.node_values()
     Wv = spec.cR.node_values() + np.swapaxes(Dv, -1, -2) @ P @ Dv
@@ -345,6 +424,25 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
             "although the uniform-convexity data conditions hold"
         )
     return sol
+
+
+def _forward_rhs_float(t, A, B, C, D, Q, S, R):
+    """:func:`forward_riccati_derivative` for n = m = 1, with every
+    coefficient given at every evaluation (``+ 0.0`` as in
+    :func:`_h_rhs_float`)."""
+    t, A, B, C, D, Q, S, R = (_floats(x) for x in (t, A, B, C, D, Q, S, R))
+
+    def rhs(e, p):
+        a, c, d = A[e], C[e], D[e]
+        dp = d * p
+        w = R[e] + dp * d
+        m = B[e] * p + dp * c + S[e]
+        try:
+            quad = m * (m / w)
+        except ZeroDivisionError:
+            raise SingularityError(f"R + D^T P D singular at t={t[e]:g}") from None
+        return -(p * a + a * p + 0.0 + (c * p) * c + Q[e] - quad)
+    return rhs
 
 
 def feedback_gain(P, B, C, D, S, R) -> np.ndarray:

@@ -169,6 +169,25 @@ def test_integration_blowup_exits_one(tmp_path, capsys):
     assert "contract violation: non-finite state at node 42" in err
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ("S4", "contract violation: non-finite state at node 7 (t=0.35)\n"),
+    ("2x2", "contract violation: non-finite state at node 13 (t=0.65)\n"),
+], ids=["scalar", "2x2"])
+def test_integration_blowup_is_one_line(scenario, message, spec_2d, tmp_path, capsys):
+    # A = 3000 I, R11 = -50 I: the scalar float loop and the 2x2 matrix loop
+    # both overflow; each reports the typed error once, with no numpy warning.
+    spec = spec_2d if scenario == "2x2" else bslq.builtin_scenario(scenario)
+    doc = bslq.scenario_document(spec)
+    doc["A"] = (3000.0 * np.eye(spec.n)).tolist()
+    doc["R11"] = (-50.0 * np.eye(spec.n)).tolist()
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["value", str(path), "--steps", "20"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
 def test_drift_form_gap_exits_one(monkeypatch, capsys):
     # A negative tolerance makes the drift self-check fail on any scenario.
     monkeypatch.setattr(bslq.bsde, "CROSS_FORM_TOL", -1.0)

@@ -1,11 +1,17 @@
-"""Riccati solves: closed forms, residuals, structure checks, failures."""
+"""Riccati solves: closed forms, residuals, structure checks, failures,
+and the float loops of scalar problems against the matrix kernels."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bslq
-from bslq.errors import PositivityError, SingularityError
-from bslq.grid import MatrixPath
+from bslq import riccati
+from bslq.errors import IntegrationError, PositivityError, ReductionError, SingularityError
+from bslq.grid import MatrixPath, TimeGrid
 from bslq.riccati import _derive_sigma_paths
 
 
@@ -165,3 +171,222 @@ def test_uniform_convexity_conditions():
     assert bslq.uniform_convexity_conditions(strict)
     sol = bslq.solve_forward_riccati(strict)
     assert sol.psd_margin() >= -1e-10
+
+
+# -- scalar problems: float loops against the matrix kernels ------------------
+
+
+@st.composite
+def scalar_paths(draw, grid, lo, hi):
+    """A 1x1 coefficient path of any kind with values in [lo, hi]."""
+    kind = draw(st.sampled_from(["constant", "piecewise", "sampled"]))
+    if kind == "constant":
+        return MatrixPath.constant([[draw(st.floats(lo, hi))]], grid)
+    values = draw(st.lists(st.floats(lo, hi), min_size=grid.steps + 1,
+                           max_size=grid.steps + 1))
+    return getattr(MatrixPath, kind)(np.reshape(values, (-1, 1, 1)), grid)
+
+
+@st.composite
+def scalar_problems(draw):
+    """Backward scalar problems with G, Q, R12 = R21, S1, S2 and R11 of
+    either sign, and their RK4 substep count."""
+    grid = TimeGrid(1.0, draw(st.integers(2, 12)))
+
+    def path(lo, hi):
+        return draw(scalar_paths(grid, lo, hi))
+
+    cross = path(-0.5, 0.5)
+    spec = bslq.builtin_scenario("S1", steps=grid.steps).replace(
+        grid=grid, A=path(-1.0, 1.0), B=path(-2.0, 2.0), C=path(-1.0, 1.0),
+        G=np.array([[draw(st.floats(-1.0, 1.0))]]), Q=path(-1.0, 1.0),
+        S1=path(-1.0, 1.0), S2=path(-1.0, 1.0), R11=path(-1.0, 1.0),
+        R12=cross, R21=cross, R22=path(0.2, 2.0))
+    return spec, draw(st.integers(1, 3))
+
+
+@st.composite
+def scalar_forward_problems(draw, convex=False):
+    """Forward scalar problems with nonzero cC, cD and cS.  ``convex`` draws
+    data on which :func:`bslq.uniform_convexity_conditions` holds: cR, cG
+    >= 0.2, |cS| <= 0.5 and cQ >= 1.3 > cS^2 / cR."""
+    grid = TimeGrid(1.0, draw(st.integers(2, 12)))
+
+    def path(lo, hi):
+        return draw(scalar_paths(grid, lo, hi))
+
+    spec = bslq.builtin_scenario("SF", steps=grid.steps).replace(
+        grid=grid, cA=path(-1.0, 1.0), cB=path(-2.0, 2.0), cC=path(-1.0, 1.0),
+        cD=path(-1.0, 1.0), cS=path(-0.5, 0.5) if convex else path(-1.0, 1.0),
+        cQ=path(1.3, 2.0) if convex else path(-1.0, 2.0),
+        cR=path(0.2 if convex else 0.0, 2.0),
+        cG=np.array([[draw(st.floats(0.2 if convex else -1.0, 2.0))]]))
+    return spec, draw(st.integers(1, 3))
+
+
+def on_both_paths(solve):
+    """``solve()`` on the float loops and with the selection forced to the
+    matrix right-hand sides.  Each outcome is the raw bytes of every RK4
+    result (kept even when a later check raises) and of every array
+    ``solve`` returns, or the type and text of the error it raises."""
+    def outcome(mp):
+        loops = []
+
+        def spy(*args, **kwargs):
+            result = integrate(*args, **kwargs)
+            loops.append([x.tobytes() for x in (result if kwargs.get("record") else [result])])
+            return result
+
+        mp.setattr(riccati, "integrate", spy)
+        try:
+            return loops, [np.asarray(x).tobytes() for x in solve()]
+        except (IntegrationError, PositivityError, ReductionError,
+                SingularityError) as exc:
+            return loops, (type(exc), str(exc))
+
+    integrate = riccati.integrate
+    with pytest.MonkeyPatch.context() as mp:
+        floats = outcome(mp)
+        mp.setattr(riccati, "_on_floats", lambda spec: False)
+        return floats, outcome(mp)
+
+
+def backward_arrays(spec, substeps):
+    red = bslq.reduce_problem(spec, substeps)
+    sol = bslq.solve_sigma(red, substeps)
+    return (bslq.solve_h(spec, substeps).H, red.h.H, sol.Sigma, sol.stages, sol.BofSigma,
+            sol.CofSigma, sol.RofSigma, sol.RofSigmaInv, sol.conditioning)
+
+
+def forward_arrays(spec, substeps):
+    sol = bslq.solve_forward_riccati(spec, substeps)
+    return sol.P, sol.stages, sol.gain, sol.min_eig_weight
+
+
+def rhs_outcome(rhs, *args):
+    """Raw bytes of a right-hand side value, or its singularity message."""
+    try:
+        return np.float64(rhs(*args)).tobytes()
+    except SingularityError as exc:
+        return str(exc)
+
+
+signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(signed, min_size=12, max_size=12))
+def test_float_right_hand_sides_equal_the_matrix_forms(values):
+    # Zero signs included: a matmul sums from +0.0, the float forms add 0.0.
+    x, *coef = values
+    mats = {k: np.array([[u]]) for k, u in zip(
+        ("A", "B", "C", "D", "Q", "S", "R", "S1", "S2", "R11", "R22"), coef)}
+    rows = {k: m[None] for k, m in mats.items()}   # the table of one evaluation
+    t, X = np.array([0.5]), np.array([[x]])
+    assert (rhs_outcome(riccati._h_rhs_float(rows["A"], rows["Q"]), 0, x)
+            == rhs_outcome(riccati._h_rhs(rows["A"], rows["Q"], [0]), 0, X))
+    sigma = ("A", "B", "C", "S1", "S2", "R11", "R22")
+    assert (rhs_outcome(riccati._sigma_rhs_float(t, *(rows[k] for k in sigma)), 0, x)
+            == rhs_outcome(riccati.sigma_derivative, 0.5, X, *(mats[k] for k in sigma)))
+    forward = ("A", "B", "C", "D", "Q", "S", "R")
+    assert (rhs_outcome(riccati._forward_rhs_float(t, *(rows[k] for k in forward)), 0, x)
+            == rhs_outcome(riccati.forward_riccati_derivative, 0.5, X,
+                           *(mats[k] for k in forward)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scalar_problems())
+def test_scalar_backward_matches_matrix_kernels(problem):
+    floats, matrix = on_both_paths(lambda: backward_arrays(*problem))
+    assert floats == matrix
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scalar_forward_problems())
+def test_scalar_forward_matches_matrix_kernels(problem):
+    floats, matrix = on_both_paths(lambda: forward_arrays(*problem))
+    assert floats == matrix
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scalar_forward_problems(convex=True))
+def test_uniformly_convex_forward_data_give_psd_p(problem):
+    spec, substeps = problem
+    assert bslq.uniform_convexity_conditions(spec)
+    sol = bslq.solve_forward_riccati(spec, substeps)   # no PositivityError
+    assert np.min(sol.P) >= -riccati.PSD_TOL
+    assert np.all(sol.min_eig_weight > 0.0)
+
+
+def test_scalar_problems_take_the_float_loops(monkeypatch, spec_2d):
+    states = []
+
+    def spy(problem, state, *args, **kwargs):
+        states.append(type(state))
+        return integrate(problem, state, *args, **kwargs)
+
+    integrate = riccati.integrate
+    monkeypatch.setattr(riccati, "integrate", spy)
+    for name in bslq.BUILTIN_NAMES:
+        spec = bslq.builtin_scenario(name, steps=20)
+        if name == "SF":
+            bslq.solve_forward_riccati(spec)
+        else:
+            bslq.solve_sigma(bslq.reduce_problem(spec))
+    assert states and set(states) == {float}
+    states.clear()
+    bslq.solve_sigma(bslq.reduce_problem(spec_2d))
+    assert states and set(states) == {np.ndarray}
+
+
+def test_riccati_paths_match_a_frozen_digest():
+    # Taken from the matrix kernels: pins the float loops bitwise.
+    digests = {
+        "S4": "d38cda106626c7398c2479832a0e09c1ec2d71ef6f32affb80e5942b119a2dce",
+        "SX": "ef498f6d1f72603ae3c8f2592d3306abfe4c9ddd2d7107c8cf9efd65000361cd",
+        "SH": "c11dc2d5d6cf10ac18017f186ce7e68dbf9024b3c8f5b950a20d45476adedd31",
+        "SF": "44692423907516da11d48f15c37154f975387ba835be3c2607356b6cbd1a1211",
+    }
+    for name, digest in digests.items():
+        spec = bslq.builtin_scenario(name, steps=50)
+        if name == "SF":
+            sol = bslq.solve_forward_riccati(spec)
+            arrays = (sol.P, sol.stages)
+        else:
+            red = bslq.reduce_problem(spec)
+            sol = bslq.solve_sigma(red)
+            arrays = (red.h.H, sol.Sigma, sol.stages)
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda: forward_arrays(bslq.builtin_scenario("SF").replace(
+        cR=MatrixPath.constant([[0.0]], TimeGrid(1.0, 200))), 4),
+     "R + D^T P D singular at t=1"),
+    # Sigma = 1 - t is exact on this grid, so R(Sigma) = 1 - 2 Sigma is 0 at t = 0.5.
+    (lambda: backward_arrays(bslq.builtin_scenario("S4", steps=8).replace(
+        R11=MatrixPath.constant([[-2.0]], TimeGrid(1.0, 8))), 4),
+     "R(Sigma) singular at t=0.5"),
+], ids=["forward-weight", "r-of-sigma"])
+def test_scalar_singularity_messages(solve, message):
+    floats, matrix = on_both_paths(solve)
+    assert floats == matrix
+    assert floats[1] == (SingularityError, message)
+
+
+def test_scalar_r22_singularity_message():
+    # R22 = 0 stops canonical_samples before any solve, so the R22 message
+    # is reached through the right-hand sides themselves.
+    names = ("A", "B", "C", "S1", "S2", "R11", "R22")
+    coef = dict(zip(names, (0.3, 1.0, 0.5, 0.0, 0.0, -2.0, 0.0)))
+    rhs = riccati._sigma_rhs_float(np.array([0.25]),
+                                   *(np.array([[[coef[k]]]]) for k in names))
+    with pytest.raises(SingularityError) as floats:
+        rhs(0, 0.5)
+    with pytest.raises(SingularityError) as matrix:
+        riccati.sigma_derivative(0.25, np.array([[0.5]]),
+                                 *(np.array([[coef[k]]]) for k in names))
+    assert str(floats.value) == str(matrix.value) == "R22 singular at t=0.25"
