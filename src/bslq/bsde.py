@@ -155,7 +155,7 @@ def _reduced_stage_drift(reduced, states: np.ndarray, substeps: int) -> tuple:
     from .reduction import canonical_samples  # local: reduction imports riccati
 
     times, at = rk4_stages(reduced.source.grid, "backward", substeps)
-    cs = canonical_samples(reduced.source, lambda p: p.tabulate(times))
+    cs = canonical_samples(reduced.source, times)
     H, Sg = states[:, 0], states[:, 1]
     S1, S2, R11 = cs.shifted(H, at)
     BS, CS, RS = sigma_terms(Sg, cs.B[at], cs.C[at], S1, S2, R11)

@@ -15,10 +15,12 @@ right-hand sides index arrays instead of evaluating paths in the loop.
 
 A float state runs the same RK4 loop on Python floats, without the cost of
 numpy calls on 0-d or 1x1 arrays.  The Riccati solves of n = m = 1 problems
-use this, with float right-hand sides that are bitwise equal to the matrix
-kernels (:mod:`bslq.riccati`).  The loop runs with numpy overflow and
-invalid-value warnings off: a blow-up surfaces once, as the
-:class:`IntegrationError` of the node where the state stops being finite.
+use this: their one right-hand side per equation, built in 1x1-exact float
+arithmetic, is bitwise equal to its matrix build (:mod:`bslq.riccati`).
+Both :func:`integrate` and :func:`integrate_linear` run with numpy overflow
+and invalid-value warnings off: a blow-up surfaces once, as the
+:class:`IntegrationError` of the first node, in integration order, where the
+state is not finite.
 """
 
 from __future__ import annotations
@@ -165,33 +167,36 @@ def integrate_linear(grid: TimeGrid, M: np.ndarray, N: np.ndarray,
     solves bitwise.  A substep's four stages compose to an affine map
     z -> [[X, Y], [0, X]] z + (ca, cb) on z = (a, b), formed for all
     substeps in batched operations; only applying the maps is sequential.
+    The finished paths are checked once for a non-finite node.
     """
     steps, n = grid.steps, M.shape[-1]
     G = steps * substeps
     h = -grid.dt / substeps
     Ms, Ns = M.reshape(G, 4, n, n), N.reshape(G, 4, n, n)
     r0s, r1s = r0.reshape(G, 4, n, -1), r1.reshape(G, 4, n, -1)
-    # Stage k's operator Xk, Yk and forcing ak, bk, summed with RK4 weights.
-    Xk, Yk, ak, bk = Ms[:, 0], Ns[:, 0], r0s[:, 0], r1s[:, 0]
-    X, Y, ca, cb = Xk, Yk, ak, bk
-    for i, scale, w in ((1, 0.5 * h, 2.0), (2, 0.5 * h, 2.0), (3, h, 1.0)):
-        Mi, Ni = Ms[:, i], Ns[:, i]
-        Xk, Yk = Mi + scale * (Mi @ Xk), Ni + scale * (Mi @ Yk + Ni @ Xk)
-        ak, bk = (_apply(Mi, scale * ak) + _apply(Ni, scale * bk) + r0s[:, i],
-                  _apply(Mi, scale * bk) + r1s[:, i])
-        X, Y, ca, cb = X + w * Xk, Y + w * Yk, ca + w * ak, cb + w * bk
-    X = np.eye(n) + (h / 6.0) * X
-    Y, ca, cb = (h / 6.0) * Y, (h / 6.0) * ca, (h / 6.0) * cb
-
     a, b = aT.reshape(n, -1).astype(float), bT.reshape(n, -1).astype(float)
     a_path, b_path = np.empty((steps + 1,) + a.shape), np.empty((steps + 1,) + b.shape)
     a_path[steps], b_path[steps] = a, b
-    for k in range(steps - 1, -1, -1):
-        for g in range((steps - 1 - k) * substeps, (steps - k) * substeps):
-            a, b = _apply(X[g], a) + _apply(Y[g], b) + ca[g], _apply(X[g], b) + cb[g]
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise IntegrationError(f"non-finite state at node {k} (t={grid.nodes[k]:g})")
-        a_path[k], b_path[k] = a, b
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Stage k's operator Xk, Yk and forcing ak, bk, summed with RK4 weights.
+        Xk, Yk, ak, bk = Ms[:, 0], Ns[:, 0], r0s[:, 0], r1s[:, 0]
+        X, Y, ca, cb = Xk, Yk, ak, bk
+        for i, scale, w in ((1, 0.5 * h, 2.0), (2, 0.5 * h, 2.0), (3, h, 1.0)):
+            Mi, Ni = Ms[:, i], Ns[:, i]
+            Xk, Yk = Mi + scale * (Mi @ Xk), Ni + scale * (Mi @ Yk + Ni @ Xk)
+            ak, bk = (_apply(Mi, scale * ak) + _apply(Ni, scale * bk) + r0s[:, i],
+                      _apply(Mi, scale * bk) + r1s[:, i])
+            X, Y, ca, cb = X + w * Xk, Y + w * Yk, ca + w * ak, cb + w * bk
+        X = np.eye(n) + (h / 6.0) * X
+        Y, ca, cb = (h / 6.0) * Y, (h / 6.0) * ca, (h / 6.0) * cb
+        for k in range(steps - 1, -1, -1):
+            for g in range((steps - 1 - k) * substeps, (steps - k) * substeps):
+                a, b = _apply(X[g], a) + _apply(Y[g], b) + ca[g], _apply(X[g], b) + cb[g]
+            a_path[k], b_path[k] = a, b
+    finite = np.logical_and(*(np.isfinite(p[:steps]).all(axis=(1, 2)) for p in (a_path, b_path)))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[-1])   # the first node the backward pass reached
+        raise IntegrationError(f"non-finite state at node {k} (t={grid.nodes[k]:g})")
     shape = (steps + 1, n) + aT.shape[1:]
     return a_path.reshape(shape), b_path.reshape(shape)
 

@@ -35,7 +35,7 @@ from .errors import ReductionError, SpecValidationError
 from .grid import AffineProcess, MatrixPath, mv
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ProblemSpec, validate
-from .riccati import HSolution, solve_h
+from .riccati import HSolution, _solve, solve_h
 
 R22_MIN_EIG = 1e-10
 
@@ -71,12 +71,23 @@ class CanonicalSamples:
         return tuple(q[at] + mv(H, f[at]) for q, f in zip(self.q, self.f))
 
 
-def canonical_samples(spec: ProblemSpec, sample) -> CanonicalSamples:
-    """Stage 1 of the reduction on the stack that ``sample`` maps each
-    :class:`MatrixPath` to (e.g. ``MatrixPath.node_values``)."""
+def canonical_samples(spec: ProblemSpec, times=None) -> CanonicalSamples:
+    """Stage 1 of the reduction on the paths tabulated at ``times``, or at
+    the grid nodes (``MatrixPath.node_values``) when ``times`` is None.
+
+    A singular R22 raises :class:`SingularityError` naming the first time
+    where it is singular.
+    """
+    sample = (MatrixPath.node_values if times is None
+              else lambda p: p.tabulate(times))
     A, B, C, Q, S1, S2, R11, R12, R21, R22 = (sample(getattr(spec, name)) for name in (
         "A", "B", "C", "Q", "S1", "S2", "R11", "R12", "R21", "R22"))
-    cross = np.linalg.solve(R22, R21)            # R22^{-1} R21, (K, m, n)
+    try:
+        cross = np.linalg.solve(R22, R21)        # R22^{-1} R21, (K, m, n)
+    except np.linalg.LinAlgError:
+        for t, R in zip(spec.grid.nodes if times is None else times, R22):
+            _solve(R, R, t, "R22")               # raises at the first singular R22
+        raise
     r12_r22inv = np.swapaxes(cross, -1, -2)      # R12 R22^{-1} (symmetric R22)
 
     def parts(proc):
@@ -132,7 +143,7 @@ def reduce_problem(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> Reduc
             f"(t={nodes[worst]:g}, min eigenvalue {eig[worst]:.3e})"
         )
 
-    cs = canonical_samples(spec, MatrixPath.node_values)
+    cs = canonical_samples(spec)
     h = solve_h(spec, substeps)
     S1, S2, R11 = (MatrixPath.sampled(x, grid) for x in cs.shifted(h.H))
 

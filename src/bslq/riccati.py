@@ -32,17 +32,22 @@ Sigma and P are integrated once, over stage tables (:mod:`bslq.ode`); the
 state at every RK4 evaluation is recorded for the linear BSDEs of
 :mod:`bslq.bsde`.
 
-For n = m = 1 the three RK4 loops run on Python floats, with right-hand
-sides that read the coefficient tables as floats and keep the matrix forms'
-operation order.  A 1x1 matmul is one product summed from +0.0 and a 1x1
-solve is one division, so the paths and stages are bitwise those of the
-matrix kernels, at a small fraction of the cost of numpy calls on 1x1
-arrays.  Results keep their (.., 1, 1) shapes.
+Each equation has one right-hand side: a closure over per-evaluation
+coefficient tables, written in the operations of an arithmetic chosen from
+n and m alone.  The matrix arithmetic uses ``np.matmul``, ``np.linalg.solve``,
+``np.eye(n)`` and transposes tabulated once.  For n = m = 1 the closure runs
+on Python floats over memoryviews of the same tables: a matmul is one
+product summed from +0.0, a solve one division, the identity 1.0 and a
+transpose the value itself.  Each float operation is the 1x1 matrix
+operation, so the paths and stages are bitwise those of the matrix
+arithmetic, at a small fraction of the cost of numpy calls on 1x1 arrays.
+Results keep their (.., 1, 1) shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,28 +68,70 @@ def _solve(mat: np.ndarray, rhs: np.ndarray, t: float, name: str) -> np.ndarray:
         raise SingularityError(f"{name} singular at t={t:g}") from exc
 
 
-def _on_floats(spec) -> bool:
-    """Whether the RK4 loops of ``spec`` run on Python floats (n = m = 1)."""
-    return spec.n == 1 and spec.m == 1
+def _mul(a: float, b: float) -> float:
+    """A 1x1 matmul: one product, summed from +0.0."""
+    return 0.0 + a * b
 
 
-def _floats(x: np.ndarray) -> memoryview:
+def _div(a: float, b: float, t: float, name: str) -> float:
+    """A 1x1 solve a^{-1} b: one division."""
+    try:
+        return b / a
+    except ZeroDivisionError:
+        raise SingularityError(f"{name} singular at t={t:g}") from None
+
+
+class _Arithmetic(NamedTuple):
+    """The operations the right-hand sides are written in.  ``rows`` and
+    ``rows_t`` turn a per-evaluation table (K, r, c) into what ``rhs(e, .)``
+    indexes at ``e`` (its rows or their transposes), ``div(a, b, t, name)``
+    is a^{-1} b, ``state`` turns an anchor matrix into the RK4 state and
+    ``sym`` symmetrises a state."""
+
+    rows: Callable
+    rows_t: Callable
+    mul: Callable
+    div: Callable
+    T: Callable
+    eye: object
+    state: Callable
+    sym: Callable
+
+
+def _view(x: np.ndarray) -> memoryview:
     """The entries of ``x``, read as Python floats.  A memoryview keeps the
     8-byte doubles; ``tolist`` would make a float object per entry, which
     raised the peak RSS of a scalar verify by about 1 MB."""
     return memoryview(x.ravel())
 
 
-def _integrate(grid: TimeGrid, rhs, direction: str, substeps: int, anchor,
-               record: bool = False):
-    """RK4 with symmetrisation after every substep.  A float ``anchor`` runs
-    the float loop; its path (and stages) come back with shape (.., 1, 1)."""
-    problem = OdeProblem(grid, rhs, direction, substeps)
-    if not isinstance(anchor, float):
-        return integrate(problem, anchor, post_step=_sym, record=record)
-    result = integrate(problem, anchor, post_step=_sym_float, record=record)
-    return (tuple(x.reshape(-1, 1, 1) for x in result) if record
-            else result.reshape(-1, 1, 1))
+_FLOATS = _Arithmetic(rows=_view, rows_t=_view, mul=_mul, div=_div, T=lambda x: x, eye=1.0,
+                      state=lambda x: float(x[0, 0]), sym=lambda y: 0.5 * (y + y))
+
+
+def _matrices(n: int) -> _Arithmetic:
+    return _Arithmetic(rows=np.asarray, rows_t=lambda x: np.swapaxes(x, -1, -2),
+                       mul=np.matmul, div=_solve, T=np.transpose, eye=np.eye(n),
+                       state=np.asarray, sym=lambda M: 0.5 * (M + np.swapaxes(M, -1, -2)))
+
+
+def _on_floats(spec) -> bool:
+    """Whether the RK4 loops of ``spec`` run on Python floats (n = m = 1)."""
+    return spec.n == 1 and spec.m == 1
+
+
+def _arithmetic(spec) -> _Arithmetic:
+    return _FLOATS if _on_floats(spec) else _matrices(spec.n)
+
+
+def _integrate(ar: _Arithmetic, grid: TimeGrid, rhs, direction: str, substeps: int,
+               anchor: np.ndarray, record: bool = False):
+    """RK4 from the anchor matrix with symmetrisation after every substep.
+    The path (and stages) come back with the anchor's shape per row."""
+    result = integrate(OdeProblem(grid, rhs, direction, substeps), ar.state(anchor),
+                       post_step=ar.sym, record=record)
+    shape = (-1,) + np.shape(anchor)
+    return tuple(x.reshape(shape) for x in result) if record else result.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,49 +162,19 @@ def solve_h(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> HSolution:
     node (all RK4 stages vanish).
     """
     times, index = rk4_stages(spec.grid, "forward", substeps)
-    rhs, H0 = _h_pass(spec, spec.A.tabulate(times), spec.Q.tabulate(times), index, -spec.G)
-    return HSolution(spec.grid, _integrate(spec.grid, rhs, "forward", substeps, H0))
+    ar = _arithmetic(spec)
+    rhs = _h_rhs(ar, spec.A.tabulate(times)[index], spec.Q.tabulate(times)[index])
+    return HSolution(spec.grid, _integrate(ar, spec.grid, rhs, "forward", substeps, -spec.G))
 
 
-def _h_pass(spec, A: np.ndarray, Q: np.ndarray, index: np.ndarray, anchor: np.ndarray):
-    """Right-hand side and anchor of the shift equation, on floats when
-    ``spec`` is scalar."""
-    if _on_floats(spec):
-        return _h_rhs_float(A[index], Q[index]), float(anchor[0, 0])
-    return _h_rhs(A, Q, index), anchor
-
-
-def _h_rhs(A: np.ndarray, Q: np.ndarray, index: np.ndarray):
+def _h_rhs(ar: _Arithmetic, A: np.ndarray, Q: np.ndarray):
     """Right-hand side H' = -(H A + A^T H + Q) of the shift equation, with
-    A and Q tabulated at the stage times and ``index`` the table row of
-    each RK4 evaluation."""
+    A and Q given at every RK4 evaluation."""
+    mul, A, At, Q = ar.mul, ar.rows(A), ar.rows_t(A), ar.rows(Q)
+
     def rhs(e, H):
-        j = index[e]
-        At = A[j]
-        return -(H @ At + At.T @ H + Q[j])
+        return -(mul(H, A[e]) + mul(At[e], H) + Q[e])
     return rhs
-
-
-def _h_rhs_float(A: np.ndarray, Q: np.ndarray):
-    """:func:`_h_rhs` for n = 1, with A and Q given at every evaluation.
-
-    A matmul sums from +0.0, so a zero product sum is +0.0; the ``+ 0.0``
-    after the first products gives the float sums the same zero signs.
-    """
-    A, Q = _floats(A), _floats(Q)
-
-    def rhs(e, h):
-        a = A[e]
-        return -(h * a + a * h + 0.0 + Q[e])
-    return rhs
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
-
-
-def _sym_float(y: float) -> float:
-    return 0.5 * (y + y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,17 +239,25 @@ def _canonical_base(problem) -> ProblemSpec:
 
 def sigma_derivative(t: float, S: np.ndarray, A, B, C, S1, S2, R11, R22) -> np.ndarray:
     """Right-hand side of the backward Riccati equation at one time point."""
-    return _sigma_rhs(t, S, A, A.T, B, C, S1.T, S2.T, R11, R22, np.eye(S.shape[0]))
+    rows = (np.asarray(x)[None] for x in (A, B, C, S1, S2, R11, R22))
+    return _sigma_rhs(_matrices(S.shape[0]), np.array([t]), *rows)(0, S)
 
 
-def _sigma_rhs(t, S, A, At, B, C, S1t, S2t, R11, R22, eye) -> np.ndarray:
-    """:func:`sigma_derivative` with the transposes and the identity given."""
-    BS = B + S @ S2t
-    CS = C + S @ S1t
-    RS = eye + S @ R11
-    term_b = BS @ _solve(R22, BS.T, t, "R22")
-    term_c = CS @ _solve(RS, S @ CS.T, t, "R(Sigma)")
-    return A @ S + S @ At - term_b - term_c
+def _sigma_rhs(ar: _Arithmetic, t, A, B, C, S1, S2, R11, R22):
+    """Right-hand side of the backward Riccati equation, with the times
+    ``t`` and the coefficients given at every RK4 evaluation."""
+    mul, div, T, eye = ar.mul, ar.div, ar.T, ar.eye
+    At, S1t, S2t = (ar.rows_t(x) for x in (A, S1, S2))
+    t, A, B, C, R11, R22 = (ar.rows(x) for x in (t, A, B, C, R11, R22))
+
+    def rhs(e, S):
+        BS = B[e] + mul(S, S2t[e])
+        CS = C[e] + mul(S, S1t[e])
+        RS = eye + mul(S, R11[e])
+        term_b = mul(BS, div(R22[e], T(BS), t[e], "R22"))
+        term_c = mul(CS, div(RS, mul(S, T(CS)), t[e], "R(Sigma)"))
+        return mul(A[e], S) + mul(S, At[e]) - term_b - term_c
+    return rhs
 
 
 def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
@@ -257,44 +282,15 @@ def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     src, H_T = ((problem.source, problem.h.H[-1]) if problem is not spec
                 else (spec, np.zeros((spec.n, spec.n))))
     times, index = rk4_stages(spec.grid, "backward", substeps)
-    cs = canonical_samples(src, lambda p: p.tabulate(times))
-
-    h_rhs, H_T = _h_pass(spec, cs.A, cs.Q, index, H_T)
-    _, H = _integrate(spec.grid, h_rhs, "backward", substeps, H_T, record=True)
-    t = times[index]
-    A, B, C, R22 = (x[index] for x in (cs.A, cs.B, cs.C, cs.R22))
-    S1, S2, R11 = cs.shifted(H, index)
-    if _on_floats(spec):
-        rhs, S_T = _sigma_rhs_float(t, A, B, C, S1, S2, R11, R22), 0.0
-    else:
-        At, S1t, S2t = (np.swapaxes(x, -1, -2) for x in (A, S1, S2))
-        eye = np.eye(spec.n)
-
-        def rhs(e, S):
-            return _sigma_rhs(t[e], S, A[e], At[e], B[e], C[e], S1t[e], S2t[e], R11[e],
-                              R22[e], eye)
-        S_T = np.zeros((spec.n, spec.n))
-
-    path, stages = _integrate(spec.grid, rhs, "backward", substeps, S_T, record=True)
+    cs = canonical_samples(src, times)
+    ar = _arithmetic(spec)
+    h_rhs = _h_rhs(ar, cs.A[index], cs.Q[index])
+    _, H = _integrate(ar, spec.grid, h_rhs, "backward", substeps, H_T, record=True)
+    rhs = _sigma_rhs(ar, times[index], *(x[index] for x in (cs.A, cs.B, cs.C)),
+                     *cs.shifted(H, index), cs.R22[index])
+    path, stages = _integrate(ar, spec.grid, rhs, "backward", substeps,
+                              np.zeros((spec.n, spec.n)), record=True)
     return _derive_sigma_paths(spec, path, substeps, np.stack([H, stages], axis=1))
-
-
-def _sigma_rhs_float(t, A, B, C, S1, S2, R11, R22):
-    """:func:`_sigma_rhs` for n = m = 1, with every coefficient given at
-    every evaluation (``+ 0.0`` as in :func:`_h_rhs_float`)."""
-    t, A, B, C, S1, S2, R11, R22 = (_floats(x) for x in (t, A, B, C, S1, S2, R11, R22))
-
-    def rhs(e, s):
-        a, r22 = A[e], R22[e]
-        bs = B[e] + s * S2[e]
-        cs = C[e] + s * S1[e]
-        rs = 1.0 + s * R11[e]
-        try:
-            return a * s + s * a + 0.0 - bs * (bs / r22) - cs * ((s * cs) / rs)
-        except ZeroDivisionError:
-            name = "R22" if r22 == 0.0 else "R(Sigma)"
-            raise SingularityError(f"{name} singular at t={t[e]:g}") from None
-    return rhs
 
 
 def sigma_terms(Sigma, B, C, S1, S2, R11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,10 +372,24 @@ def uniform_convexity_conditions(spec: ForwardProblemSpec, tol: float = PSD_TOL)
 
 def forward_riccati_derivative(t: float, P: np.ndarray, A, B, C, D, Q, S, R) -> np.ndarray:
     """Right-hand side of the forward LQ Riccati equation at one time point."""
-    W = R + D.T @ P @ D
-    M = B.T @ P + D.T @ P @ C + S
-    quad = M.T @ _solve(W, M, t, "R + D^T P D")
-    return -(P @ A + A.T @ P + C.T @ P @ C + Q - quad)
+    rows = (np.asarray(x)[None] for x in (A, B, C, D, Q, S, R))
+    return _forward_rhs(_matrices(P.shape[0]), np.array([t]), *rows)(0, P)
+
+
+def _forward_rhs(ar: _Arithmetic, t, A, B, C, D, Q, S, R):
+    """Right-hand side of the forward LQ Riccati equation, with the times
+    ``t`` and the coefficients given at every RK4 evaluation."""
+    mul, div, T = ar.mul, ar.div, ar.T
+    At, Bt, Ct, Dt = (ar.rows_t(x) for x in (A, B, C, D))
+    t, A, C, D, Q, S, R = (ar.rows(x) for x in (t, A, C, D, Q, S, R))
+
+    def rhs(e, P):
+        DtP = mul(Dt[e], P)
+        W = R[e] + mul(DtP, D[e])
+        M = mul(Bt[e], P) + mul(DtP, C[e]) + S[e]
+        quad = mul(T(M), div(W, M, t[e], "R + D^T P D"))
+        return -(mul(P, A[e]) + mul(At[e], P) + mul(mul(Ct[e], P), C[e]) + Q[e] - quad)
+    return rhs
 
 
 def solve_forward_riccati(spec: ForwardProblemSpec,
@@ -392,19 +402,10 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
     positive semidefinite and this is asserted.
     """
     times, index = rk4_stages(spec.grid, "backward", substeps)
-    A, B, C, D, Q, S, R = (p.tabulate(times) for p in (
-        spec.cA, spec.cB, spec.cC, spec.cD, spec.cQ, spec.cS, spec.cR))
-    if _on_floats(spec):
-        rhs = _forward_rhs_float(*(x[index] for x in (times, A, B, C, D, Q, S, R)))
-        P_T = float(spec.cG[0, 0])
-    else:
-        def rhs(e, P):
-            j = index[e]
-            return forward_riccati_derivative(times[j], P, A[j], B[j], C[j], D[j],
-                                              Q[j], S[j], R[j])
-        P_T = spec.cG
-
-    P, stages = _integrate(spec.grid, rhs, "backward", substeps, P_T, record=True)
+    ar = _arithmetic(spec)
+    rhs = _forward_rhs(ar, times[index], *(p.tabulate(times)[index] for p in (
+        spec.cA, spec.cB, spec.cC, spec.cD, spec.cQ, spec.cS, spec.cR)))
+    P, stages = _integrate(ar, spec.grid, rhs, "backward", substeps, spec.cG, record=True)
     nodes = spec.grid.nodes
     Dv = spec.cD.node_values()
     Wv = spec.cR.node_values() + np.swapaxes(Dv, -1, -2) @ P @ Dv
@@ -424,25 +425,6 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
             "although the uniform-convexity data conditions hold"
         )
     return sol
-
-
-def _forward_rhs_float(t, A, B, C, D, Q, S, R):
-    """:func:`forward_riccati_derivative` for n = m = 1, with every
-    coefficient given at every evaluation (``+ 0.0`` as in
-    :func:`_h_rhs_float`)."""
-    t, A, B, C, D, Q, S, R = (_floats(x) for x in (t, A, B, C, D, Q, S, R))
-
-    def rhs(e, p):
-        a, c, d = A[e], C[e], D[e]
-        dp = d * p
-        w = R[e] + dp * d
-        m = B[e] * p + dp * c + S[e]
-        try:
-            quad = m * (m / w)
-        except ZeroDivisionError:
-            raise SingularityError(f"R + D^T P D singular at t={t[e]:g}") from None
-        return -(p * a + a * p + 0.0 + (c * p) * c + Q[e] - quad)
-    return rhs
 
 
 def feedback_gain(P, B, C, D, S, R) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Fixed-step RK4 integrator: anchors, accuracy, order, failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,17 @@ def test_linear_kernel_matches_generic_rk4():
     assert np.array_equal(a[-1], aT) and np.array_equal(b[-1], bT)
     np.testing.assert_allclose(a, ref[:, 0], rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(b, ref[:, 1], rtol=1e-13, atol=1e-13)
+
+
+def test_linear_blowup_is_one_integration_error_without_warnings():
+    grid, sub = TimeGrid(1.0, 10), 4
+    E = 4 * grid.steps * sub
+    M, zero, one = np.full((E, 1, 1), -30000.0), np.zeros((E, 1, 1)), np.ones((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # an overflow warning would escape as an error
+        with pytest.raises(IntegrationError) as err:
+            integrate_linear(grid, M, zero, zero, zero, one, one, sub)
+    assert str(err.value) == "non-finite state at node 2 (t=0.2)"
 
 
 def test_record_returns_stage_states():

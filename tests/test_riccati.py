@@ -5,13 +5,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import make_spec_2d
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bslq
 from bslq import riccati
 from bslq.errors import IntegrationError, PositivityError, ReductionError, SingularityError
-from bslq.grid import MatrixPath, TimeGrid
+from bslq.grid import AffineProcess, MatrixPath, TimeGrid
 from bslq.riccati import _derive_sigma_paths
 
 
@@ -277,21 +278,27 @@ signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.lists(signed, min_size=12, max_size=12))
 def test_float_right_hand_sides_equal_the_matrix_forms(values):
-    # Zero signs included: a matmul sums from +0.0, the float forms add 0.0.
+    # Zero signs included: each float operation must be the 1x1 matrix one.
     x, *coef = values
     mats = {k: np.array([[u]]) for k, u in zip(
         ("A", "B", "C", "D", "Q", "S", "R", "S1", "S2", "R11", "R22"), coef)}
     rows = {k: m[None] for k, m in mats.items()}   # the table of one evaluation
     t, X = np.array([0.5]), np.array([[x]])
-    assert (rhs_outcome(riccati._h_rhs_float(rows["A"], rows["Q"]), 0, x)
-            == rhs_outcome(riccati._h_rhs(rows["A"], rows["Q"], [0]), 0, X))
+
+    def builds(kernel, *tables):
+        """The kernel's float build and its matrix build, evaluated at x."""
+        return [rhs_outcome(kernel(ar, *tables), 0, y)
+                for ar, y in ((riccati._FLOATS, x), (riccati._matrices(1), X))]
+
+    floats, matrix = builds(riccati._h_rhs, rows["A"], rows["Q"])
+    assert floats == matrix
     sigma = ("A", "B", "C", "S1", "S2", "R11", "R22")
-    assert (rhs_outcome(riccati._sigma_rhs_float(t, *(rows[k] for k in sigma)), 0, x)
-            == rhs_outcome(riccati.sigma_derivative, 0.5, X, *(mats[k] for k in sigma)))
+    assert (builds(riccati._sigma_rhs, t, *(rows[k] for k in sigma))
+            == [rhs_outcome(riccati.sigma_derivative, 0.5, X, *(mats[k] for k in sigma))] * 2)
     forward = ("A", "B", "C", "D", "Q", "S", "R")
-    assert (rhs_outcome(riccati._forward_rhs_float(t, *(rows[k] for k in forward)), 0, x)
-            == rhs_outcome(riccati.forward_riccati_derivative, 0.5, X,
-                           *(mats[k] for k in forward)))
+    assert (builds(riccati._forward_rhs, t, *(rows[k] for k in forward))
+            == [rhs_outcome(riccati.forward_riccati_derivative, 0.5, X,
+                            *(mats[k] for k in forward))] * 2)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
@@ -342,17 +349,38 @@ def test_scalar_problems_take_the_float_loops(monkeypatch, spec_2d):
     assert states and set(states) == {np.ndarray}
 
 
+def forward_2x2(steps):
+    """A 2x2 forward problem with nonzero cC, cD and cS."""
+    grid = TimeGrid(1.0, steps)
+
+    def mat(M):
+        return MatrixPath.constant(np.array(M, dtype=float), grid)
+
+    zero = AffineProcess.of_constants(np.zeros(2), np.zeros(2), grid)
+    return bslq.ForwardProblemSpec(
+        n=2, m=2, grid=grid,
+        cA=mat([[0.1, 0.2], [-0.3, 0.0]]), cB=mat([[1.0, 0.1], [0.0, 0.8]]),
+        cC=mat([[0.2, 0.0], [0.1, -0.1]]), cD=mat([[0.3, 0.1], [0.0, 0.2]]),
+        b=zero, sigma=zero, cG=np.array([[0.5, 0.1], [0.1, 0.4]]), gTilde=np.zeros(2),
+        cQ=mat([[1.0, 0.1], [0.1, 0.5]]), cS=mat([[0.1, 0.05], [0.0, 0.1]]),
+        cR=mat([[1.0, 0.1], [0.1, 0.9]]), qTilde=zero, rhoTilde=zero, x0=np.zeros(2))
+
+
 def test_riccati_paths_match_a_frozen_digest():
-    # Taken from the matrix kernels: pins the float loops bitwise.
+    # Taken from the matrix kernels: pins the float loops bitwise.  The 2x2
+    # entries pin the matrix arithmetic itself.
     digests = {
         "S4": "d38cda106626c7398c2479832a0e09c1ec2d71ef6f32affb80e5942b119a2dce",
         "SX": "ef498f6d1f72603ae3c8f2592d3306abfe4c9ddd2d7107c8cf9efd65000361cd",
         "SH": "c11dc2d5d6cf10ac18017f186ce7e68dbf9024b3c8f5b950a20d45476adedd31",
         "SF": "44692423907516da11d48f15c37154f975387ba835be3c2607356b6cbd1a1211",
+        "2x2": "dad75ff82b9b2d53053d0414ab50c250f6b838d92b5c43385ec90fc588740efb",
+        "forward-2x2": "8310aabe08131b86a4c1841cea8ffd9d94a1c766faf67902113f7af55df5c12b",
     }
+    specs = {"2x2": make_spec_2d(50), "forward-2x2": forward_2x2(50)}
     for name, digest in digests.items():
-        spec = bslq.builtin_scenario(name, steps=50)
-        if name == "SF":
+        spec = specs.get(name) or bslq.builtin_scenario(name, steps=50)
+        if isinstance(spec, bslq.ForwardProblemSpec):
             sol = bslq.solve_forward_riccati(spec)
             arrays = (sol.P, sol.stages)
         else:
@@ -378,15 +406,29 @@ def test_scalar_singularity_messages(solve, message):
 
 
 def test_scalar_r22_singularity_message():
-    # R22 = 0 stops canonical_samples before any solve, so the R22 message
-    # is reached through the right-hand sides themselves.
+    # A zero R22 stops canonical_samples before the RK4 loop, so the R22
+    # message of the Sigma kernel is reached through its float build.
     names = ("A", "B", "C", "S1", "S2", "R11", "R22")
     coef = dict(zip(names, (0.3, 1.0, 0.5, 0.0, 0.0, -2.0, 0.0)))
-    rhs = riccati._sigma_rhs_float(np.array([0.25]),
-                                   *(np.array([[[coef[k]]]]) for k in names))
+    rhs = riccati._sigma_rhs(riccati._FLOATS, np.array([0.25]),
+                             *(np.array([[[coef[k]]]]) for k in names))
     with pytest.raises(SingularityError) as floats:
         rhs(0, 0.5)
     with pytest.raises(SingularityError) as matrix:
         riccati.sigma_derivative(0.25, np.array([[0.5]]),
                                  *(np.array([[coef[k]]]) for k in names))
     assert str(floats.value) == str(matrix.value) == "R22 singular at t=0.25"
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[[0.0]]], "R22 singular at t=1"),
+    # Sampled, zero at the node t = 0.5 only: the first stage time it hits.
+    ([[[abs(k - 4) / 4]] for k in range(9)], "R22 singular at t=0.5"),
+], ids=["constant", "sampled"])
+def test_singular_r22_of_a_canonical_spec_is_a_singularity_error(values, message):
+    spec = bslq.builtin_scenario("S4", steps=8)
+    R22 = (MatrixPath.constant(values[0], spec.grid) if len(values) == 1
+           else MatrixPath.sampled(values, spec.grid))
+    with pytest.raises(SingularityError) as err:
+        bslq.solve_sigma(spec.replace(R22=R22))
+    assert str(err.value) == message
