@@ -16,15 +16,17 @@ expectation estimation anywhere), which is what makes the downstream
 optimality checks sharp.
 
 The coefficient ODEs run through :func:`bslq.ode.integrate_linear`, batched
-over right-hand sides sharing (M, N), with stage coefficients computed in one
-call from the (H, Sigma) or P states the Riccati passes record, so Sigma and
-P are integrated once; other drifts are interpolated from their node arrays.
+over right-hand sides sharing (M, N).  The drifts built from a Riccati
+solution read its record, the (H, Sigma) or P state and the coefficient
+tables of every RK4 evaluation, so Sigma and P are integrated, and their
+coefficients tabulated, once.  Other drifts are interpolated from their node
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +45,9 @@ class BsdeDriftSpec:
 
     The node arrays (r0, r1 may carry a trailing batch axis) are the
     reference for residual checks.  The coefficient ODEs run at ``substeps``
-    RK4 substeps per interval; ``at_stages()``, when set, gives (M, N, r0, r1)
-    at every RK4 evaluation, else the nodes are interpolated.
+    RK4 substeps per interval.  ``stages``, set for the drifts built from a
+    Riccati record, holds (M, N, r0, r1) at every RK4 evaluation of that
+    record; without it the node arrays are interpolated.
     """
 
     grid: TimeGrid
@@ -53,12 +56,12 @@ class BsdeDriftSpec:
     r0: np.ndarray  # (N+1, n)
     r1: np.ndarray  # (N+1, n)
     cross_form_gap: float = 0.0
-    at_stages: Callable[[], tuple] | None = None
+    stages: tuple | None = None
     substeps: int = DEFAULT_SUBSTEPS
 
     def stage_coefficients(self) -> tuple:
-        if self.at_stages is not None:
-            return self.at_stages()
+        if self.stages is not None:
+            return self.stages
         times, index = rk4_stages(self.grid, "backward", self.substeps)
         return tuple(MatrixPath.sampled(x, self.grid).tabulate(times)[index]
                      for x in (self.M, self.N, self.r0, self.r1))
@@ -114,10 +117,10 @@ def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
 
     The expanded form (with B(Sigma), C(Sigma) written out) is assembled as
     well and the two are compared; they agree identically, so any gap is a
-    coding or data error and raises :class:`ConsistencyError`.  For a
-    reduced problem the same collapsed form is evaluated at every RK4
-    evaluation from the recorded (H, Sigma) stage states.  The drift runs at
-    the substep count of that record.
+    coding or data error and raises :class:`ConsistencyError`.  The same
+    collapsed form is evaluated at every RK4 evaluation of the Riccati
+    record, from its (H, Sigma) states and stage-1 tables, and the drift runs
+    at the substep count of that record.
     """
     spec: ProblemSpec = getattr(problem, "base", problem)
     if spec.grid is not sigma.grid and spec.grid != sigma.grid:
@@ -142,26 +145,17 @@ def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
         raise ConsistencyError(
             f"collapsed and expanded drift forms disagree (gap {gap:.3e})"
         )
-    at_stages = None
-    if hasattr(problem, "source"):
-        def at_stages():
-            return _reduced_stage_drift(problem, sigma.stages, sigma.substeps)
     return BsdeDriftSpec(spec.grid, M, N, r0, r1, cross_form_gap=gap,
-                         at_stages=at_stages, substeps=sigma.substeps)
+                         stages=_stage_drift(sigma), substeps=sigma.substeps)
 
 
-def _reduced_stage_drift(reduced, states: np.ndarray, substeps: int) -> tuple:
-    """Collapsed drift at every RK4 evaluation from recorded (H, Sigma)."""
-    from .reduction import canonical_samples  # local: reduction imports riccati
-
-    times, at = rk4_stages(reduced.source.grid, "backward", substeps)
-    cs = canonical_samples(reduced.source, times)
-    H, Sg = states[:, 0], states[:, 1]
-    S1, S2, R11 = cs.shifted(H, at)
-    BS, CS, RS = sigma_terms(Sg, cs.B[at], cs.C[at], S1, S2, R11)
-    f, rho1, rho2 = (tuple(x[at] for x in pair) for pair in (cs.f, cs.rho1, cs.rho2))
-    return _collapsed_drift(cs.A[at], S1, S2, cs.R22[at], Sg, BS, CS, np.linalg.inv(RS),
-                            f, cs.shifted_q(H, at), rho1, rho2)
+def _stage_drift(sigma: RiccatiSolution) -> tuple:
+    """Collapsed drift at every RK4 evaluation of the Riccati record."""
+    cs, H, Sg = sigma.coefficients, sigma.stages[:, 0], sigma.stages[:, 1]
+    S1, S2, R11 = cs.shifted(H)
+    BS, CS, RS = sigma_terms(Sg, cs.B, cs.C, S1, S2, R11)
+    return _collapsed_drift(cs.A, S1, S2, cs.R22, Sg, BS, CS, np.linalg.inv(RS),
+                            cs.f, cs.shifted_q(H), cs.rho1, cs.rho2)
 
 
 def solve_affine_bsde(drift: BsdeDriftSpec, xi: AffineProcess) -> AffineBsdeSolution:
@@ -227,22 +221,19 @@ def solve_eta_zeta(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution) -> Af
         c      = Lambda P sigma - L rhoTilde + P b + qTilde,
 
     which is the canonical affine form with M = -Theta, N = -Lambda,
-    r = -c.  The stage coefficients come from the P states recorded by
-    :func:`bslq.riccati.solve_forward_riccati`, at its substep count; the
-    drift node arrays from the same solution.
+    r = -c.  The stage coefficients come from the record of
+    :func:`bslq.riccati.solve_forward_riccati` (P, cA ... cR and the time of
+    every evaluation), at its substep count; only the affine data are
+    tabulated here.  The drift node arrays come from the same solution.
     """
     grid = spec.grid
-    paths = (spec.cA, spec.cB, spec.cC, spec.cD)
     affine = (spec.sigma, spec.rhoTilde, spec.b, spec.qTilde)
+    P, t = psol.stages, psol.times
+    A, B, C, D, _, S, R = psol.coefficients
+    stages = _adjoint_drift(A, B, C, D, P, feedback_gain(P, B, C, D, S, R),
+                            *((p.a.tabulate(t), p.b.tabulate(t)) for p in affine))
     drift = BsdeDriftSpec(grid, *_adjoint_drift(
-        *(p.node_values() for p in paths), psol.P, psol.gain,
-        *(proc.node_parts() for proc in affine)), substeps=psol.substeps)
-
-    times, index = rk4_stages(grid, "backward", psol.substeps)
-    P = psol.stages
-    A, B, C, D, S, R = (p.tabulate(times)[index] for p in paths + (spec.cS, spec.cR))
-    coeffs = _adjoint_drift(A, B, C, D, P, feedback_gain(P, B, C, D, S, R),
-                            *((p.a.tabulate(times)[index], p.b.tabulate(times)[index])
-                              for p in affine))
-    a, b = integrate_linear(grid, *coeffs, spec.gTilde, np.zeros(spec.n), psol.substeps)
+        *(p.node_values() for p in (spec.cA, spec.cB, spec.cC, spec.cD)), psol.P, psol.gain,
+        *(proc.node_parts() for proc in affine)), stages=stages, substeps=psol.substeps)
+    a, b = integrate_linear(grid, *stages, spec.gTilde, np.zeros(spec.n), psol.substeps)
     return _wrap_solution(drift, a, b)

@@ -324,7 +324,9 @@ def main(argv=None) -> int:
         # The scenario parsed but violates a solvability contract.
         print(f"contract violation: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an output that cannot be created or written, e.g. an --out
+        # naming an existing file.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -546,6 +546,9 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
     (aggregated) Brownian paths, and the discretization allowance is twice
     the difference between the two, floored at 1e-4.
     """
+    bad = [e for e in eps_grid if not np.isfinite(e)]
+    if bad:
+        raise ValueError(f"--eps-grid entries must be finite, got {bad[0]:g}")
     fine_spec = resample(spec, 2 * spec.grid.steps)
     fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid)
     brownian = fine_brownian.coarsen(2)

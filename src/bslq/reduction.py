@@ -43,7 +43,7 @@ R22_MIN_EIG = 1e-10
 @dataclass(frozen=True, eq=False)
 class CanonicalSamples:
     """Source coefficients after stage 1, stacked over grid nodes or RK4
-    stage times (leading axis); stage 2 is :meth:`shifted`/:meth:`shifted_q`.
+    evaluations (leading axis); stage 2 is :meth:`shifted`/:meth:`shifted_q`.
     """
 
     A: np.ndarray
@@ -60,15 +60,15 @@ class CanonicalSamples:
     rho1: tuple        # ... of rho1 - R12 R22^{-1} rho2
     rho2: tuple        # ... of rho2
 
-    def shifted(self, H, at=slice(None)):
-        """(S1H, S2H, R11H) at stack positions ``at`` for shift values H."""
-        return (self.S1[at] + np.swapaxes(self.C[at], -1, -2) @ H,
-                self.S2[at] + np.swapaxes(self.B[at], -1, -2) @ H,
-                self.R11[at] + H)
+    def shifted(self, H):
+        """(S1H, S2H, R11H) for shift values H stacked like the samples."""
+        return (self.S1 + np.swapaxes(self.C, -1, -2) @ H,
+                self.S2 + np.swapaxes(self.B, -1, -2) @ H,
+                self.R11 + H)
 
-    def shifted_q(self, H, at=slice(None)) -> tuple:
-        """Affine parts of qH = q + H f at stack positions ``at``."""
-        return tuple(q[at] + mv(H, f[at]) for q, f in zip(self.q, self.f))
+    def shifted_q(self, H) -> tuple:
+        """Affine parts of qH = q + H f for shift values H."""
+        return tuple(q + mv(H, f) for q, f in zip(self.q, self.f))
 
 
 def canonical_samples(spec: ProblemSpec, times=None) -> CanonicalSamples:

@@ -28,9 +28,9 @@ Sigma is symmetrised after every integration substep: the right-hand side
 preserves symmetry analytically, so this only suppresses floating-point
 drift.
 
-Sigma and P are integrated once, over stage tables (:mod:`bslq.ode`); the
-state at every RK4 evaluation is recorded for the linear BSDEs of
-:mod:`bslq.bsde`.
+Sigma and P are integrated once, over stage tables (:mod:`bslq.ode`).  Each
+solution keeps the record of its pass, the state and coefficient tables of
+every RK4 evaluation, which the linear BSDEs of :mod:`bslq.bsde` read.
 
 Each equation has one right-hand side: a closure over per-evaluation
 coefficient tables, written in the operations of an arithmetic chosen from
@@ -58,7 +58,6 @@ from .problem import ForwardProblemSpec, ProblemSpec
 
 COND_LIMIT = 1e12
 PSD_TOL = 1e-10
-SYM_TOL = 1e-10
 
 
 def _solve(mat: np.ndarray, rhs: np.ndarray, t: float, name: str) -> np.ndarray:
@@ -190,6 +189,7 @@ class RiccatiSolution:
     conditioning: float      # min over nodes of 1 / cond(R(Sigma))
     substeps: int | None = None       # RK4 substeps of the recorded pass
     stages: np.ndarray | None = None  # (4 N substeps, 2, n, n)  (H, Sigma) per evaluation
+    coefficients: object = None       # reduction.CanonicalSamples per evaluation
 
     def symmetry_error(self) -> float:
         return float(np.max(np.abs(self.Sigma - np.swapaxes(self.Sigma, -1, -2))))
@@ -263,13 +263,13 @@ def _sigma_rhs(ar: _Arithmetic, t, A, B, C, S1, S2, R11, R22):
 def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     """Solve the backward Riccati equation of a canonical-form problem.
 
-    The shift H is first replayed backward on its own recorded pass; the
-    source coefficients shifted by H at every RK4 evaluation are then formed
-    in one batch (a canonical spec is its own source, H = 0), so the Sigma
-    right-hand side only indexes arrays.  Every component of RK4 and of the
-    symmetrisation is elementwise, so the two passes give the (H, Sigma)
-    stage states of one joint pass bitwise; they are kept on the result for
-    the auxiliary BSDE.
+    Stage 1 of the reduction runs once, at every RK4 evaluation (a canonical
+    spec is its own source, H = 0).  The shift H is replayed backward on its
+    own recorded pass, then the coefficients shifted by H are formed in one
+    batch, so the Sigma right-hand side only indexes arrays.  RK4 and the
+    symmetrisation are elementwise, so the two passes give the (H, Sigma)
+    stage states of one joint pass bitwise; they and the stage-1 tables are
+    kept on the result for the auxiliary BSDE.
 
     Post-conditions checked on the result: Sigma(T) = 0 exactly, symmetry
     and positive semidefiniteness within tolerance, and R(Sigma) invertible
@@ -282,15 +282,15 @@ def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     src, H_T = ((problem.source, problem.h.H[-1]) if problem is not spec
                 else (spec, np.zeros((spec.n, spec.n))))
     times, index = rk4_stages(spec.grid, "backward", substeps)
+    times = times[index]
     cs = canonical_samples(src, times)
     ar = _arithmetic(spec)
-    h_rhs = _h_rhs(ar, cs.A[index], cs.Q[index])
-    _, H = _integrate(ar, spec.grid, h_rhs, "backward", substeps, H_T, record=True)
-    rhs = _sigma_rhs(ar, times[index], *(x[index] for x in (cs.A, cs.B, cs.C)),
-                     *cs.shifted(H, index), cs.R22[index])
+    _, H = _integrate(ar, spec.grid, _h_rhs(ar, cs.A, cs.Q), "backward", substeps, H_T,
+                      record=True)
+    rhs = _sigma_rhs(ar, times, cs.A, cs.B, cs.C, *cs.shifted(H), cs.R22)
     path, stages = _integrate(ar, spec.grid, rhs, "backward", substeps,
                               np.zeros((spec.n, spec.n)), record=True)
-    return _derive_sigma_paths(spec, path, substeps, np.stack([H, stages], axis=1))
+    return _derive_sigma_paths(spec, path, substeps, np.stack([H, stages], axis=1), cs)
 
 
 def sigma_terms(Sigma, B, C, S1, S2, R11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,7 +302,7 @@ def sigma_terms(Sigma, B, C, S1, S2, R11) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray, substeps=None,
-                        stages=None) -> RiccatiSolution:
+                        stages=None, coefficients=None) -> RiccatiSolution:
     nodes = spec.grid.nodes
     BofS, CofS, RofS = sigma_terms(Sigma, spec.B.node_values(), spec.C.node_values(),
                                    spec.S1.node_values(), spec.S2.node_values(),
@@ -327,17 +327,8 @@ def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray, substeps=None,
             f"Sigma not positive semidefinite at node {worst} "
             f"(t={nodes[worst]:g}, min eigenvalue {eigmin[worst]:.3e})"
         )
-    return RiccatiSolution(
-        grid=spec.grid,
-        Sigma=Sigma,
-        BofSigma=BofS,
-        CofSigma=CofS,
-        RofSigma=RofS,
-        RofSigmaInv=RofSinv,
-        conditioning=float(np.min(1.0 / conds)),
-        substeps=substeps,
-        stages=stages,
-    )
+    return RiccatiSolution(spec.grid, Sigma, BofS, CofS, RofS, RofSinv,
+                           float(np.min(1.0 / conds)), substeps, stages, coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,6 +341,8 @@ class ForwardRiccatiSolution:
     min_eig_weight: np.ndarray  # (N+1,)   smallest eigenvalue of R + D^T P D
     substeps: int | None = None       # RK4 substeps of the recorded pass
     stages: np.ndarray | None = None  # (4 N substeps, n, n)  P per evaluation
+    times: np.ndarray | None = None   # (4 N substeps,)  time of each evaluation
+    coefficients: tuple | None = None  # (cA, cB, cC, cD, cQ, cS, cR) per evaluation
 
     def psd_margin(self) -> float:
         return float(np.min(np.linalg.eigvalsh(0.5 * (self.P + np.swapaxes(self.P, -1, -2)))))
@@ -396,15 +389,18 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
                           substeps: int = DEFAULT_SUBSTEPS) -> ForwardRiccatiSolution:
     """Solve the forward LQ Riccati equation backward from P(T) = G_f.
 
-    P at every RK4 evaluation is kept on the result for the adjoint BSDE.
+    P, the coefficients and the time of every RK4 evaluation are kept on
+    the result for the adjoint BSDE.
     Raises :class:`PositivityError` if R + D^T P D loses positivity along
     the path.  When the uniform-convexity data conditions hold, P must be
     positive semidefinite and this is asserted.
     """
     times, index = rk4_stages(spec.grid, "backward", substeps)
+    times = times[index]
+    coefficients = tuple(p.tabulate(times) for p in (
+        spec.cA, spec.cB, spec.cC, spec.cD, spec.cQ, spec.cS, spec.cR))
     ar = _arithmetic(spec)
-    rhs = _forward_rhs(ar, times[index], *(p.tabulate(times)[index] for p in (
-        spec.cA, spec.cB, spec.cC, spec.cD, spec.cQ, spec.cS, spec.cR)))
+    rhs = _forward_rhs(ar, times, *coefficients)
     P, stages = _integrate(ar, spec.grid, rhs, "backward", substeps, spec.cG, record=True)
     nodes = spec.grid.nodes
     Dv = spec.cD.node_values()
@@ -418,7 +414,8 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
         )
     gain = feedback_gain(P, spec.cB.node_values(), spec.cC.node_values(), Dv,
                          spec.cS.node_values(), spec.cR.node_values())
-    sol = ForwardRiccatiSolution(spec.grid, P, gain, min_eig, substeps, stages)
+    sol = ForwardRiccatiSolution(spec.grid, P, gain, min_eig, substeps, stages, times,
+                                 coefficients)
     if uniform_convexity_conditions(spec) and sol.psd_margin() < -PSD_TOL:
         raise PositivityError(
             f"P not positive semidefinite (margin {sol.psd_margin():.3e}) "

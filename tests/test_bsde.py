@@ -284,3 +284,42 @@ def test_substeps_follow_the_riccati_record(monkeypatch):
     sf = bslq.builtin_scenario("SF", steps=20)
     solve_eta_zeta(sf, bslq.solve_forward_riccati(sf, substeps=5))
     assert seen == [3, 5]
+
+
+def test_stage_tables_are_formed_once_per_riccati_pass(monkeypatch):
+    # Stage 1 of the reduction runs at the nodes (reduce_problem) and at the
+    # RK4 evaluations (solve_sigma); the BSDE drift reads the latter.
+    calls = []
+    real = bslq.reduction.canonical_samples
+    monkeypatch.setattr(bslq.reduction, "canonical_samples",
+                        lambda spec, times=None: calls.append(times) or real(spec, times))
+    bslq.solve_value(bslq.builtin_scenario("SX", steps=20))
+    assert [times is None for times in calls] == [True, False]
+
+    # The adjoint BSDE reads cA ... cR from the forward Riccati record and
+    # tabulates only its affine data, at the recorded evaluation times.
+    sf = bslq.builtin_scenario("SF", steps=20)
+    psol = bslq.solve_forward_riccati(sf)
+    tabulated = []
+    tabulate = MatrixPath.tabulate
+    monkeypatch.setattr(MatrixPath, "tabulate",
+                        lambda self, times: tabulated.append((self, times)) or tabulate(self, times))
+    solve_eta_zeta(sf, psol)
+    coefficients = {id(p) for p in (sf.cA, sf.cB, sf.cC, sf.cD, sf.cQ, sf.cS, sf.cR)}
+    assert len(tabulated) == 8
+    assert not any(id(path) in coefficients for path, _ in tabulated)
+    assert all(times is psol.times for _, times in tabulated)
+
+
+def test_canonical_spec_gets_the_exact_stage_drift(spec_2d):
+    # A canonical spec is its own reduction: solved directly or through
+    # reduce_problem, the BSDE reads the same stage drift, bit for bit.
+    grid = spec_2d.grid
+    spec = spec_2d.replace(G=np.zeros((2, 2)), Q=MatrixPath.zeros((2, 2), grid),
+                           R12=MatrixPath.zeros((2, 2), grid),
+                           R21=MatrixPath.zeros((2, 2), grid))
+    direct = solve_affine_bsde(assemble_drift(spec, bslq.solve_sigma(spec)), spec.xi)
+    red = bslq.reduce_problem(spec)
+    routed = solve_affine_bsde(assemble_drift(red, bslq.solve_sigma(red)), spec.xi)
+    for x, y in zip(direct.phi.node_parts(), routed.phi.node_parts()):
+        assert np.array_equal(x, y)

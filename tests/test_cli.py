@@ -112,6 +112,26 @@ def test_verify_rejects_unusable_sizes(flags, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("eps_grid,bad", [("nan", "nan"), ("inf", "inf"), ("0.1,nan", "nan")])
+def test_verify_rejects_non_finite_eps(eps_grid, bad, capsys):
+    # nan raised StopIteration, inf passed with an infinite margin and a nan
+    # among finite sizes passed because max/min skip it.
+    code, out, err = run(["verify", "builtin:S5", "--steps", "20", "--paths", "200",
+                          "--eps-grid", eps_grid], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --eps-grid entries must be finite, got {bad}\n"
+
+
+@pytest.mark.parametrize("command", [["solve"], ["verify", "--paths", "10", "--trials", "1"]])
+def test_out_naming_a_file_exits_two(command, tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, _, err = run(command + ["builtin:S4", "--steps", "10", "--out", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+    assert path.read_text() == ""
+
+
 def test_negative_seed_is_taken_modulo_2_64(capsys):
     # Every Philox key takes the seed modulo 2**64, as the Brownian paths do.
     args = ["verify", "builtin:S4", "--paths", "10", "--steps", "10", "--trials", "1"]
