@@ -192,6 +192,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"{flags}: not used by forward scenarios")
     if args.eps_grid is not None:
         backward["eps_grid"] = tuple(float(e) for e in args.eps_grid.split(","))
+    out = _ensure_out(args.out) if args.out else None
     result = evaluate.verify(spec, paths=args.paths, seed=args.seed,
                              substeps=args.substeps, **backward)
     name_w = max(len(r.name) for r in result.rows)
@@ -200,8 +201,7 @@ def cmd_verify(args) -> int:
         verdict = "pass" if r.passed else "FAIL"
         print(f"{r.name:<{name_w}}  {r.value:13.6g}  "
               f"{r.comparator}{r.threshold:12.6g}  {verdict}")
-    if args.out:
-        out = _ensure_out(args.out)
+    if out:
         write_csv(os.path.join(out, "verify.csv"),
                   ["check", "value", "comparator", "threshold", "passed"],
                   ([r.name, r.value, r.comparator, r.threshold,
@@ -218,6 +218,7 @@ def cmd_oracle(args) -> int:
     if isinstance(spec, ForwardProblemSpec):
         print("oracle applies to backward scenarios only", file=sys.stderr)
         return 2
+    out = _ensure_out(args.out) if args.out else None
     sol = oracle.solve_discrete(spec, args.tree_steps)
     print(f"steps = {sol.steps}")
     print(f"hessian min eigenvalue = {_fmt(sol.hessian_min_eig)}")
@@ -228,17 +229,15 @@ def cmd_oracle(args) -> int:
     print(f"gradient norm = {_fmt(sol.gradient_norm)}")
     if sol.singular:
         print("warning: normal equations near-singular (non-unique optimum)")
-    if args.out:
-        out = _ensure_out(args.out)
-        m = spec.m
+    if out:
         write_csv(os.path.join(out, "controls.csv"),
-                  ["node", "level", "t", "W"] + _vector_header("u", m),
+                  ["node", "level", "t", "W"] + _vector_header("u", spec.m),
                   ([float(i), float(nd.level), nd.t, nd.w]
-                   + list(sol.control[nd.index:nd.index + m])
+                   + list(sol.control[nd.index:nd.index + spec.m])
                    for i, nd in enumerate(sol.nodes)))
     if args.compare:
         value = evaluate.solve_value(spec, args.substeps)[0]
-        comp = oracle.compare(value, spec)
+        comp = oracle.compare(value, spec, solved={sol.steps: sol.value})
         print(f"formula value = {_fmt(value)}")
         for N, v, gap in zip(comp.steps, comp.values, comp.gaps):
             print(f"  N={N:3d}  value={v:.8f}  gap={gap:.2e}")

@@ -2,8 +2,12 @@
 
 The Monte-Carlo side evaluates the quadratic cost on simulated trajectories
 with left-point quadrature of the running integrand and exact evaluation of
-the boundary terms, through one kernel for the paper's block quadratic form
-(:class:`CostForm`).  The formula side evaluates the closed-form optimal value
+the boundary terms, as the paper's block quadratic form (:class:`CostForm`).
+The optimal control is affine in the dual state X, so the cost slots of the
+optimal ensemble are s_k = L_k xi_k with xi = (X, W, 1) (not the terminal
+value xi of V below), and each cost is one quadratic form in xi per node;
+the perturbation and probe trajectories are the case xi = (W, 1).  The
+formula side evaluates the closed-form optimal value
 
     V(xi) = E[ -<H(T) xi, xi> + 2 <phi(0), g> - <Sigma(0) g, g> ]
             + int_0^T ( closed-form expectation of the running integrand ) dt
@@ -26,6 +30,7 @@ The optimality checks implement three independent characterisations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,87 +63,79 @@ def _dot(x, y):
     return np.einsum("...i,...i->...", x, y)
 
 
-def _per_path(c, W) -> np.ndarray:
-    """Per-path sum over nodes of c0 + W c1 + W^2 c2, W of shape (paths, K)."""
-    return (c[0] + W * (c[1] + W * c[2])).sum(axis=1)
+def _quad_sums(C, parts, nodes: slice) -> np.ndarray:
+    """Per-path sum over ``nodes`` of xi_k^T C_k xi_k, xi = (*parts, 1), for
+    parts (paths, N+1) and one (d, d) table C_k per node.  Each pair i <= j of
+    parts is multiplied once and summed over the nodes against its coefficient
+    in the symmetric part of C by one matrix-vector product, if nonzero."""
+    S = C + C.swapaxes(-1, -2)  # twice the symmetric part
+    xs = [x[:, nodes] for x in parts] + [1.0]
+    out = np.full(xs[0].shape[0], 0.5 * S[:, -1, -1].sum())
+    for i, x in enumerate(xs[:-1]):
+        for j, y in enumerate(xs[i:], i):
+            c = 0.5 * S[:, i, i] if j == i else S[:, i, j]
+            if np.any(c):
+                out += (x * y) @ c
+    return out
 
 
 def _square_sums(proc: AffineProcess, W, nodes: slice) -> np.ndarray:
-    """Per-path sum of |a + W b|^2 over ``nodes``, a polynomial in W."""
-    a, b = (x[nodes] for x in proc.node_parts())
-    return _per_path((_dot(a, a), 2.0 * _dot(a, b), _dot(b, b)), W[:, nodes])
+    """Per-path sum of |a + W b|^2 over ``nodes``, L^T L on xi = (W, 1), L = (b, a)."""
+    L = np.stack(proc.node_parts()[::-1], axis=-1)[nodes]
+    return _quad_sums(L.swapaxes(-1, -2) @ L, (W,), nodes)
 
 
 @dataclass(frozen=True, eq=False)
 class CostForm:
     """The cost of one problem as the paper's block quadratic form.
 
-    A trajectory enters as slots s: (Y, Z, u) with
+    A trajectory enters as stacked slots s: (Y, Z, u) with
     M = [[Q, S1^T, S2^T], [S1, R11, R12], [S2, R21, R22]] and linear weights
     a + b W = (q, rho1, rho2) for a backward problem, (X, v) with
     M = [[cQ, cS^T], [cS, cR]] and (qTilde, rhoTilde) for a forward one.  Per
     path, J(s) = B(s, s) + 2 L(s) + <G x, x> + 2 <g, x> with x = s_0 at node
     ``at``, B(s, t) = sum_{k<N} <M_k s_k, t_k> dt and L(s) = sum_{k<N}
-    (a_k . s_k + W_k (b_k . s_k)) dt.  A trajectory is sampled, slots
-    (paths, N+1, dim), or affine, s + W beta with node arrays (N+1, dim): then
-    each integrand is c0 + W c1 + W^2 c2 per node, read off M s and M beta.
+    (a_k + W_k b_k) . s_k dt.
+
+    An ensemble with slot map L, s_k = L_k xi_k, has the integrand
+    xi_k^T C_k xi_k with C_k = L_k^T M_k L_k plus the linear rows L_k^T a_k
+    (on the 1 of xi) and L_k^T b_k (on its W), and a boundary form of the
+    same kind at node ``at`` (:meth:`xi_parts`).  Sampled slots go through
+    :meth:`parts`.
     """
 
-    M: tuple       # M[i][j]: (N, dim_i, dim_j) node table, None where it vanishes
-    linear: tuple  # (slot, a, b) on the first N nodes, b None where the loading vanishes
+    M: np.ndarray  # (N, D, D) over the stacked slots
+    a: np.ndarray  # (N, D)
+    b: np.ndarray  # (N, D)
     G: np.ndarray
     g: np.ndarray
     at: int
-    steps: int
     dt: float
 
-    def pair(self, s, t):
-        """Per-node <M s, t> on the first N nodes, 0.0 when M vanishes: M s is
-        formed one slot at a time with :func:`bslq.grid.mv` and dotted with
-        that slot of t, so one slot of M s is held at a time."""
-        N = self.steps
-        out = 0.0
-        for row, y in zip(self.M, t):
-            terms = (mv(Mij, x[..., :N, :]) for Mij, x in zip(row, s) if Mij is not None)
-            Ms = next(terms, None)
-            if Ms is not None:
-                for term in terms:
-                    Ms += term
-                out = out + _dot(Ms, y[..., :N, :])
-        return out
+    def parts(self, s, W) -> tuple[np.ndarray, np.ndarray]:
+        """Per-path (boundary, running) parts of J(s) for sampled slots s,
+        each of shape (paths, N+1, dim)."""
+        N = len(self.M)
+        s = np.concatenate(s, axis=-1)
+        x, sk = s[:, self.at, :len(self.g)], s[:, :N]
+        integrand = (_dot(mv(self.M, sk), sk)
+                     + 2.0 * (_dot(sk, self.a) + W[:, :N] * _dot(sk, self.b)))
+        return _dot(x @ self.G, x) + 2.0 * (x @ self.g), integrand.sum(axis=1) * self.dt
 
-    def _form(self, s, t, weight: float, W) -> tuple[np.ndarray, np.ndarray]:
+    def xi_parts(self, xi, Ls, Lt=None, weight: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
         """Per-path boundary <G x_s, x_t> + weight <g, x_t> and running
-        B(s, t) + weight L(t), for s and t given as (slots, beta) pairs."""
-        N, at = self.steps, self.at
-        s, t = ([(p, x) for p, x in enumerate(traj) if x is not None] for traj in (s, t))
-        xs, xt = (sum(W[:, at, None] ** p * x[0][..., at, :] for p, x in terms)
-                  for terms in (s, t))
-        c = [0.0, 0.0, 0.0]  # node coefficients of the integrand in powers of W
-        for q, y in t:
-            for p, x in s:
-                c[p + q] = c[p + q] + self.pair(y, x)
-            for slot, a, b in self.linear:
-                x = y[slot][..., :N, :]
-                c[q] = c[q] + weight * _dot(x, a)
-                if b is not None:
-                    c[q + 1] = c[q + 1] + weight * _dot(x, b)
-        boundary = weight * (xt @ self.g) + _dot(xs @ self.G, xt)
-        return boundary, _per_path(c, W[:, :N]) * self.dt
-
-    def parts(self, s, W, beta=None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-path (boundary, running) parts of J(s + W beta); ``beta`` None
-        for a sampled s."""
-        return self._form((s, beta), (s, beta), 2.0, W)
-
-    def cross(self, s, t, W, beta=None) -> np.ndarray:
-        """Per-path B(s, t') + L(t') + <G x_s, x_t'> + <g, x_t'>, t' = t + W beta.
-
-        With M and G symmetric, J(s + eps t') = J(s) + 2 eps cross(s, t')
-        + eps^2 J0(t') exactly under the same quadrature, where J0 is the cost
-        with f, g, q, rho1, rho2 and xi set to zero (:func:`homogeneous`).
-        """
-        return sum(self._form((s, None), (t, beta), 1.0, W))
+        B(s, t) + weight L(t) of s = L_s xi and t = L_t xi, for ``xi`` the d - 1
+        parts before its 1 and slot maps (N+1, D, d), a narrower L_t acting on
+        the trailing parts.  With ``Lt`` None and weight 2 these are J(s)'s."""
+        Lt = Ls if Lt is None else np.pad(Lt, ((0, 0), (0, 0), (Ls.shape[-1] - Lt.shape[-1], 0)))
+        N, at, n = len(self.M), self.at, len(self.g)
+        run = Ls[:N].swapaxes(-1, -2) @ self.M @ Lt[:N]
+        run[:, -1] += weight * np.einsum("ki,kij->kj", self.a, Lt[:N])
+        run[:, -2] += weight * np.einsum("ki,kij->kj", self.b, Lt[:N])
+        boundary = Ls[at, :n].T @ self.G @ Lt[at, :n]
+        boundary[-1] += weight * (self.g @ Lt[at, :n])
+        return (_quad_sums(boundary[None], xi, slice(at, at + 1)),
+                _quad_sums(run, xi, slice(N)) * self.dt)
 
 
 def cost_form(spec) -> CostForm:
@@ -150,22 +147,18 @@ def cost_form(spec) -> CostForm:
 
     if isinstance(spec, ForwardProblemSpec):
         Q, S, R = map(table, (spec.cQ, spec.cS, spec.cR))
-        M = ((Q, S.swapaxes(-1, -2)), (S, R))
+        M = [[Q, S.swapaxes(-1, -2)], [S, R]]
         linear = (spec.qTilde, spec.rhoTilde)
         G, g, at = spec.cG, spec.gTilde, N
     else:
         Q, S1, S2, R11, R12, R21, R22 = map(table, (spec.Q, spec.S1, spec.S2, spec.R11,
                                                     spec.R12, spec.R21, spec.R22))
-        M = ((Q, S1.swapaxes(-1, -2), S2.swapaxes(-1, -2)), (S1, R11, R12), (S2, R21, R22))
+        M = [[Q, S1.swapaxes(-1, -2), S2.swapaxes(-1, -2)], [S1, R11, R12], [S2, R21, R22]]
         linear = (spec.q, spec.rho1, spec.rho2)
         G, g, at = spec.G, spec.g, 0
-    M = tuple(tuple(block if np.any(block) else None for block in row) for row in M)
-    weights = []
-    for slot, proc in enumerate(linear):
-        a, b = (table(part) for part in (proc.a, proc.b))
-        if np.any(a) or np.any(b):
-            weights.append((slot, a, b if np.any(b) else None))
-    return CostForm(M, tuple(weights), G, g, at, N, spec.grid.dt)
+    a, b = (np.concatenate([table(getattr(p, part)) for p in linear], axis=-1)
+            for part in "ab")
+    return CostForm(np.block(M), a, b, G, g, at, spec.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -197,14 +190,13 @@ def path_cost_parts(spec: ProblemSpec, Y, Z, u, W) -> tuple[np.ndarray, np.ndarr
     return cost_form(spec).parts((Y, Z, u), W)
 
 
-def evaluate_cost(spec, traj) -> CostReport:
-    """Cost report for a backward (Y, Z, u) or forward (X, v) ensemble; the
-    per-path costs are reduced with a single fixed summation."""
-    W = traj.brownian.W
-    if isinstance(spec, ForwardProblemSpec):
-        boundary, running = cost_form(spec).parts((traj.X, traj.v), W)
-    else:
-        boundary, running = path_cost_parts(spec, traj.Y, traj.Z, traj.u, W)
+def evaluate_cost(spec, ens) -> CostReport:
+    """Cost report for a synthesized backward or a forward closed-loop
+    ensemble, costed as the quadratic form in its xi through its slot map;
+    the per-path costs are reduced with a single fixed summation."""
+    X = ens.X if isinstance(spec, ForwardProblemSpec) else ens.X_dual
+    xi = (*np.moveaxis(X, -1, 0), ens.brownian.W)  # the parts of xi before its 1
+    boundary, running = cost_form(spec).xi_parts(xi, ens.slot_map)
     costs = boundary + running
     P = costs.shape[0]
     return CostReport(
@@ -212,7 +204,7 @@ def evaluate_cost(spec, traj) -> CostReport:
         stderr=mc_stderr(costs),
         paths=P,
         steps=spec.grid.steps,
-        seed=traj.brownian.seed,
+        seed=ens.brownian.seed,
         initial_term=float(np.sum(boundary) / P),
         running_term=float(np.sum(running) / P),
     )
@@ -341,21 +333,23 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
     The perturbed trajectories are exact by superposition: (Y_v, Z_v) solves
     the homogeneous-data state equation under v in closed affine form, and
     the solution under u* + eps v is the base trajectory plus eps times that.
-    The cost is a quadratic form, so per path the difference is exactly the
-    polynomial 2 eps C + eps^2 J0(0; v), with C the cross term of
-    :meth:`CostForm.cross` (zero in expectation at the optimum), both costed
-    on the node arrays of (Y_v, Z_v, v) (:func:`controlled_nodes`).  The
-    defect 2 eps C carries only quadrature bias and common-random-number
-    noise.  ``state`` passes (Y_v, Z_v) from a batched
-    :func:`bslq.bsde.solve_controlled_state` call.
+    With M and G symmetric the cost is exactly quadratic, so per path the
+    difference is the polynomial 2 eps C + eps^2 J0(0; v), J0 the cost of
+    :func:`homogeneous` data, with C = B(s*, t) + L(t) + <G x*, x_t> +
+    <g, x_t> the cross term (zero in expectation at the optimum).  Both are
+    costed through the slot map of t = (Y_v, Z_v, v) on xi = (W, 1)
+    (:func:`controlled_map`).  The defect 2 eps C carries only quadrature
+    bias and common-random-number noise.  ``state`` passes (Y_v, Z_v) from a
+    batched :func:`bslq.bsde.solve_controlled_state` call.
     """
     hspec = homogeneous(spec)
     W = ensemble.brownian.W
     if state is None:
         state = solve_controlled_state(hspec, [v], substeps)[0]
-    s_v, beta_v = controlled_nodes(state, v)
-    j0 = sum(cost_form(hspec).parts(s_v, W, beta_v))
-    cross = cost_form(spec).cross((ensemble.Y, ensemble.Z, ensemble.u), s_v, W, beta_v)
+    L_v = controlled_map(state, v)
+    j0 = sum(cost_form(hspec).xi_parts((W,), L_v))
+    xi = (*np.moveaxis(ensemble.X_dual, -1, 0), W)
+    cross = sum(cost_form(spec).xi_parts(xi, ensemble.slot_map, L_v, 1.0))
     rows = []
     for eps in eps_grid:
         defect = 2.0 * eps * cross
@@ -371,12 +365,14 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
     return PerturbationReport(rows=rows, j0_value=float(j0.mean()), j0_stderr=mc_stderr(j0))
 
 
-def controlled_nodes(state: AffineBsdeSolution, v: AffineProcess) -> tuple:
-    """(Y_v, Z_v, v) = (a_Y + b_Y W, b_Y, a_v + b_v W) as node arrays (s, beta),
-    the trajectories :func:`bslq.simulate.sample_affine_control` samples."""
+def controlled_map(state: AffineBsdeSolution, v: AffineProcess) -> np.ndarray:
+    """Slot map (N+1, 2n+m, 2) on xi = (W, 1) of (Y_v, Z_v, v) =
+    (a_Y + b_Y W, b_Y, a_v + b_v W), the trajectories that
+    :func:`bslq.simulate.sample_affine_control` samples."""
     aY, bY = state.phi.node_parts()
     av, bv = v.node_parts()
-    return (aY, bY, av), (bY, np.zeros_like(bY), bv)
+    return np.stack((np.concatenate((bY, np.zeros_like(bY), bv), axis=-1),
+                     np.concatenate((aY, bY, av), axis=-1)), axis=-1)
 
 
 def random_affine_control(grid: TimeGrid, m: int, rng: np.random.Generator) -> AffineProcess:
@@ -421,8 +417,9 @@ def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
                     paths: int = 2000, substeps: int = DEFAULT_SUBSTEPS) -> ProbeReport:
     """Estimate min_v J0(0; v) / E int |v|^2 over random affine controls.
 
-    Both are costed on the controls' node arrays, exactly as on the
-    sampled trajectories of :func:`bslq.simulate.sample_affine_control`."""
+    Both are costed as quadratic forms in xi = (W, 1) from the controls' node
+    arrays, exactly as on the sampled trajectories of
+    :func:`bslq.simulate.sample_affine_control`."""
     hspec = homogeneous(spec)
     grid = hspec.grid
     W = BrownianEnsemble.generate(seed, paths, grid).W
@@ -432,8 +429,7 @@ def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
     states = solve_controlled_state(hspec, controls, substeps)
     out: list[ProbeTrial] = []
     for v, state in zip(controls, states):
-        s, beta = controlled_nodes(state, v)
-        num = sum(form.parts(s, W, beta))
+        num = sum(form.xi_parts((W,), controlled_map(state, v)))
         den = _square_sums(v, W, slice(grid.steps)) * grid.dt
         dbar = den.mean()
         ratio = num.mean() / dbar
@@ -546,9 +542,12 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
     (aggregated) Brownian paths, and the discretization allowance is twice
     the difference between the two, floored at 1e-4.
     """
-    bad = [e for e in eps_grid if not np.isfinite(e)]
-    if bad:
-        raise ValueError(f"--eps-grid entries must be finite, got {bad[0]:g}")
+    for e in map(float, eps_grid):
+        if not math.isfinite(e * e):  # e ** 2 would raise OverflowError
+            need = "be finite" if not math.isfinite(e) else "have a finite square"
+            raise ValueError(f"--eps-grid entries must {need}, got {e:g}")
+    if not any(eps_grid):
+        raise ValueError("--eps-grid needs a nonzero entry: eps = 0 perturbs nothing")
     fine_spec = resample(spec, 2 * spec.grid.steps)
     fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid)
     brownian = fine_brownian.coarsen(2)
@@ -632,8 +631,7 @@ def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
     def run(s, bw):
         psol = solve_forward_riccati(s, substeps)
         adj = solve_eta_zeta(s, psol)
-        ens = simulate_forward_closed_loop(s, psol, adj, bw)
-        return psol, adj, ens
+        return psol, adj, simulate_forward_closed_loop(s, psol, adj, bw)
 
     psol, adj, ens = run(spec, brownian)
     psol_f, _, ens_f = run(fine_spec, fine_brownian)

@@ -548,7 +548,7 @@ class OracleComparison:
 
 
 def compare(formula_value: float, spec: ProblemSpec,
-            steps=(4, 6, 8, 10)) -> OracleComparison:
+            steps=(4, 6, 8, 10), solved=None) -> OracleComparison:
     """Gap table over tree resolutions with a Richardson limit in dt.
 
     The tree error is first order in dt, so the extrapolation
@@ -557,11 +557,12 @@ def compare(formula_value: float, spec: ProblemSpec,
     count decides convexity, and the spectrum is bisected only if a pivot
     eigenvalue falls under bound / SINGULAR_COND.  The values are those of
     solve_discrete, bitwise.  A nonconvex resolution raises ConvexityError.
+    ``solved`` maps step counts to values already solved, which are reused.
     """
     steps = tuple(steps)
     if len(steps) < 2 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"compare needs two or more increasing step counts, got {steps}")
-    values = [_tree_value(spec, N) for N in steps]
+    values = [solved[N] if N in (solved or {}) else _tree_value(spec, N) for N in steps]
     gaps = [abs(v - formula_value) for v in values]
     monotone = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
     n1, n2 = steps[-2], steps[-1]

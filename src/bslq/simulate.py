@@ -39,7 +39,8 @@ diffusion forcings are c0 + W c1 and e0 + W e1, and
 where K_u = R22^{-1} B(Sigma)^T - R22^{-1} R21 K_Z folds the cross-term map
 into one gain.  The forward closed loop is formed the same way, with
 v = -K X + feed and feed affine.  No (paths, N+1, dim) sample of the data
-is built.
+is built.  Each ensemble keeps these gains as its slot map L_k, with the
+outputs L_k (X, W, 1), through which :mod:`bslq.evaluate` costs it.
 
 Randomness is counter-based: path p of an ensemble with seed s draws its
 increments from a Philox4x64 generator keyed by (s, p), with the k-th
@@ -176,14 +177,7 @@ class PathEnsemble:
     u: np.ndarray       # (paths, N+1, m)
     Y: np.ndarray       # (paths, N+1, n)
     Z: np.ndarray       # (paths, N+1, n)
-
-    @property
-    def dt(self) -> float:
-        return self.brownian.grid.dt
-
-    @property
-    def steps(self) -> int:
-        return self.brownian.grid.steps
+    slot_map: np.ndarray | None = None  # (N+1, 2n+m, n+2): (Y, Z, u) = L (X_dual, W, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,14 +241,19 @@ def _time_major(parts: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.swapaxes(out, 0, 1)
 
 
-def _gain_affine(K: np.ndarray, X: np.ndarray, parts: np.ndarray,
-                 W: np.ndarray) -> np.ndarray:
-    """K X + a + W b at every path and node, for node-level K and (a, b)."""
-    out = mv(K, X)
+def _slot_map(*outputs) -> np.ndarray:
+    """L (N+1, dim, n+2) with L (X, W, 1) = K X + a + W b, for (K, (a, b)) pairs."""
+    return np.concatenate([np.concatenate((K, ab[1][..., None], ab[0][..., None]), axis=-1)
+                           for K, ab in outputs], axis=-2)
+
+
+def _gain_affine(L: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """L (X, W, 1) = K X + a + W b at every path and node, for a slot map L."""
+    out = mv(L[..., :-2], X)
     for i in range(out.shape[-1]):
         col = out[..., i]
-        col += parts[0][:, i]
-        col += W * parts[1][:, i]
+        col += L[:, i, -1]
+        col += W * L[:, i, -2]
     return out
 
 
@@ -319,12 +318,12 @@ def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
     K_u = R22inv @ np.swapaxes(BS, -1, -2) - reduced.cross_gain @ K_Z
     u_aff = map_control(reduced, mv(R22inv, -mv(S2, phi) - rho2), z_aff)
 
-    W = brownian.W
-    Y = _gain_affine(-Sg, X_dual, phi, W)
-    Z = _gain_affine(K_Z, X_dual, z_aff, W)
-    X_adj = X_dual - mv(reduced.h.H, Y)
-    return PathEnsemble(brownian, X=X_adj, X_dual=X_dual,
-                        u=_gain_affine(K_u, X_dual, u_aff, W), Y=Y, Z=Z)
+    L = _slot_map((-Sg, phi), (K_Z, z_aff), (K_u, u_aff))
+    Y, Z, u = (_gain_affine(rows, X_dual, brownian.W)
+               for rows in np.split(L, [spec.n, 2 * spec.n], axis=1))
+    X_adj = mv(reduced.h.H, Y)
+    np.subtract(X_dual, X_adj, out=X_adj)  # in place: one (paths, N+1, n) array less at the peak
+    return PathEnsemble(brownian, X=X_adj, X_dual=X_dual, u=u, Y=Y, Z=Z, slot_map=L)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,6 +373,7 @@ class ForwardEnsemble:
     brownian: BrownianEnsemble
     X: np.ndarray  # (paths, N+1, n)
     v: np.ndarray  # (paths, N+1, m)
+    slot_map: np.ndarray  # (N+1, n+m, n+2): (X, v) = L (X, W, 1)
 
 
 def simulate_forward_closed_loop(spec: ForwardProblemSpec,
@@ -406,4 +406,6 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
     e = _time_major(mv(D, feed) + sig, W)
     X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)),
                     (A - B @ K, c), (C - D @ K, e), brownian, "forward closed loop")
-    return ForwardEnsemble(brownian, X=X, v=_gain_affine(-K, X, feed, W))
+    eye = np.broadcast_to(np.eye(spec.n), K.shape[:1] + (spec.n, spec.n))
+    L = _slot_map((eye, np.zeros((2,) + eye.shape[:2])), (-K, feed))
+    return ForwardEnsemble(brownian, X=X, v=_gain_affine(L[:, spec.n:], X, W), slot_map=L)

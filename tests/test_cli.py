@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV outputs, determinism."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 import bslq
+from bslq import evaluate, oracle
 from bslq.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(args, capsys):
@@ -122,6 +126,38 @@ def test_verify_rejects_non_finite_eps(eps_grid, bad, capsys):
     assert err == f"error: --eps-grid entries must be finite, got {bad}\n"
 
 
+@pytest.mark.parametrize("eps_grid,message", [
+    ("1e308", "--eps-grid entries must have a finite square, got 1e+308"),
+    ("0.1,-1e200", "--eps-grid entries must have a finite square, got -1e+200"),
+    ("0", "--eps-grid needs a nonzero entry: eps = 0 perturbs nothing"),
+    ("0,-0.0", "--eps-grid needs a nonzero entry: eps = 0 perturbs nothing"),
+], ids=["overflow", "overflow-second", "zero", "zeros"])
+def test_verify_rejects_unusable_eps_before_solving(eps_grid, message, monkeypatch, capsys):
+    # 1e308 raised OverflowError at eps ** 2 after the whole synthesis, and a
+    # grid of zeros passed perturbation_defect_excess 0 vacuously.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before checking --eps-grid")
+
+    monkeypatch.setattr(evaluate, "synthesize_optimal", no_solve)
+    code, out, err = run(["verify", "builtin:S5", "--steps", "20", "--paths", "200",
+                          "--eps-grid", eps_grid], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "builtin:S4", "--paths", "10", "--trials", "1"],
+    ["oracle", "builtin:SX", "--tree-steps", "4", "--compare"],
+], ids=["verify", "oracle"])
+def test_out_naming_a_file_exits_before_the_run(command, tmp_path, capsys):
+    # verify printed its whole table, and oracle its solution, before the
+    # output directory was made.
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run(command + ["--steps", "10", "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["solve"], ["verify", "--paths", "10", "--trials", "1"]])
 def test_out_naming_a_file_exits_two(command, tmp_path, capsys):
     path = tmp_path / "taken"
@@ -229,6 +265,25 @@ def test_oracle_compare(capsys):
     assert "extrapolated gap" in out
 
 
+def test_oracle_compare_reuses_the_tree_steps_solve(monkeypatch, capsys):
+    # --tree-steps 8 is on the compare ladder (4, 6, 8, 10): its tree is
+    # eliminated once, and the gap table is the one the ladder gives alone.
+    args = ["oracle", "builtin:SX", "--steps", "50", "--compare"]
+    trees = []
+    tree = oracle._tree
+    monkeypatch.setattr(oracle, "_tree", lambda spec, steps: trees.append(steps)
+                        or tree(spec, steps))
+    code, out, _ = run(args + ["--tree-steps", "8"], capsys)
+    assert code == 0
+    assert sorted(trees) == [4, 6, 8, 10]
+    trees.clear()
+    _, alone, _ = run(args + ["--tree-steps", "5"], capsys)
+    assert sorted(trees) == [4, 5, 6, 8, 10]
+    table = out[out.index("formula value"):]
+    assert table == alone[alone.index("formula value"):]
+    assert len(table.splitlines()) == 6
+
+
 def test_oracle_nonconvex_exits_one(tmp_path, capsys):
     doc = bslq.scenario_document(bslq.builtin_scenario("S1", steps=20))
     doc["R22"] = [[-1.0]]
@@ -291,6 +346,30 @@ def test_verify_all_builtins_under_budget(capsys):
         assert "FAIL" not in out, name
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"took {elapsed:.0f}s"
+
+
+def _perfbench(name):
+    """A module of the benchmark harness, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_verify_2x2_operation(tmp_path, capsys):
+    # The verify-2x2 benchmark operation (2x2 fixture, 1500 paths, 50 steps)
+    # at seed 1, judged by the benchmark's own checker.
+    workloads, checks = _perfbench("workloads"), _perfbench("checks")
+    workloads.write_scenarios(bslq, str(tmp_path))
+    (kind, argv), = workloads.WORKLOADS["verify-2x2"]["ops"]
+    out = tmp_path / "out"
+    code = main(workloads.expand(argv, str(tmp_path), str(out), 1))
+    capsys.readouterr()
+    assert kind == workloads.VERIFY
+    ok, reason, info = checks.check_verify(code, str(out))
+    assert ok, reason
+    assert "value_gap" in info
 
 
 def test_unknown_builtin_exits_two(capsys):

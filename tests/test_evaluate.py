@@ -4,10 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import bslq
-from bslq.evaluate import CostForm, cost_form, mc_stderr
-from bslq.grid import AffineProcess, MatrixPath
+from bslq.errors import (IntegrationError, PositivityError, ReductionError,
+                         SimulationError, SingularityError)
+from bslq.evaluate import CostForm, _quad_sums, cost_form, mc_stderr
+from bslq.grid import AffineProcess, MatrixPath, TimeGrid, mv
 
 
 @pytest.fixture(scope="module")
@@ -247,9 +251,10 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     # The kernel reads the linear weights and affine trajectories at the
     # nodes: no (paths, N+1, dim) sample of q, rho1, rho2, qTilde or rhoTilde
     # is built inside it, and the perturbation table and the probe, which
-    # cost affine trajectories only, sample no process at all.
-    kernel = {f.__code__ for f in (cost_form, CostForm.parts, CostForm.cross,
-                                   CostForm.pair, CostForm._form)}
+    # cost affine trajectories only, sample no process at all.  The kernel is
+    # the quadratic form in xi with its node tables, and the sampled route.
+    kernel = {f.__code__ for f in (cost_form, CostForm.parts, CostForm.xi_parts,
+                                   _quad_sums)}
     inside, outside = [], []
     sample = AffineProcess.sample
 
@@ -274,6 +279,159 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     bslq.perturbation_identity(spec, synth.ensemble, v, [0.5])
     bslq.convexity_probe(spec, trials=2, seed=3, paths=50)
     assert outside == [] and inside == []
+
+
+# -- the quadratic form in xi against the sampled kernel ------------------------
+
+XI_RTOL = 1e-14
+
+
+def magnitude(form):
+    """The form with every table replaced by its absolute values: costed on
+    |s| and |W| it sums the magnitudes of the terms, the scale of rounding."""
+    return CostForm(*(np.abs(x) for x in (form.M, form.a, form.b, form.G, form.g)),
+                    form.at, form.dt)
+
+
+def sampled_cross(form, s, t, W):
+    """B(s, t) + L(t) + <G x_s, x_t> + <g, x_t> per path, on sampled slots."""
+    N, at, n = len(form.M), form.at, len(form.g)
+    s, t = (np.concatenate(x, axis=-1) for x in (s, t))
+    sk, tk = s[:, :N], t[:, :N]
+    running = (np.einsum("pki,pki->pk", mv(form.M, sk), tk)
+               + np.einsum("pki,ki->pk", tk, form.a)
+               + W[:, :N] * np.einsum("pki,ki->pk", tk, form.b))
+    xs, xt = s[:, at, :n], t[:, at, :n]
+    return (np.einsum("pi,ij,pj->p", xs, form.G, xt) + xt @ form.g
+            + running.sum(axis=1) * form.dt)
+
+
+def assert_xi_form_matches_sampled(spec, ens, v=None):
+    """The ensemble's cost parts, and for a control ``v`` the perturbation's
+    J0 and cross term, costed through slot maps as ``verify`` does, against
+    the sampled kernel on the sampled trajectories, within XI_RTOL of the
+    magnitude of the terms."""
+    W = ens.brownian.W
+    form = cost_form(spec)
+    forward = isinstance(spec, bslq.ForwardProblemSpec)
+    slots = (ens.X, ens.v) if forward else (ens.Y, ens.Z, ens.u)
+    abs_slots = tuple(map(np.abs, slots))
+    scales = magnitude(form).parts(abs_slots, np.abs(W))
+    refs = form.parts(slots, W)
+    xi = (*np.moveaxis(ens.X if forward else ens.X_dual, -1, 0), W)
+    for new, ref, scale in zip(form.xi_parts(xi, ens.slot_map), refs, scales):
+        assert np.all(np.abs(new - ref) <= XI_RTOL * scale)
+    ref, tol = sum(refs), XI_RTOL * np.max(sum(scales))
+    assert abs(bslq.evaluate_cost(spec, ens).estimate - ref.mean()) <= tol
+    if v is None:
+        return
+    hspec = bslq.homogeneous(spec)
+    traj = bslq.sample_affine_control(hspec, v, ens.brownian)
+    t = (traj.Y, traj.Z, traj.u)
+    j0 = bslq.path_costs(hspec, *t, W)
+    j0_tol = XI_RTOL * np.max(sum(magnitude(cost_form(hspec)).parts(
+        tuple(map(np.abs, t)), np.abs(W))))
+    defect = 2.0 * sampled_cross(form, slots, t, W)
+    defect_tol = XI_RTOL * np.max(2.0 * sampled_cross(magnitude(form), abs_slots,
+                                                      tuple(map(np.abs, t)), np.abs(W)))
+    (row,) = bslq.perturbation_identity(spec, ens, v, [1.0]).rows
+    assert abs(row.quadratic_term - j0.mean()) <= j0_tol
+    assert abs(row.defect - defect.mean()) <= defect_tol
+    assert abs(row.defect_stderr - mc_stderr(defect)) <= defect_tol
+
+
+@pytest.mark.parametrize("name", list(bslq.BUILTIN_NAMES) + ["2x2", "SF-noisy"])
+def test_xi_form_matches_sampled_kernel(name, spec_2d, brownian_cache):
+    if name == "SF-noisy":
+        assert_xi_form_matches_sampled(*noisy_forward())
+        return
+    if name == "SF":
+        spec = bslq.builtin_scenario("SF", steps=50)
+        psol = bslq.solve_forward_riccati(spec)
+        ens = bslq.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol),
+                                                brownian_cache(7, 300, 50))
+        assert_xi_form_matches_sampled(spec, ens)
+        return
+    spec, synth = optimum(name, spec_2d, brownian_cache, paths=300)
+    v = bslq.random_affine_control(spec.grid, spec.m, np.random.default_rng(5))
+    assert_xi_form_matches_sampled(spec, synth.ensemble, v)
+
+
+@pytest.mark.parametrize("name", ["S1", "S4", "SX", "SH", "2x2"])
+def test_probe_ratio_matches_sampled_route_closely(name, spec_2d):
+    # The probe's numerator and energy are forms in xi = (W, 1).
+    spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+    rep = bslq.convexity_probe(spec, trials=4, seed=11, paths=300)
+    for trial, (ratio, _, _) in zip(rep.trials, reference_probe(spec, 4, 11, 300)):
+        assert abs(trial.ratio - ratio) <= XI_RTOL * abs(ratio)
+
+
+XI_ERRORS = (IntegrationError, PositivityError, ReductionError, SimulationError,
+             SingularityError)
+
+
+@st.composite
+def xi_problems(draw):
+    """A backward problem with n, m <= 2, constant coefficients, R22 definite
+    and affine noise in every data slot; or a scalar forward problem with
+    nonhomogeneous b, sigma, qTilde, rhoTilde and gTilde.  Also a seed."""
+    grid = TimeGrid(1.0, draw(st.integers(4, 12)))
+
+    def arr(shape, bound):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.floats(-bound, bound), min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    def sym(k, bound):
+        M = arr((k, k), bound)
+        return 0.5 * (M + M.T)
+
+    def mat(M):
+        return MatrixPath.constant(M, grid)
+
+    def aff(k):
+        return AffineProcess.of_constants(arr((k,), 1.0), arr((k,), 1.0), grid)
+
+    seed = draw(st.integers(0, 1000))
+    if draw(st.booleans()):
+        sf = bslq.builtin_scenario("SF", steps=grid.steps)
+        return sf.replace(grid=grid, cA=mat(arr((1, 1), 1.0)), cB=mat(arr((1, 1), 1.0)),
+                          cC=mat(arr((1, 1), 0.5)), cD=mat(arr((1, 1), 0.5)),
+                          cQ=mat(sym(1, 1.0)), cS=mat(arr((1, 1), 0.5)),
+                          cR=mat(sym(1, 0.5) + 1.0), cG=sym(1, 1.0), gTilde=arr((1,), 1.0),
+                          b=aff(1), sigma=aff(1), qTilde=aff(1), rhoTilde=aff(1),
+                          x0=arr((1,), 1.0)), seed
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    R12 = arr((n, m), 0.5)
+    return bslq.ProblemSpec(
+        n=n, m=m, grid=grid,
+        A=mat(arr((n, n), 0.5)), B=mat(arr((n, m), 1.0)), C=mat(arr((n, n), 0.5)),
+        f=aff(n), G=sym(n, 1.0), g=arr((n,), 1.0),
+        Q=mat(sym(n, 1.0)), S1=mat(arr((n, n), 0.5)), S2=mat(arr((m, n), 0.5)),
+        R11=mat(sym(n, 1.0)), R12=mat(R12), R21=mat(R12.T.copy()),
+        R22=mat(sym(m, 0.5) + 1.5 * np.eye(m)),
+        q=aff(n), rho1=aff(n), rho2=aff(m), xi=aff(n),
+    ), seed
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(xi_problems())
+def test_xi_form_matches_sampled_kernel_property(problem):
+    spec, seed = problem
+    brownian = bslq.BrownianEnsemble.generate(seed, 40, spec.grid)
+    try:
+        if isinstance(spec, bslq.ForwardProblemSpec):
+            psol = bslq.solve_forward_riccati(spec)
+            ens = bslq.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol),
+                                                    brownian)
+            v = None
+        else:
+            ens = bslq.synthesize_optimal(spec, brownian).ensemble
+            v = bslq.random_affine_control(spec.grid, spec.m, np.random.default_rng(seed))
+    except XI_ERRORS:
+        assume(False)
+    assert_xi_form_matches_sampled(spec, ens, v)
 
 
 # -- convexity probe -------------------------------------------------------------
