@@ -192,8 +192,8 @@ def path_cost_parts(spec: ProblemSpec, Y, Z, u, W) -> tuple[np.ndarray, np.ndarr
 
 def evaluate_cost(spec, ens) -> CostReport:
     """Cost report for a synthesized backward or a forward closed-loop
-    ensemble, costed as the quadratic form in its xi through its slot map;
-    the per-path costs are reduced with a single fixed summation."""
+    ensemble: the quadratic form in xi through its slot map, not its sampled
+    Y, Z, u or v (:func:`path_costs` costs those), reduced by one fixed sum."""
     X = ens.X if isinstance(spec, ForwardProblemSpec) else ens.X_dual
     xi = (*np.moveaxis(X, -1, 0), ens.brownian.W)  # the parts of xi before its 1
     boundary, running = cost_form(spec).xi_parts(xi, ens.slot_map)
@@ -337,10 +337,10 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
     difference is the polynomial 2 eps C + eps^2 J0(0; v), J0 the cost of
     :func:`homogeneous` data, with C = B(s*, t) + L(t) + <G x*, x_t> +
     <g, x_t> the cross term (zero in expectation at the optimum).  Both are
-    costed through the slot map of t = (Y_v, Z_v, v) on xi = (W, 1)
-    (:func:`controlled_map`).  The defect 2 eps C carries only quadrature
-    bias and common-random-number noise.  ``state`` passes (Y_v, Z_v) from a
-    batched :func:`bslq.bsde.solve_controlled_state` call.
+    costed through slot maps, not sampled arrays: that of t = (Y_v, Z_v, v)
+    on xi = (W, 1) (:func:`controlled_map`) and the ensemble's.  The defect
+    2 eps C carries only quadrature bias and common-random-number noise.
+    ``state`` is (Y_v, Z_v) from a batched :func:`solve_controlled_state` call.
     """
     hspec = homogeneous(spec)
     W = ensemble.brownian.W

@@ -172,12 +172,12 @@ class PathEnsemble:
     """
 
     brownian: BrownianEnsemble
-    X: np.ndarray       # (paths, N+1, n)
-    X_dual: np.ndarray  # (paths, N+1, n)
-    u: np.ndarray       # (paths, N+1, m)
-    Y: np.ndarray       # (paths, N+1, n)
-    Z: np.ndarray       # (paths, N+1, n)
-    slot_map: np.ndarray | None = None  # (N+1, 2n+m, n+2): (Y, Z, u) = L (X_dual, W, 1)
+    X: np.ndarray         # (paths, N+1, n)
+    X_dual: np.ndarray    # (paths, N+1, n)
+    u: np.ndarray         # (paths, N+1, m)
+    Y: np.ndarray         # (paths, N+1, n)
+    Z: np.ndarray         # (paths, N+1, n)
+    slot_map: np.ndarray  # (N+1, 2n+m, n+2): (Y, Z, u) = L (X_dual, W, 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,54 +116,42 @@ def test_verify_rejects_unusable_sizes(flags, message, capsys):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("eps_grid,bad", [("nan", "nan"), ("inf", "inf"), ("0.1,nan", "nan")])
-def test_verify_rejects_non_finite_eps(eps_grid, bad, capsys):
-    # nan raised StopIteration, inf passed with an infinite margin and a nan
-    # among finite sizes passed because max/min skip it.
-    code, out, err = run(["verify", "builtin:S5", "--steps", "20", "--paths", "200",
-                          "--eps-grid", eps_grid], capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: --eps-grid entries must be finite, got {bad}\n"
-
-
 @pytest.mark.parametrize("eps_grid,message", [
-    ("1e308", "--eps-grid entries must have a finite square, got 1e+308"),
-    ("0.1,-1e200", "--eps-grid entries must have a finite square, got -1e+200"),
-    ("0", "--eps-grid needs a nonzero entry: eps = 0 perturbs nothing"),
-    ("0,-0.0", "--eps-grid needs a nonzero entry: eps = 0 perturbs nothing"),
-], ids=["overflow", "overflow-second", "zero", "zeros"])
-def test_verify_rejects_unusable_eps_before_solving(eps_grid, message, monkeypatch, capsys):
-    # 1e308 raised OverflowError at eps ** 2 after the whole synthesis, and a
-    # grid of zeros passed perturbation_defect_excess 0 vacuously.
+    pytest.param("nan", "entries must be finite, got nan", id="nan-nan"),
+    pytest.param("inf", "entries must be finite, got inf", id="inf-inf"),
+    pytest.param("0.1,nan", "entries must be finite, got nan", id="0.1,nan-nan"),
+    pytest.param("1e308", "entries must have a finite square, got 1e+308", id="overflow"),
+    pytest.param("0.1,-1e200", "entries must have a finite square, got -1e+200",
+                 id="overflow-second"),
+    pytest.param("0", "needs a nonzero entry: eps = 0 perturbs nothing", id="zero"),
+    pytest.param("0,-0.0", "needs a nonzero entry: eps = 0 perturbs nothing", id="zeros"),
+])
+def test_verify_rejects_non_finite_eps(eps_grid, message, monkeypatch, capsys):
+    # nan raised StopIteration, inf passed with an infinite margin and a nan
+    # among finite sizes passed because max/min skip it.  1e308 raised
+    # OverflowError at eps ** 2 after the whole synthesis, and a grid of zeros
+    # passed perturbation_defect_excess 0 vacuously.
     def no_solve(*args, **kwargs):
         raise AssertionError("verify solved before checking --eps-grid")
 
     monkeypatch.setattr(evaluate, "synthesize_optimal", no_solve)
     code, out, err = run(["verify", "builtin:S5", "--steps", "20", "--paths", "200",
                           "--eps-grid", eps_grid], capsys)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: --eps-grid {message}\n")
 
 
 @pytest.mark.parametrize("command", [
+    ["solve", "builtin:S4"],
     ["verify", "builtin:S4", "--paths", "10", "--trials", "1"],
     ["oracle", "builtin:SX", "--tree-steps", "4", "--compare"],
-], ids=["verify", "oracle"])
-def test_out_naming_a_file_exits_before_the_run(command, tmp_path, capsys):
+])
+def test_out_naming_a_file_exits_two(command, tmp_path, capsys):
     # verify printed its whole table, and oracle its solution, before the
     # output directory was made.
     path = tmp_path / "taken"
     path.write_text("")
     code, out, err = run(command + ["--steps", "10", "--out", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", [["solve"], ["verify", "--paths", "10", "--trials", "1"]])
-def test_out_naming_a_file_exits_two(command, tmp_path, capsys):
-    path = tmp_path / "taken"
-    path.write_text("")
-    code, _, err = run(command + ["builtin:S4", "--steps", "10", "--out", str(path)], capsys)
-    assert code == 2
     assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
     assert path.read_text() == ""
 

@@ -82,7 +82,7 @@ def test_stationarity_linear_in_control(synth_cache):
     spec, synth = synth_cache("S2", paths=200)
     ens = synth.ensemble
     perturbed = bslq.PathEnsemble(ens.brownian, ens.X, ens.X_dual,
-                                  ens.u + 0.1, ens.Y, ens.Z)
+                                  ens.u + 0.1, ens.Y, ens.Z, slot_map=ens.slot_map)
     rep = bslq.stationarity_residual(spec, perturbed)
     assert rep.sup == pytest.approx(0.1, abs=1e-12)
     assert rep.rms == pytest.approx(0.1, abs=1e-12)
