@@ -114,19 +114,20 @@ def integrate(problem: OdeProblem, state: np.ndarray | float, post_step=None,
     out[0 if forward else N] = state
     y = state
     e = 0
+    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in (range(1, N + 1) if forward else range(N - 1, -1, -1)):
             for _ in range(s):
                 k1 = rhs(e, y)
-                y2 = y + 0.5 * dt * k1
+                y2 = y + half * k1
                 k2 = rhs(e + 1, y2)
-                y3 = y + 0.5 * dt * k2
+                y3 = y + half * k2
                 k3 = rhs(e + 2, y3)
                 y4 = y + dt * k3
                 k4 = rhs(e + 3, y4)
                 if record:
                     stages[e:e + 4] = (y, y2, y3, y4)
-                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if post_step is not None:
                     y = post_step(y)
                 e += 4

@@ -34,13 +34,17 @@ every RK4 evaluation, which the linear BSDEs of :mod:`bslq.bsde` read.
 
 Each equation has one right-hand side: a closure over per-evaluation
 coefficient tables, written in the operations of an arithmetic chosen from
-n and m alone.  The matrix arithmetic uses ``np.matmul``, ``np.linalg.solve``,
-``np.eye(n)`` and transposes tabulated once.  For n = m = 1 the closure runs
-on Python floats over memoryviews of the same tables: a matmul is one
-product summed from +0.0, a solve one division, the identity 1.0 and a
-transpose the value itself.  Each float operation is the 1x1 matrix
-operation, so the paths and stages are bitwise those of the matrix
-arithmetic, at a small fraction of the cost of numpy calls on 1x1 arrays.
+n and m alone.  The matrix arithmetic calls what numpy's wrappers call, not
+the wrappers: ``ndarray.dot`` (gemm, bitwise ``np.matmul`` when n, m >= 2)
+and the LAPACK gufunc of ``np.linalg.solve``, whose result is kept when
+finite and otherwise left to ``np.linalg.solve`` (so each bit, error and
+non-finite result is its own); ``np.eye(n)`` and the transposes of the
+tables are formed once.  For n = m = 1 the closure runs on Python floats
+over memoryviews of the same tables: a matmul is one product summed from
++0.0, a solve one division, the identity 1.0 and a transpose the value
+itself.  Each float operation is the 1x1 matrix operation, so the paths
+and stages are bitwise those of the matrix arithmetic, at a small fraction
+of the cost of numpy calls on 1x1 arrays.
 Results keep their (.., 1, 1) shapes.
 """
 
@@ -50,6 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import PositivityError, SingularityError
 from .grid import TimeGrid
@@ -61,6 +66,11 @@ PSD_TOL = 1e-10
 
 
 def _solve(mat: np.ndarray, rhs: np.ndarray, t: float, name: str) -> np.ndarray:
+    """mat^{-1} rhs, as ``np.linalg.solve`` gives it (see the module docstring)."""
+    with np.errstate(invalid="ignore"):
+        x = _umath_linalg.solve(mat, rhs, signature="dd->d")
+    if np.isfinite(x).all():
+        return x
     try:
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
@@ -108,10 +118,14 @@ _FLOATS = _Arithmetic(rows=_view, rows_t=_view, mul=_mul, div=_div, T=lambda x: 
                       state=lambda x: float(x[0, 0]), sym=lambda y: 0.5 * (y + y))
 
 
-def _matrices(n: int) -> _Arithmetic:
+def _matrices(n: int, m: int = 1) -> _Arithmetic:
+    # ndarray.dot skips the matmul gufunc and is bitwise np.matmul, except at
+    # an inner dimension of 1: there a -0.0 product stays -0.0, where matmul
+    # sums it from +0.0.  Every kernel product has inner dimension n or m.
     return _Arithmetic(rows=np.asarray, rows_t=lambda x: np.swapaxes(x, -1, -2),
-                       mul=np.matmul, div=_solve, T=np.transpose, eye=np.eye(n),
-                       state=np.asarray, sym=lambda M: 0.5 * (M + np.swapaxes(M, -1, -2)))
+                       mul=np.ndarray.dot if min(n, m) > 1 else np.matmul, div=_solve,
+                       T=lambda M: M.T, eye=np.eye(n), state=np.asarray,
+                       sym=lambda M: 0.5 * (M + M.T))
 
 
 def _on_floats(spec) -> bool:
@@ -120,7 +134,7 @@ def _on_floats(spec) -> bool:
 
 
 def _arithmetic(spec) -> _Arithmetic:
-    return _FLOATS if _on_floats(spec) else _matrices(spec.n)
+    return _FLOATS if _on_floats(spec) else _matrices(spec.n, spec.m)
 
 
 def _integrate(ar: _Arithmetic, grid: TimeGrid, rhs, direction: str, substeps: int,
@@ -240,7 +254,7 @@ def _canonical_base(problem) -> ProblemSpec:
 def sigma_derivative(t: float, S: np.ndarray, A, B, C, S1, S2, R11, R22) -> np.ndarray:
     """Right-hand side of the backward Riccati equation at one time point."""
     rows = (np.asarray(x)[None] for x in (A, B, C, S1, S2, R11, R22))
-    return _sigma_rhs(_matrices(S.shape[0]), np.array([t]), *rows)(0, S)
+    return _sigma_rhs(_matrices(*np.shape(B)), np.array([t]), *rows)(0, S)
 
 
 def _sigma_rhs(ar: _Arithmetic, t, A, B, C, S1, S2, R11, R22):
@@ -366,7 +380,7 @@ def uniform_convexity_conditions(spec: ForwardProblemSpec, tol: float = PSD_TOL)
 def forward_riccati_derivative(t: float, P: np.ndarray, A, B, C, D, Q, S, R) -> np.ndarray:
     """Right-hand side of the forward LQ Riccati equation at one time point."""
     rows = (np.asarray(x)[None] for x in (A, B, C, D, Q, S, R))
-    return _forward_rhs(_matrices(P.shape[0]), np.array([t]), *rows)(0, P)
+    return _forward_rhs(_matrices(*np.shape(B)), np.array([t]), *rows)(0, P)
 
 
 def _forward_rhs(ar: _Arithmetic, t, A, B, C, D, Q, S, R):
