@@ -16,7 +16,7 @@ from .errors import (ConsistencyError, ConvexityError, IntegrationError,
 from .evaluate import (BoundCheck, CheckRow, CostReport, PerturbationReport,
                        ProbeReport, StationarityReport, VerificationResult,
                        apriori_bound_check, convexity_probe, evaluate_cost,
-                       forward_value, path_costs, perturbation_identity,
+                       forward_value, forward_value_formula, path_costs, perturbation_identity,
                        random_affine_control, solve_value, stationarity_residual,
                        value_formula, verify, verify_backward, verify_forward)
 from .grid import AffineProcess, MatrixPath, TimeGrid

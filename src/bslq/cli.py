@@ -164,8 +164,10 @@ def cmd_value(args) -> int:
     spec = _load(args)
     if isinstance(spec, ForwardProblemSpec):
         psol = solve_forward_riccati(spec, args.substeps)
-        formula = float(spec.x0 @ psol.P[0] @ spec.x0)
-        print(f"value <P(0) x, x> = {_fmt(formula)}")
+        adjoint = solve_eta_zeta(spec, psol)
+        print(f"value = {_fmt(evaluate.forward_value_formula(spec, psol, adjoint))}")
+        print(f"  <P(0) x, x> = {_fmt(spec.x0 @ psol.P[0] @ spec.x0)}")
+        print(f"  eta(0) deterministic part = {adjoint.phi.a.node_values()[0].tolist()}")
         return 0
     value, reduced, sigma, bsde = evaluate.solve_value(spec, args.substeps)
     aphi, _ = bsde.phi.node_parts()

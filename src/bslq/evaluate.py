@@ -43,7 +43,7 @@ from .problem import ForwardProblemSpec, ProblemSpec, homogeneous, resample
 from .reduction import ReducedProblem, reduce_problem
 from .riccati import (ForwardRiccatiSolution, RiccatiSolution, solve_forward_riccati,
                       solve_sigma, uniform_convexity_conditions)
-from .simulate import (BrownianEnsemble, ForwardEnsemble, PathEnsemble, philox,
+from .simulate import (BrownianEnsemble, ForwardEnsemble, PathEnsemble, feedforward, philox,
                        simulate_forward_closed_loop, synthesize_optimal)
 
 
@@ -182,12 +182,7 @@ def path_costs(spec: ProblemSpec, Y: np.ndarray, Z: np.ndarray, u: np.ndarray,
                W: np.ndarray) -> np.ndarray:
     """Per-path cost of sampled (Y, Z, u) trajectories, shape (paths,): left-point
     quadrature of the running integrand, the initial terms exact at t = 0."""
-    return sum(path_cost_parts(spec, Y, Z, u, W))
-
-
-def path_cost_parts(spec: ProblemSpec, Y, Z, u, W) -> tuple[np.ndarray, np.ndarray]:
-    """(initial, running) per-path cost contributions."""
-    return cost_form(spec).parts((Y, Z, u), W)
+    return sum(cost_form(spec).parts((Y, Z, u), W))
 
 
 def evaluate_cost(spec, ens) -> CostReport:
@@ -453,19 +448,47 @@ def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
 
 @dataclass(frozen=True)
 class ForwardValueReport:
-    formula: float          # <P(0) x, x>
+    formula: float          # forward_value_formula
     mc: CostReport
     gap: float
 
 
-def forward_value(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
-                  ens: ForwardEnsemble) -> ForwardValueReport:
-    """Compare <P(0) x, x> with the Monte-Carlo cost of the closed loop.
+def forward_value_formula(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
+                          adjoint: AffineBsdeSolution) -> float:
+    """Optimal value of the forward problem from x0 by deterministic quadrature:
 
-    The quadratic formula is the value function when the nonhomogeneous
-    data vanish; for general data the report still records the gap.
+        V = <P(0) x0, x0> + 2 <eta(0), x0>
+            + int_0^T E[<P sigma, sigma> + 2 <eta, b> + 2 <zeta, sigma>
+                        - <Rhat^{-1} rhohat, rhohat>] dt,
+
+    with (eta, zeta) the affine adjoint pair (eta(T) = gTilde; qTilde enters
+    through its drift) and Rhat, rhohat the closed loop's weight and
+    open-loop term (:func:`bslq.simulate.feedforward`).  The expectations
+    are polynomials in t through E W = 0 and E W^2 = t, integrated with the
+    trapezoid rule.  Without the nonhomogeneous data b, sigma, qTilde,
+    rhoTilde and gTilde it is <P(0) x0, x0>.
     """
-    formula = float(spec.x0 @ psol.P[0] @ spec.x0)
+    t = spec.grid.nodes
+    weight, open_loop = feedforward(spec, psol, adjoint)
+    eta, zeta, sigma, b = (np.stack(p.node_parts()) for p in (
+        adjoint.phi, adjoint.beta, spec.sigma, spec.b))
+
+    def e_inner(x, y):  # E<x, y> for x = x_a + W x_b and y = y_a + W y_b
+        return _dot(x[0], y[0]) + t * _dot(x[1], y[1])
+
+    integrand = (e_inner(mv(psol.P, sigma), sigma) + 2.0 * e_inner(eta, b)
+                 + 2.0 * e_inner(zeta, sigma)
+                 - e_inner(mv(np.linalg.inv(weight), open_loop), open_loop))
+    x0 = spec.x0
+    return float(x0 @ psol.P[0] @ x0 + 2.0 * (eta[0, 0] @ x0)
+                 + np.trapezoid(integrand, dx=spec.grid.dt))
+
+
+def forward_value(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
+                  adjoint: AffineBsdeSolution, ens: ForwardEnsemble) -> ForwardValueReport:
+    """Compare :func:`forward_value_formula` with the Monte-Carlo cost of the
+    closed loop."""
+    formula = forward_value_formula(spec, psol, adjoint)
     mc = evaluate_cost(spec, ens)
     return ForwardValueReport(formula=formula, mc=mc, gap=abs(formula - mc.estimate))
 
@@ -634,7 +657,7 @@ def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
         return psol, adj, simulate_forward_closed_loop(s, psol, adj, bw)
 
     psol, adj, ens = run(spec, brownian)
-    psol_f, _, ens_f = run(fine_spec, fine_brownian)
+    psol_f, adj_f, ens_f = run(fine_spec, fine_brownian)
 
     rows: list[CheckRow] = []
     rows.append(_row("p_terminal_anchor", float(np.max(np.abs(psol.P[-1] - spec.cG))), 0.0, "<="))
@@ -643,8 +666,8 @@ def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
         rows.append(_row("p_psd_margin", psol.psd_margin(), -1e-10, ">="))
     rows.append(_row("adjoint_residual", adj.residual(), 1e-6, "<="))
 
-    rep = forward_value(spec, psol, ens)
-    rep_fine = forward_value(fine_spec, psol_f, ens_f)
+    rep = forward_value(spec, psol, adj, ens)
+    rep_fine = forward_value(fine_spec, psol_f, adj_f, ens_f)
     c_dt = max(2.0 * abs(rep.mc.estimate - rep_fine.mc.estimate), 1e-4)
     rows.append(_row("forward_value_gap", rep.gap, 3.0 * rep.mc.stderr + c_dt, "<="))
 

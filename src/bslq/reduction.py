@@ -114,9 +114,6 @@ class ReducedProblem:
     base: ProblemSpec
     source: ProblemSpec
     h: HSolution
-    script_c: np.ndarray    # (N+1, n, n)
-    script_s1: np.ndarray   # (N+1, n, n)
-    script_r11: np.ndarray  # (N+1, n, n)
     constant_shift: float   # E<H(T) xi, xi>
     cross_gain: np.ndarray  # (N+1, m, n)   R22^{-1} R21 of the source
 
@@ -173,9 +170,6 @@ def reduce_problem(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> Reduc
         base=base,
         source=spec,
         h=h,
-        script_c=cs.C,
-        script_s1=cs.S1,
-        script_r11=cs.R11,
         constant_shift=constant_shift,
         cross_gain=cs.cross,
     )

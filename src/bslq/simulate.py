@@ -1,46 +1,38 @@
 """Monte-Carlo simulation: Brownian ensembles, the dual SDE, and synthesis.
 
-The optimal pair of the canonical problem is parameterised by the solution X
-of a forward "dual" SDE driven by the Riccati solution and the auxiliary
-BSDE:
-
-    dX = ( [S1^T R(Sigma)^{-1} Sigma C(Sigma)^T + S2^T R22^{-1} B(Sigma)^T
-            - A^T] X
-           - [S1^T R(Sigma)^{-1} Sigma S1 + S2^T R22^{-1} S2] phi
-           + S1^T R(Sigma)^{-1} beta - S1^T R(Sigma)^{-1} Sigma rho1
-           - S2^T R22^{-1} rho2 + q ) dt
-         - R(Sigma)^{-T} [C(Sigma)^T X - S1 phi - R11 beta - rho1] dW,
-    X(0) = g,
-
-simulated here with the left-point Euler-Maruyama scheme.  The optimal state,
-martingale integrand and control are then pointwise algebraic in X:
+The optimum of the canonical problem is affine in the solution X of a
+forward "dual" SDE.  With the Riccati solution Sigma and the auxiliary BSDE
+pair (phi, beta), its state, martingale integrand and control are
 
     Y = -Sigma X + phi,
     Z = R(Sigma)^{-1} [Sigma C(Sigma)^T X - Sigma S1 phi - Sigma rho1 + beta],
     v = R22^{-1} [B(Sigma)^T X - S2 phi - rho2],
 
-with v mapped back through the cross-term substitution to the original
-control u, and the original problem's adjoint state recovered as
-X* = X - H Y (the identity X*(0) = G Y(0) + g then holds by construction).
-These synthesis formulas satisfy the first-order optimality relation exactly
-at every path and node, independently of the time step.
+and the dual SDE is the adjoint equation of the maximum principle (Bismut
+1973; Yong and Zhou 1999) along them:
+
+    dX = (-A^T X + Q Y + S1^T Z + S2^T v + q) dt
+         + (-C^T X + S1 Y + R11 Z + R12 v + rho1) dW,    X(0) = g,
+
+whose coefficients of (Y, Z, v) are the Y and Z rows of the blocked weight
+[[Q, S1^T, S2^T], [S1, R11, R12], [S2, R21, R22]].  It is simulated with the
+left-point Euler-Maruyama scheme.
 
 Every input except X is affine in W (phi = a + b W, beta deterministic, and
 the data rho1, rho2, q by assumption), and K (a + W b) = K a + W (K b).  So
-each forcing and each output has the node-affine form
-
-    K X + c0 + W c1,
-
-with K, c0 and c1 formed once on the (N+1)-node arrays: the dual drift and
-diffusion forcings are c0 + W c1 and e0 + W e1, and
-
-    Y = -Sigma X + phi,   Z = K_Z X + z0 + W z1,   u = K_u X + u0 + W u1,
-
-where K_u = R22^{-1} B(Sigma)^T - R22^{-1} R21 K_Z folds the cross-term map
-into one gain.  The forward closed loop is formed the same way, with
-v = -K X + feed and feed affine.  No (paths, N+1, dim) sample of the data
-is built.  Each ensemble keeps these gains as its slot map L_k, with the
-outputs L_k (X, W, 1), through which :mod:`bslq.evaluate` costs it.
+(Y, Z, v) = L (X, W, 1) with one slot map L of shape (N+1, 2n+m, n+2),
+formed once on the node arrays, and each Euler coefficient is a map of the
+same kind: the weight rows times L plus the data rows (-A^T, q) or
+(-C^T, rho1).  The synthesis reads the outputs off L, with the cross-term
+substitution u = v - R22^{-1} R21 Z folded into the rows of v, and
+recovers the original problem's adjoint state as X* = X - H Y (the identity
+X*(0) = G Y(0) + g then holds by construction).  The outputs are algebraic
+in X, so they satisfy the first-order optimality relation exactly at every
+path and node, whatever the time step.  The forward closed loop is run the
+same way, on (X, v) = L (X, W, 1) with v = -K X + feed: drift [A, B] L + b
+and diffusion [C, D] L + sigma.  No (paths, N+1, dim) sample of the data is
+built.  Each ensemble keeps its L as ``slot_map``, through which
+:mod:`bslq.evaluate` costs it.
 
 Randomness is counter-based: path p of an ensemble with seed s draws its
 increments from a Philox4x64 generator keyed by (s, p), with the k-th
@@ -66,7 +58,7 @@ from .errors import SimulationError
 from .grid import AffineProcess, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ForwardProblemSpec, ProblemSpec
-from .reduction import ReducedProblem, map_control, reduce_problem
+from .reduction import ReducedProblem, reduce_problem
 from .riccati import ForwardRiccatiSolution, RiccatiSolution, solve_sigma
 
 
@@ -190,29 +182,27 @@ class ControlledTrajectories:
     u: np.ndarray
 
 
-def _euler_loop(X0: np.ndarray, drift_parts, diff_parts, brownian: BrownianEnsemble,
-                what: str) -> np.ndarray:
-    """Left-point Euler scheme for dX = (F X + c) dt + (D X + e) dW.
+def _euler_loop(X0: np.ndarray, drift: np.ndarray, diffusion: np.ndarray,
+                brownian: BrownianEnsemble, what: str) -> np.ndarray:
+    """Left-point Euler scheme for dX = drift (X, W, 1) dt + diffusion (X, W, 1) dW.
 
-    ``drift_parts`` is (F, c) with F of shape (N+1, n, n) and c of shape
-    (paths, N+1, n) (already evaluated pathwise); same for ``diff_parts``.
-    The state is stored time-major, so each step reads and writes one
-    contiguous block; forcings laid out by :func:`_time_major` are read the
-    same way.  Returns (paths, N+1, n).
+    ``drift`` and ``diffusion`` are slot maps of shape (N+1, n, n+2).  The
+    state is stored time-major, so each step reads and writes one contiguous
+    block; the forcings, laid out by :func:`_time_major`, are read the same
+    way.  Returns (paths, N+1, n).
     """
-    F, c = drift_parts
-    D, e = diff_parts
-    P = brownian.paths
-    N = brownian.grid.steps
-    dt = brownian.grid.dt
-    X = np.empty((N + 1, P, X0.shape[-1]))
+    n = X0.shape[-1]
+    mu_X, sig_X = drift[..., :n], diffusion[..., :n]
+    mu_f, sig_f = _time_major(drift, brownian.W), _time_major(diffusion, brownian.W)
+    N, dt = brownian.grid.steps, brownian.grid.dt
+    X = np.empty((N + 1, brownian.paths, n))
     X[0] = X0
     x = X[0]
     dW = np.ascontiguousarray(brownian.increments.T)
     for k in range(N):
-        drift = x @ F[k].T + c[:, k, :]
-        diff = x @ D[k].T + e[:, k, :]
-        x = x + drift * dt + diff * dW[k, :, None]
+        mu = x @ mu_X[k].T + mu_f[:, k, :]
+        sig = x @ sig_X[k].T + sig_f[:, k, :]
+        x = x + mu * dt + sig * dW[k, :, None]
         if not np.all(np.isfinite(x)):
             bad = int(np.argwhere(~np.isfinite(x))[0][0])
             raise SimulationError(
@@ -229,15 +219,16 @@ def _parts(proc: AffineProcess) -> np.ndarray:
     return np.stack(proc.node_parts())
 
 
-def _time_major(parts: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """a + W b on every path, stored (N+1, paths, dim) and returned as the
-    (paths, N+1, dim) view that :func:`_euler_loop` reads step by step."""
+def _time_major(L: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """a + W b, the last two columns (b, a) of a slot map L, on every path,
+    stored (N+1, paths, dim) and returned as the (paths, N+1, dim) view that
+    :func:`_euler_loop` reads step by step."""
     Wt = np.ascontiguousarray(W.T)
-    out = np.empty(Wt.shape + parts.shape[-1:])
+    out = np.empty(Wt.shape + L.shape[1:2])
     for i in range(out.shape[-1]):
         col = out[..., i]
-        np.multiply(Wt, parts[1][:, None, i], out=col)
-        col += parts[0][:, None, i]
+        np.multiply(Wt, L[:, None, i, -2], out=col)
+        col += L[:, None, i, -1]
     return np.swapaxes(out, 0, 1)
 
 
@@ -257,38 +248,45 @@ def _gain_affine(L: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
+def _T(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
+def _coefficient(rows, L: np.ndarray, K0: np.ndarray, data: AffineProcess) -> np.ndarray:
+    """An Euler coefficient as a slot map: equation rows acting on the
+    outputs L (X, W, 1), plus the data rows K0 X + a + W b."""
+    return np.concatenate(rows, axis=-1) @ L + _slot_map((K0, _parts(data)))
+
+
+def _optimal_map(reduced: ReducedProblem, sigma: RiccatiSolution,
+                 bsde: AffineBsdeSolution) -> np.ndarray:
+    """Slot map (N+1, 2n+m, n+2) of the reduced optimum: (Y, Z, v) = L (X, W, 1)."""
+    spec = reduced.base
+    S1 = spec.S1.node_values()
+    S2 = spec.S2.node_values()
+    R22inv = np.linalg.inv(spec.R22.node_values())
+    Sg, RSinv = sigma.Sigma, sigma.RofSigmaInv
+    phi, beta = _parts(bsde.phi), _parts(bsde.beta)
+    RSg = RSinv @ Sg
+    z_aff = -mv(RSg @ S1, phi) - mv(RSg, _parts(spec.rho1)) + mv(RSinv, beta)
+    v_aff = mv(R22inv, -mv(S2, phi) - _parts(spec.rho2))
+    return _slot_map((-Sg, phi), (RSg @ _T(sigma.CofSigma), z_aff),
+                     (R22inv @ _T(sigma.BofSigma), v_aff))
+
+
 def simulate_dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
                       bsde: AffineBsdeSolution,
                       brownian: BrownianEnsemble) -> np.ndarray:
-    """Euler-Maruyama simulation of the dual SDE; X(0) = g on every path."""
+    """Euler-Maruyama simulation of the dual SDE, the adjoint equation along
+    the optimal (Y, Z, v); X(0) = g on every path."""
     spec = reduced.base
-    A = spec.A.node_values()
-    S1 = spec.S1.node_values()
-    S2 = spec.S2.node_values()
-    R11 = spec.R11.node_values()
-    R22 = spec.R22.node_values()
-    Sg, BS, CS = sigma.Sigma, sigma.BofSigma, sigma.CofSigma
-    RSinv = sigma.RofSigmaInv
-    S1t = np.swapaxes(S1, -1, -2)
-
-    s1_rinv = S1t @ RSinv
-    s2_r22inv = np.swapaxes(np.linalg.solve(R22, S2), -1, -2)  # S2^T R22^{-1}
-    F = s1_rinv @ Sg @ np.swapaxes(CS, -1, -2) + s2_r22inv @ np.swapaxes(BS, -1, -2) \
-        - np.swapaxes(A, -1, -2)
-    Gphi = -(s1_rinv @ Sg @ S1 + s2_r22inv @ S2)
-    D = -np.swapaxes(RSinv, -1, -2) @ np.swapaxes(CS, -1, -2)
-
-    phi, beta = _parts(bsde.phi), _parts(bsde.beta)
-    rho1, rho2, q = _parts(spec.rho1), _parts(spec.rho2), _parts(spec.q)
-    c = (mv(Gphi, phi) + mv(s1_rinv, beta) - mv(s1_rinv @ Sg, rho1)
-         - mv(s2_r22inv, rho2) + q)
-    RSinvT = np.swapaxes(RSinv, -1, -2)
-    e = mv(RSinvT @ S1, phi) + mv(RSinvT @ R11, beta) + mv(RSinvT, rho1)
-
-    W = brownian.W
+    Q, S1, S2, R11, R12 = (p.node_values() for p in (spec.Q, spec.S1, spec.S2,
+                                                      spec.R11, spec.R12))
+    L = _optimal_map(reduced, sigma, bsde)
+    drift = _coefficient((Q, _T(S1), _T(S2)), L, -_T(spec.A.node_values()), spec.q)
+    diffusion = _coefficient((S1, R11, R12), L, -_T(spec.C.node_values()), spec.rho1)
     X0 = np.broadcast_to(spec.g, (brownian.paths, spec.n))
-    return _euler_loop(X0, (F, _time_major(c, W)), (D, _time_major(e, W)), brownian,
-                       "dual SDE")
+    return _euler_loop(X0, drift, diffusion, brownian, "dual SDE")
 
 
 def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
@@ -296,31 +294,17 @@ def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
                brownian: BrownianEnsemble) -> PathEnsemble:
     """Pointwise synthesis of (u, Y, Z) and the original adjoint state.
 
-    All formulas are algebraic in (X, phi, beta) at each node, so the
-    first-order optimality relation of the original problem holds to
-    rounding error regardless of the Euler step used for X.  Each output is
-    one gain applied to X plus an affine-in-W term formed at the nodes.
+    The outputs are the reduced optimum's slot map applied to (X, W, 1) at
+    each node, with u = v - R22^{-1} R21 Z folded into the rows of v.  They
+    are algebraic in X, so the first-order optimality relation of the
+    original problem holds to rounding error regardless of the Euler step
+    used for X.
     """
-    spec = reduced.base
-    S1 = spec.S1.node_values()
-    S2 = spec.S2.node_values()
-    R22inv = np.linalg.inv(spec.R22.node_values())
-    Sg, BS, CS = sigma.Sigma, sigma.BofSigma, sigma.CofSigma
-    RSinv = sigma.RofSigmaInv
-
-    phi, beta = _parts(bsde.phi), _parts(bsde.beta)
-    rho1, rho2 = _parts(spec.rho1), _parts(spec.rho2)
-
-    # Z = K_Z X + z_aff and u = K_u X + u_aff, with (a, b) node parts z_aff, u_aff.
-    RSg = RSinv @ Sg
-    K_Z = RSg @ np.swapaxes(CS, -1, -2)
-    z_aff = -mv(RSg @ S1, phi) - mv(RSg, rho1) + mv(RSinv, beta)
-    K_u = R22inv @ np.swapaxes(BS, -1, -2) - reduced.cross_gain @ K_Z
-    u_aff = map_control(reduced, mv(R22inv, -mv(S2, phi) - rho2), z_aff)
-
-    L = _slot_map((-Sg, phi), (K_Z, z_aff), (K_u, u_aff))
+    n = reduced.base.n
+    L = _optimal_map(reduced, sigma, bsde)
+    L[:, 2 * n:] -= reduced.cross_gain @ L[:, n:2 * n]
     Y, Z, u = (_gain_affine(rows, X_dual, brownian.W)
-               for rows in np.split(L, [spec.n, 2 * spec.n], axis=1))
+               for rows in np.split(L, [n, 2 * n], axis=1))
     X_adj = mv(reduced.h.H, Y)
     np.subtract(X_dual, X_adj, out=X_adj)  # in place: one (paths, N+1, n) array less at the peak
     return PathEnsemble(brownian, X=X_adj, X_dual=X_dual, u=u, Y=Y, Z=Z, slot_map=L)
@@ -376,6 +360,20 @@ class ForwardEnsemble:
     slot_map: np.ndarray  # (N+1, n+m, n+2): (X, v) = L (X, W, 1)
 
 
+def feedforward(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
+                adjoint: AffineBsdeSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The closed loop's weight R + D^T P D, (N+1, m, m), and the node parts
+    (2, N+1, m) of its open-loop term B^T eta + D^T zeta + D^T P sigma +
+    rhoTilde, with (eta, zeta) the affine adjoint pair."""
+    B = spec.cB.node_values()
+    D = spec.cD.node_values()
+    Dt = _T(D)
+    weight = spec.cR.node_values() + Dt @ psol.P @ D
+    open_loop = (mv(_T(B), _parts(adjoint.phi)) + mv(Dt, _parts(adjoint.beta))
+                 + mv(Dt @ psol.P, _parts(spec.sigma)) + _parts(spec.rhoTilde))
+    return weight, open_loop
+
+
 def simulate_forward_closed_loop(spec: ForwardProblemSpec,
                                  psol: ForwardRiccatiSolution,
                                  adjoint: AffineBsdeSolution,
@@ -383,29 +381,17 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
     """Euler-Maruyama simulation of the optimal forward closed loop.
 
     Feedback  v = -K X - (R + D^T P D)^{-1} (B^T eta + D^T zeta + D^T P sigma
-    + rhoTilde)  with K the Riccati gain and (eta, zeta) the affine adjoint
-    pair.
+    + rhoTilde)  with K the Riccati gain (:func:`feedforward`).
     """
-    A = spec.cA.node_values()
-    B = spec.cB.node_values()
-    C = spec.cC.node_values()
-    D = spec.cD.node_values()
-    R = spec.cR.node_values()
-    P = psol.P
+    weight, open_loop = feedforward(spec, psol, adjoint)
     K = psol.gain
-
-    Dt = np.swapaxes(D, -1, -2)
-    weight = R + Dt @ P @ D
-    sig = _parts(spec.sigma)
-    open_loop = (mv(np.swapaxes(B, -1, -2), _parts(adjoint.phi)) + mv(Dt, _parts(adjoint.beta))
-                 + mv(Dt @ P, sig) + _parts(spec.rhoTilde))
-    feed = -mv(np.linalg.inv(weight), open_loop)
-
-    W = brownian.W
-    c = _time_major(mv(B, feed) + _parts(spec.b), W)
-    e = _time_major(mv(D, feed) + sig, W)
-    X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)),
-                    (A - B @ K, c), (C - D @ K, e), brownian, "forward closed loop")
     eye = np.broadcast_to(np.eye(spec.n), K.shape[:1] + (spec.n, spec.n))
-    L = _slot_map((eye, np.zeros((2,) + eye.shape[:2])), (-K, feed))
-    return ForwardEnsemble(brownian, X=X, v=_gain_affine(L[:, spec.n:], X, W), slot_map=L)
+    L = _slot_map((eye, np.zeros((2,) + eye.shape[:2])),
+                  (-K, -mv(np.linalg.inv(weight), open_loop)))
+    A, B, C, D = (p.node_values() for p in (spec.cA, spec.cB, spec.cC, spec.cD))
+    null = np.zeros_like(eye)
+    X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)),
+                    _coefficient((A, B), L, null, spec.b),
+                    _coefficient((C, D), L, null, spec.sigma), brownian, "forward closed loop")
+    return ForwardEnsemble(brownian, X=X, v=_gain_affine(L[:, spec.n:], X, brownian.W),
+                           slot_map=L)

@@ -183,7 +183,7 @@ def test_criterion_7_forward_branch(brownian_cache):
     adj = bslq.solve_eta_zeta(sf, psol)
     ens = bslq.simulate_forward_closed_loop(sf, psol, adj,
                                             brownian_cache(SEED, PATHS, STEPS))
-    rep = bslq.forward_value(sf, psol, ens)
+    rep = bslq.forward_value(sf, psol, adj, ens)
     assert rep.formula == pytest.approx(0.5, abs=1e-8)
     assert rep.gap <= 3.0 * rep.mc.stderr + 0.01
     # strictly convex data variant: P must come out positive semidefinite

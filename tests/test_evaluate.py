@@ -520,7 +520,7 @@ def test_forward_value_matches_formula():
     adj = bslq.solve_eta_zeta(sf, psol)
     bw = bslq.BrownianEnsemble.generate(11, 2000, sf.grid)
     ens = bslq.simulate_forward_closed_loop(sf, psol, adj, bw)
-    rep = bslq.forward_value(sf, psol, ens)
+    rep = bslq.forward_value(sf, psol, adj, ens)
     assert rep.formula == pytest.approx(0.5, abs=1e-8)
     assert rep.gap <= 3.0 * rep.mc.stderr + 0.01
 
@@ -531,7 +531,7 @@ def test_forward_value_zero_start():
     adj = bslq.solve_eta_zeta(sf, psol)
     bw = bslq.BrownianEnsemble.generate(11, 200, sf.grid)
     ens = bslq.simulate_forward_closed_loop(sf, psol, adj, bw)
-    rep = bslq.forward_value(sf, psol, ens)
+    rep = bslq.forward_value(sf, psol, adj, ens)
     assert rep.formula == 0.0
     assert rep.mc.estimate == 0.0
 
@@ -541,6 +541,46 @@ def test_forward_value_quadratic_scaling():
     psol = bslq.solve_forward_riccati(sf)
     formula = float(sf.x0 @ psol.P[0] @ sf.x0)
     assert formula == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("x0,b,gT", [(1.0, 0.3, 0.0), (1.0, 0.0, 0.3), (0.5, -0.2, 0.4)])
+def test_forward_value_formula_constant_drift_closed_form(x0, b, gT):
+    # dX = (v + b) dt on [0, 1] with cost X(1)^2 + 2 gT X(1) + int v^2: the
+    # optimal v is constant, and with c = x0 + b the value is
+    # c^2 / 2 + gT c - gT^2 / 2, up to the trapezoid rule's O(dt^2) bias
+    # (about 1e-6 at 200 steps).
+    sf = bslq.builtin_scenario("SF", x0=x0)
+    sf = sf.replace(b=AffineProcess.of_constants([b], [0.0], sf.grid), gTilde=np.array([gT]))
+    psol = bslq.solve_forward_riccati(sf)
+    formula = bslq.forward_value_formula(sf, psol, bslq.solve_eta_zeta(sf, psol))
+    c = x0 + b
+    assert formula == pytest.approx(c * c / 2.0 + gT * c - gT * gT / 2.0, abs=1e-5)
+
+
+def nonhomogeneous_sf(*names):
+    """SF at 100 steps with the named nonhomogeneous coefficients nonzero."""
+    sf = bslq.builtin_scenario("SF", steps=100, x0=1.0)
+    data = {"b": AffineProcess.of_constants([0.3], [0.0], sf.grid),
+            "gTilde": np.array([0.3]),
+            "sigma": AffineProcess.of_constants([0.2], [0.1], sf.grid),
+            "rhoTilde": AffineProcess.of_constants([0.1], [0.2], sf.grid),
+            "qTilde": AffineProcess.of_constants([0.2], [0.0], sf.grid)}
+    return sf.replace(**{name: data[name] for name in names or data})
+
+
+@pytest.mark.parametrize("names", [("b",), ("gTilde",), ("sigma",), ("rhoTilde",),
+                                   ("qTilde",), ()])
+def test_verify_forward_passes_with_nonhomogeneous_data(names):
+    # () sets every coefficient at once.
+    result = bslq.verify(nonhomogeneous_sf(*names), paths=10000, seed=1)
+    assert result.passed, [(r.name, r.value, r.threshold) for r in result.rows]
+
+
+def test_forward_value_formula_is_homogeneous_value_without_data():
+    sf = bslq.builtin_scenario("SF", x0=1.5)
+    psol = bslq.solve_forward_riccati(sf)
+    formula = bslq.forward_value_formula(sf, psol, bslq.solve_eta_zeta(sf, psol))
+    assert formula == float(sf.x0 @ psol.P[0] @ sf.x0)
 
 
 # -- verification orchestration ------------------------------------------------------

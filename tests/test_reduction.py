@@ -49,11 +49,11 @@ def test_idempotence(spec_2d):
 
 def test_cross_elimination_sx():
     red = bslq.reduce_problem(bslq.builtin_scenario("SX"))
-    assert red.script_c[0, 0, 0] == pytest.approx(-0.5)
-    assert red.script_r11[0, 0, 0] == pytest.approx(0.75)
-    assert red.script_s1[0, 0, 0] == 0.0
-    # no shift: G = 0, Q = 0
+    # no shift (G = 0, Q = 0), so the base holds scriptC, scriptR11, scriptS1
     assert not np.any(red.h.H)
+    assert red.base.C.node_values()[0, 0, 0] == pytest.approx(-0.5)
+    assert red.base.R11.node_values()[0, 0, 0] == pytest.approx(0.75)
+    assert red.base.S1.node_values()[0, 0, 0] == 0.0
     assert red.constant_shift == 0.0
 
 

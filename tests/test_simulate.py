@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bslq
 from bslq.bsde import assemble_drift, solve_affine_bsde
@@ -249,12 +251,11 @@ def test_strong_convergence_order():
 def test_blow_up_detection():
     grid = TimeGrid(1.0, 200)
     bw = bslq.BrownianEnsemble.generate(0, 4, grid)
-    F = np.full((201, 1, 1), 1e4)       # Euler factor ~51 per step: overflows
-    zeros = np.zeros((4, 201, 1))
+    drift = np.zeros((201, 1, 3))
+    drift[..., 0] = 1e4                 # Euler factor ~51 per step: overflows
     with pytest.raises(SimulationError, match="step"):
         with np.errstate(over="ignore", invalid="ignore"):
-            _euler_loop(np.ones((4, 1)), (F, zeros), (0.0 * F, zeros), bw,
-                        "test SDE")
+            _euler_loop(np.ones((4, 1)), drift, 0.0 * drift, bw, "test SDE")
 
 
 # -- forward closed loop -------------------------------------------------------
@@ -409,34 +410,90 @@ def test_node_affine_matches_sampled_route(name, spec_2d):
     assert np.all(ens.Y[:, 0] == ens.Y[0, 0])
 
 
+def sampled_forcing(L, W):
+    """a + W b on every path, path-major, from the (b, a) columns of a slot map."""
+    return L[None, :, :, -1] + W[..., None] * L[None, :, :, -2]
+
+
+@st.composite
+def cross_weighted_problems(draw):
+    """A backward problem with n, m <= 2, 40 steps and constant coefficients
+    whose blocked weight [[Q, S1^T, S2^T], [S1, R11, R12], [S2, R21, R22]]
+    is positive definite with nonzero cross weights R12 = R21^T, G positive
+    semidefinite, and affine noise in every data slot; also a seed."""
+    n, m, seed = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, 40)
+    d = 2 * n + m
+    M = rng.uniform(-1, 1, (d, d))
+    weight = M @ M.T / d + 0.2 * np.eye(d)
+    Q, S1, S2, R11, R12, R22 = (weight[rows, cols] for rows, cols in (
+        (slice(n), slice(n)), (slice(n, 2 * n), slice(n)), (slice(2 * n, d), slice(n)),
+        (slice(n, 2 * n), slice(n, 2 * n)), (slice(n, 2 * n), slice(2 * n, d)),
+        (slice(2 * n, d), slice(2 * n, d))))
+    G = rng.uniform(-1, 1, (n, n))
+
+    def mat(X):
+        return MatrixPath.constant(np.ascontiguousarray(X), grid)
+
+    def aff(k):
+        return AffineProcess.of_constants(rng.uniform(-1, 1, k), rng.uniform(-1, 1, k), grid)
+
+    return bslq.ProblemSpec(
+        n=n, m=m, grid=grid, A=mat(rng.uniform(-1, 1, (n, n))),
+        B=mat(rng.uniform(-1, 1, (n, m))), C=mat(rng.uniform(-1, 1, (n, n))),
+        f=aff(n), G=G @ G.T / n, g=rng.uniform(-1, 1, n), Q=mat(Q), S1=mat(S1), S2=mat(S2),
+        R11=mat(R11), R12=mat(R12), R21=mat(R12.T), R22=mat(R22),
+        q=aff(n), rho1=aff(n), rho2=aff(m), xi=aff(n)), seed
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cross_weighted_problems())
+def test_cross_weighted_optimum_is_stationary_and_matches_references(problem):
+    # v != u (cross weights) and H != 0 (G, Q): every row of the slot map and
+    # both terms of X - H Y are exercised.
+    spec, seed = problem
+    bw = bslq.BrownianEnsemble.generate(seed, 30, spec.grid)
+    synth = bslq.synthesize_optimal(spec, bw)
+    ens = synth.ensemble
+    assert np.any(synth.reduced.cross_gain) and np.any(synth.reduced.h.H)
+    assert bslq.stationarity_residual(spec, ens).sup <= 1e-10
+    ref_dual = reference_dual_sde(synth.reduced, synth.sigma, synth.bsde, bw)
+    assert_close(ens.X_dual, ref_dual)
+    ref = reference_synthesize(synth.reduced, synth.sigma, synth.bsde, ref_dual, bw)
+    for actual, expected in zip((ens.X, ens.Y, ens.Z, ens.u), ref):
+        assert_close(actual, expected)
+
+
 def test_time_major_loop_matches_strided_loop():
     grid = TimeGrid(1.0, 40)
     bw = bslq.BrownianEnsemble.generate(9, 7, grid)
     rng = np.random.default_rng(4)
-    F, D = rng.standard_normal((2, 41, 2, 2))
-    c, e = rng.standard_normal((2, 7, 41, 2))
+    drift, diffusion = rng.standard_normal((2, 41, 2, 4))
     X0 = rng.standard_normal((7, 2))
-    ref = reference_euler_loop(X0, (F, c), (D, e), bw, "test SDE")
-    np.testing.assert_array_equal(_euler_loop(X0, (F, c), (D, e), bw, "test SDE"), ref)
-    # Forcings laid out time-major give the same values, read contiguously.
-    cp, ep = rng.standard_normal((2, 2, 41, 2))
-    ct, et = _time_major(cp, bw.W), _time_major(ep, bw.W)
-    np.testing.assert_array_equal(ct, cp[0] + bw.W[..., None] * cp[1])
-    np.testing.assert_array_equal(_euler_loop(X0, (F, ct), (D, et), bw, "test SDE"),
-                                  reference_euler_loop(X0, (F, ct), (D, et), bw, "test SDE"))
+    # Forcings laid out time-major give the sampled values, read contiguously.
+    c, e = (sampled_forcing(L, bw.W) for L in (drift, diffusion))
+    np.testing.assert_array_equal(_time_major(drift, bw.W), c)
+    ref = reference_euler_loop(X0, (drift[..., :2], c), (diffusion[..., :2], e), bw,
+                               "test SDE")
+    np.testing.assert_array_equal(_euler_loop(X0, drift, diffusion, bw, "test SDE"), ref)
 
 
 def test_time_major_loop_blows_up_at_the_same_path_and_step():
     grid = TimeGrid(1.0, 200)
     bw = bslq.BrownianEnsemble.generate(0, 4, grid)
-    F = np.full((201, 1, 1), 1e4)
+    drift = np.zeros((201, 1, 3))
+    drift[..., 0] = 1e4
     zeros = np.zeros((4, 201, 1))
     X0 = np.array([[1.0], [1.0], [1e200], [1.0]])
     messages = []
-    for loop in (_euler_loop, reference_euler_loop):
+    for run in (lambda: _euler_loop(X0, drift, 0.0 * drift, bw, "test SDE"),
+                lambda: reference_euler_loop(X0, (drift[..., :1], zeros),
+                                             (0.0 * drift[..., :1], zeros), bw, "test SDE")):
         with pytest.raises(SimulationError) as exc:
             with np.errstate(over="ignore", invalid="ignore"):
-                loop(X0, (F, zeros), (0.0 * F, zeros), bw, "test SDE")
+                run()
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert "path 2, step " in messages[0]
