@@ -9,6 +9,7 @@ input error.  All outputs are deterministic functions of (scenario, flags).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -22,19 +23,23 @@ from .errors import (ConsistencyError, ConvexityError, IntegrationError,
 from .problem import ForwardProblemSpec, load_scenario, resample, save_scenario
 from .reduction import reduce_problem
 from .riccati import solve_forward_riccati, solve_sigma
-from .simulate import BrownianEnsemble, simulate_forward_closed_loop, synthesize_optimal
+from .simulate import simulate_summary
 
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_rows(fh, rows) -> None:
+    for row in rows:
+        fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
+                          for cell in row) + "\r\n")
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row) + "\r\n")
+        _write_rows(fh, [header])
+        _write_rows(fh, rows)
 
 
 def _matrix_header(name: str, rows: int, cols: int) -> list[str]:
@@ -47,6 +52,10 @@ def _vector_header(name: str, dim: int) -> list[str]:
     if dim == 1:
         return [name]
     return [f"{name}_{i}" for i in range(dim)]
+
+
+def _columns(fields: dict[str, int]) -> list[str]:
+    return [col for name, dim in fields.items() for col in _vector_header(name, dim)]
 
 
 def _ensure_out(out: str) -> str:
@@ -115,47 +124,29 @@ def cmd_simulate(args) -> int:
     spec = _load(args)
     out = _ensure_out(args.out)
     t = spec.grid.nodes
-    if isinstance(spec, ForwardProblemSpec):
-        psol = solve_forward_riccati(spec, args.substeps)
-        adj = solve_eta_zeta(spec, psol)
-        brownian = BrownianEnsemble.generate(args.seed, args.paths, spec.grid)
-        fens = simulate_forward_closed_loop(spec, psol, adj, brownian)
-        fields = {"X": fens.X, "v": fens.v}
-    else:
-        brownian = BrownianEnsemble.generate(args.seed, args.paths, spec.grid)
-        synth = synthesize_optimal(spec, brownian, args.substeps)
-        ens = synth.ensemble
-        fields = {"X": ens.X, "Y": ens.Y, "Z": ens.Z, "u": ens.u}
+    paths_csv = os.path.join(out, "paths.csv")
+    fh = open(paths_csv, "w", encoding="utf-8", newline="") if args.per_path else None
 
-    header = ["t"]
-    columns = []
-    for name, arr in fields.items():
-        dim = arr.shape[-1]
-        for i in range(dim):
-            suffix = f"_{i}" if dim > 1 else ""
-            header += [f"{name}{suffix}_mean", f"{name}{suffix}_std"]
-            columns.append((arr, i))
-    rows = []
-    for k in range(len(t)):
-        row = [t[k]]
-        for arr, i in columns:
-            row += [arr[:, k, i].mean(), arr[:, k, i].std()]
-        rows.append(row)
-    write_csv(os.path.join(out, "summary.csv"), header, rows)
+    def per_block(first, outputs):
+        if first == 0:
+            _write_rows(fh, [["path", "t"] + _columns(
+                {name: arr.shape[-1] for name, arr in outputs.items()})])
+        block = np.concatenate(list(outputs.values()), axis=-1)
+        _write_rows(fh, ([float(first + p), t[k]] + list(block[p, k])
+                         for p in range(len(block)) for k in range(len(t))))
 
-    if args.per_path:
-        header = ["path", "t"] + [
-            f"{name}{f'_{i}' if arr.shape[-1] > 1 else ''}"
-            for name, arr in fields.items() for i in range(arr.shape[-1])
-        ]
-        rows = []
-        for p in range(args.paths):
-            for k in range(len(t)):
-                row = [float(p), t[k]]
-                for name, arr in fields.items():
-                    row += list(arr[p, k, :])
-                rows.append(row)
-        write_csv(os.path.join(out, "paths.csv"), header, rows)
+    try:
+        with fh or contextlib.nullcontext():
+            fields, mean, std = simulate_summary(spec, args.seed, args.paths, args.substeps,
+                                                 per_block if fh else None)
+    except BaseException:
+        if fh is not None:  # leave no truncated paths.csv behind
+            os.remove(paths_csv)
+        raise
+    header = ["t"] + [f"{c}_{stat}" for c in _columns(fields) for stat in ("mean", "std")]
+    write_csv(os.path.join(out, "summary.csv"), header,
+              ([t[k]] + list(np.stack((mean[k], std[k]), axis=-1).ravel())
+               for k in range(len(t))))
     print(f"wrote {os.path.join(out, 'summary.csv')}")
     return 0
 

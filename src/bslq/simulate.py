@@ -34,32 +34,39 @@ and diffusion [C, D] L + sigma.  No (paths, N+1, dim) sample of the data is
 built.  Each ensemble keeps its L as ``slot_map``, through which
 :mod:`bslq.evaluate` costs it.
 
+Every output being M (X, W, 1), its per-node moments follow from those of
+(X, W): :func:`simulate_summary` runs blocks of PATH_BLOCK paths and keeps
+only per-node sums, so its memory does not depend on the number of paths.
+
 Randomness is counter-based: path p of an ensemble with seed s draws its
 increments from a Philox4x64 generator keyed by (s, p), with the k-th
 increment produced from the k-th 64-bit word of that stream via the inverse
 normal CDF.  The increment at (seed, path, step) is therefore a pure
 function of those three integers, independent of how many paths or steps are
-generated and of chunking.  The generator is evaluated in numpy for a fixed
-block of PATH_BLOCK paths at a time, every (path, counter) pair at once, and
-reproduces numpy's ``Philox(key=(s, p)).random_raw`` bitwise.  scipy, which
+generated and of chunking; ``generate`` can start at any path.  The
+generator is evaluated in numpy for a fixed block of PATH_BLOCK paths at a
+time, every (path, counter) pair at once, and reproduces numpy's
+``Philox(key=(s, p)).random_raw`` bitwise.  scipy, which
 supplies the inverse normal CDF, is loaded at the first draw, so commands
 that never draw do not import it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Philox
 
-from .bsde import AffineBsdeSolution, assemble_drift, solve_affine_bsde, solve_controlled_state
+from .bsde import (AffineBsdeSolution, assemble_drift, solve_affine_bsde,
+                   solve_controlled_state, solve_eta_zeta)
 from .errors import SimulationError
 from .grid import AffineProcess, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ForwardProblemSpec, ProblemSpec
 from .reduction import ReducedProblem, reduce_problem
-from .riccati import ForwardRiccatiSolution, RiccatiSolution, solve_sigma
+from .riccati import (ForwardRiccatiSolution, RiccatiSolution, solve_forward_riccati,
+                      solve_sigma)
 
 
 def philox(seed: int, salt: int) -> Philox:
@@ -114,26 +121,31 @@ class BrownianEnsemble:
     grid: TimeGrid
     increments: np.ndarray  # (paths, steps)
     W: np.ndarray           # (paths, steps + 1)
+    first: int = 0          # row p holds path first + p of the seed's stream
 
     @property
     def paths(self) -> int:
         return self.increments.shape[0]
 
     @classmethod
-    def generate(cls, seed: int, paths: int, grid: TimeGrid) -> "BrownianEnsemble":
+    def generate(cls, seed: int, paths: int, grid: TimeGrid,
+                 first: int = 0) -> "BrownianEnsemble":
+        """Paths first, ..., first + paths - 1 of the ensemble with this seed."""
         from scipy.special import ndtri  # loaded at the first draw, not at import
 
         inc = np.empty((paths, grid.steps))
-        for first in range(0, paths, PATH_BLOCK):
-            block = inc[first:first + PATH_BLOCK]
-            raw = _philox_words(seed, first, len(block), grid.steps)
+        for start in range(0, paths, PATH_BLOCK):
+            block = inc[start:start + PATH_BLOCK]
+            raw = _philox_words(seed, first + start, len(block), grid.steps)
             np.multiply(raw >> np.uint64(11), 2.0 ** -53, out=block)
-            block += 2.0 ** -54  # u in (0, 1)
+            block += 2.0 ** -54
+            # u in (0, 1): words from 2**64 - 2**11 up round to 1.0 above.
+            np.minimum(block, 1.0 - 2.0 ** -53, out=block)
             ndtri(block, out=block)
         inc *= np.sqrt(grid.dt)
         W = np.zeros((paths, grid.steps + 1))
         np.cumsum(inc, axis=1, out=W[:, 1:])
-        return cls(seed, grid, inc, W)
+        return cls(seed, grid, inc, W, first)
 
     def coarsen(self, factor: int) -> "BrownianEnsemble":
         """Aggregate consecutive increments onto a grid coarsened by `factor`.
@@ -146,7 +158,7 @@ class BrownianEnsemble:
         inc = self.increments.reshape(self.paths, coarse.steps, factor).sum(axis=2)
         W = np.zeros((self.paths, coarse.steps + 1))
         np.cumsum(inc, axis=1, out=W[:, 1:])
-        return BrownianEnsemble(self.seed, coarse, inc, W)
+        return BrownianEnsemble(self.seed, coarse, inc, W, self.first)
 
     def mean_consistency(self) -> tuple[float, float]:
         """|sample mean of W(T)| and its 4-sigma allowance 4 sqrt(T/paths)."""
@@ -189,8 +201,15 @@ def _euler_loop(X0: np.ndarray, drift: np.ndarray, diffusion: np.ndarray,
     ``drift`` and ``diffusion`` are slot maps of shape (N+1, n, n+2).  The
     state is stored time-major, so each step reads and writes one contiguous
     block; the forcings, laid out by :func:`_time_major`, are read the same
-    way.  Returns (paths, N+1, n).
+    way.  Returns (paths, N+1, n).  A blow-up names the path by its index in
+    the seed's stream.
     """
+    if brownian.paths == 1:
+        # numpy hands a one-row product to gemv, which rounds unlike gemm: a
+        # twin row keeps a path's values independent of its block's size.
+        twin = replace(brownian, increments=np.repeat(brownian.increments, 2, axis=0),
+                       W=np.repeat(brownian.W, 2, axis=0))
+        return _euler_loop(np.repeat(X0, 2, axis=0), drift, diffusion, twin, what)[:1]
     n = X0.shape[-1]
     mu_X, sig_X = drift[..., :n], diffusion[..., :n]
     mu_f, sig_f = _time_major(drift, brownian.W), _time_major(diffusion, brownian.W)
@@ -206,7 +225,7 @@ def _euler_loop(X0: np.ndarray, drift: np.ndarray, diffusion: np.ndarray,
         if not np.all(np.isfinite(x)):
             bad = int(np.argwhere(~np.isfinite(x))[0][0])
             raise SimulationError(
-                f"{what} blew up at path {bad}, step {k + 1} "
+                f"{what} blew up at path {brownian.first + bad}, step {k + 1} "
                 f"(t={(k + 1) * dt:g})"
             )
         X[k + 1] = x
@@ -274,19 +293,32 @@ def _optimal_map(reduced: ReducedProblem, sigma: RiccatiSolution,
                      (R22inv @ _T(sigma.BofSigma), v_aff))
 
 
+def _dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
+              bsde: AffineBsdeSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced optimum's slot map L and the dual SDE's drift and diffusion."""
+    spec = reduced.base
+    Q, S1, S2, R11, R12 = (p.node_values() for p in (spec.Q, spec.S1, spec.S2,
+                                                      spec.R11, spec.R12))
+    L = _optimal_map(reduced, sigma, bsde)
+    return (L, _coefficient((Q, _T(S1), _T(S2)), L, -_T(spec.A.node_values()), spec.q),
+            _coefficient((S1, R11, R12), L, -_T(spec.C.node_values()), spec.rho1))
+
+
 def simulate_dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
                       bsde: AffineBsdeSolution,
                       brownian: BrownianEnsemble) -> np.ndarray:
     """Euler-Maruyama simulation of the dual SDE, the adjoint equation along
     the optimal (Y, Z, v); X(0) = g on every path."""
-    spec = reduced.base
-    Q, S1, S2, R11, R12 = (p.node_values() for p in (spec.Q, spec.S1, spec.S2,
-                                                      spec.R11, spec.R12))
-    L = _optimal_map(reduced, sigma, bsde)
-    drift = _coefficient((Q, _T(S1), _T(S2)), L, -_T(spec.A.node_values()), spec.q)
-    diffusion = _coefficient((S1, R11, R12), L, -_T(spec.C.node_values()), spec.rho1)
-    X0 = np.broadcast_to(spec.g, (brownian.paths, spec.n))
+    _, drift, diffusion = _dual_sde(reduced, sigma, bsde)
+    X0 = np.broadcast_to(reduced.base.g, (brownian.paths, reduced.base.n))
     return _euler_loop(X0, drift, diffusion, brownian, "dual SDE")
+
+
+def _fold_cross(reduced: ReducedProblem, L: np.ndarray) -> np.ndarray:
+    """Fold u = v - R22^{-1} R21 Z into the v rows of (Y, Z, v) = L (X, W, 1)."""
+    n = reduced.base.n
+    L[:, 2 * n:] -= reduced.cross_gain @ L[:, n:2 * n]
+    return L
 
 
 def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
@@ -301,8 +333,7 @@ def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
     used for X.
     """
     n = reduced.base.n
-    L = _optimal_map(reduced, sigma, bsde)
-    L[:, 2 * n:] -= reduced.cross_gain @ L[:, n:2 * n]
+    L = _fold_cross(reduced, _optimal_map(reduced, sigma, bsde))
     Y, Z, u = (_gain_affine(rows, X_dual, brownian.W)
                for rows in np.split(L, [n, 2 * n], axis=1))
     X_adj = mv(reduced.h.H, Y)
@@ -321,13 +352,17 @@ class OptimalSynthesis:
     ensemble: PathEnsemble
 
 
+def _solve(spec: ProblemSpec, substeps: int) -> tuple[ReducedProblem, RiccatiSolution,
+                                                       AffineBsdeSolution]:
+    reduced = reduce_problem(spec, substeps)
+    sigma = solve_sigma(reduced, substeps)
+    return reduced, sigma, solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi)
+
+
 def synthesize_optimal(spec: ProblemSpec, brownian: BrownianEnsemble,
                        substeps: int = DEFAULT_SUBSTEPS) -> OptimalSynthesis:
     """Full pipeline: reduce, solve Riccati and BSDE, simulate, synthesize."""
-    reduced = reduce_problem(spec, substeps)
-    sigma = solve_sigma(reduced, substeps)
-    drift = assemble_drift(reduced, sigma)
-    bsde = solve_affine_bsde(drift, spec.xi)
+    reduced, sigma, bsde = _solve(spec, substeps)
     X_dual = simulate_dual_sde(reduced, sigma, bsde, brownian)
     ensemble = synthesize(reduced, sigma, bsde, X_dual, brownian)
     return OptimalSynthesis(spec, reduced, sigma, bsde, ensemble)
@@ -374,11 +409,9 @@ def feedforward(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
     return weight, open_loop
 
 
-def simulate_forward_closed_loop(spec: ForwardProblemSpec,
-                                 psol: ForwardRiccatiSolution,
-                                 adjoint: AffineBsdeSolution,
-                                 brownian: BrownianEnsemble) -> ForwardEnsemble:
-    """Euler-Maruyama simulation of the optimal forward closed loop.
+def _closed_loop(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
+                 adjoint: AffineBsdeSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed loop's slot map (X, v) = L (X, W, 1), its drift and its diffusion.
 
     Feedback  v = -K X - (R + D^T P D)^{-1} (B^T eta + D^T zeta + D^T P sigma
     + rhoTilde)  with K the Riccati gain (:func:`feedforward`).
@@ -390,8 +423,72 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
                   (-K, -mv(np.linalg.inv(weight), open_loop)))
     A, B, C, D = (p.node_values() for p in (spec.cA, spec.cB, spec.cC, spec.cD))
     null = np.zeros_like(eye)
-    X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)),
-                    _coefficient((A, B), L, null, spec.b),
-                    _coefficient((C, D), L, null, spec.sigma), brownian, "forward closed loop")
+    return L, _coefficient((A, B), L, null, spec.b), _coefficient((C, D), L, null, spec.sigma)
+
+
+def simulate_forward_closed_loop(spec: ForwardProblemSpec,
+                                 psol: ForwardRiccatiSolution,
+                                 adjoint: AffineBsdeSolution,
+                                 brownian: BrownianEnsemble) -> ForwardEnsemble:
+    """Euler-Maruyama simulation of the optimal forward closed loop."""
+    L, drift, diffusion = _closed_loop(spec, psol, adjoint)
+    X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)), drift, diffusion,
+                    brownian, "forward closed loop")
     return ForwardEnsemble(brownian, X=X, v=_gain_affine(L[:, spec.n:], X, brownian.W),
                            slot_map=L)
+
+
+def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: int,
+                     substeps: int = DEFAULT_SUBSTEPS, per_block=None
+                     ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Output widths by name and each output's per-node sample mean and std
+    (ddof 0), (N+1, total width), simulated PATH_BLOCK paths at a time.
+
+    The outputs, those of :func:`synthesize_optimal` or of
+    :func:`simulate_forward_closed_loop`, are M (X, W, 1) for the simulated
+    state X.  Each block adds per node the sums of d and d d^T, d = xi -
+    xi(path 0) with xi = (X, W); then mean = M (mean xi, 1) and var =
+    diag(A C A^T), A the (X, W) columns of M and C the covariance of xi.
+    ``per_block(first, outputs)`` gets each block's outputs by name.
+    """
+    if paths < 1:
+        raise ValueError("paths must be at least 1")
+    n, N = spec.n, spec.grid.steps
+    if isinstance(spec, ForwardProblemSpec):
+        psol = solve_forward_riccati(spec, substeps)
+        M, drift, diffusion = _closed_loop(spec, psol, solve_eta_zeta(spec, psol))
+        x0, what, fields = spec.x0, "forward closed loop", {"X": n, "v": spec.m}
+
+        def outputs(X, bw):
+            return X, _gain_affine(M[:, n:], X, bw.W)
+    else:
+        reduced, sigma, bsde = _solve(spec, substeps)
+        L, drift, diffusion = _dual_sde(reduced, sigma, bsde)
+        L = _fold_cross(reduced, L)
+        X_rows = -reduced.h.H @ L[:, :n]  # X = X_dual - H Y
+        X_rows[..., :n] += np.eye(n)
+        M = np.concatenate((X_rows, L), axis=1)
+        x0, what, fields = spec.g, "dual SDE", {"X": n, "Y": n, "Z": n, "u": spec.m}
+
+        def outputs(X, bw):
+            ens = synthesize(reduced, sigma, bsde, X, bw)
+            return ens.X, ens.Y, ens.Z, ens.u
+    s1, s2 = np.zeros((N + 1, n + 1)), np.zeros((N + 1, n + 1, n + 1))
+    for first in range(0, paths, PATH_BLOCK):
+        bw = BrownianEnsemble.generate(seed, min(PATH_BLOCK, paths - first), spec.grid, first)
+        X = _euler_loop(np.broadcast_to(x0, (bw.paths, n)), drift, diffusion, bw, what)
+        if per_block is not None:
+            per_block(first, dict(zip(fields, outputs(X, bw))))
+        d = np.empty((N + 1, bw.paths, n + 1))  # xi, time-major
+        d[..., :n] = np.swapaxes(X, 0, 1)
+        d[..., n] = bw.W.T
+        if first == 0:
+            ref = d[:, :1].copy()
+        d -= ref
+        s1 += d.sum(axis=1)
+        s2 += _T(d) @ d
+    mean_d = s1 / paths
+    cov = s2 / paths - mean_d[:, :, None] * mean_d[:, None, :]
+    A = M[..., :-1]
+    var = ((A @ cov) * A).sum(axis=-1)
+    return fields, mv(A, ref[:, 0] + mean_d) + M[..., -1], np.sqrt(np.maximum(var, 0.0))

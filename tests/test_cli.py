@@ -12,7 +12,7 @@ import pytest
 
 import bslq
 from bslq import evaluate, oracle
-from bslq.cli import main
+from bslq.cli import main, write_csv
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -80,6 +80,59 @@ def test_simulate_per_path(tmp_path, capsys):
     assert code == 0
     rows = np.loadtxt(os.path.join(out, "paths.csv"), delimiter=",", skiprows=1)
     assert rows.shape[0] == 3 * 11
+
+
+def whole_ensemble_paths_csv(spec, seed, paths, path):
+    """paths.csv built, as before streaming, from one ensemble of all paths."""
+    bw = bslq.BrownianEnsemble.generate(seed, paths, spec.grid)
+    if isinstance(spec, bslq.ForwardProblemSpec):
+        psol = bslq.solve_forward_riccati(spec)
+        ens = bslq.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol), bw)
+        fields = {"X": ens.X, "v": ens.v}
+    else:
+        ens = bslq.synthesize_optimal(spec, bw).ensemble
+        fields = {"X": ens.X, "Y": ens.Y, "Z": ens.Z, "u": ens.u}
+    header = ["path", "t"] + [f"{name}{f'_{i}' if arr.shape[-1] > 1 else ''}"
+                              for name, arr in fields.items() for i in range(arr.shape[-1])]
+    t = spec.grid.nodes
+    write_csv(path, header, ([float(p), t[k]] + [x for arr in fields.values() for x in arr[p, k]]
+                             for p in range(paths) for k in range(len(t))))
+
+
+@pytest.mark.parametrize("scenario", ["2x2", "SF"])
+def test_per_path_rows_match_the_whole_ensemble(scenario, spec_2d, tmp_path, capsys):
+    # 2 PATH_BLOCK + 1 paths: two full blocks and a block of one path.
+    paths = 2 * bslq.simulate.PATH_BLOCK + 1
+    spec = bslq.resample(spec_2d, 10) if scenario == "2x2" else bslq.builtin_scenario("SF", 10)
+    scenario_path = tmp_path / "scenario.json"
+    bslq.save_scenario(spec, str(scenario_path))
+    code, _, _ = run(["simulate", str(scenario_path), "--steps", "10", "--paths", str(paths),
+                      "--seed", "5", "--per-path", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    whole_ensemble_paths_csv(spec, 5, paths, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_blow_up_names_the_global_path(monkeypatch, tmp_path, capsys):
+    # An infinite increment on path 1500, in the second block of paths.
+    generate = bslq.BrownianEnsemble.generate
+
+    def poisoned(seed, paths, grid, first=0):
+        bw = generate(seed, paths, grid, first)
+        if first <= 1500 < first + paths:
+            bw.increments[1500 - first, 3] = np.inf
+            bw.W[1500 - first, 4:] = np.inf
+        return bw
+
+    monkeypatch.setattr(bslq.BrownianEnsemble, "generate", poisoned)
+    out = tmp_path / "sim"
+    with np.errstate(invalid="ignore", over="ignore"):
+        code, stdout, err = run(["simulate", "builtin:S4", "--steps", "10", "--paths", "3000",
+                                 "--per-path", "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == "contract violation: dual SDE blew up at path 1500, step 4 (t=0.4)\n"
+    assert os.listdir(out) == []  # no truncated paths.csv is left behind
 
 
 def test_verify_passes_s2(tmp_path, capsys):

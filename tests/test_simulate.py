@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bslq
 from bslq.bsde import assemble_drift, solve_affine_bsde
+from bslq.cli import main
 from bslq.errors import SimulationError
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid, mv
 from bslq import simulate as sim
@@ -63,6 +64,18 @@ def test_generate_memory_is_bounded():
     # The kernel works on fixed path blocks, so its temporaries do not grow
     # with the path count.
     assert peak - bw.increments.nbytes - bw.W.nbytes <= 2 * 2 ** 20
+
+
+def test_an_all_ones_word_gives_a_finite_increment(monkeypatch):
+    # The top 2**11 words map to u = 1.0 before the clamp, and ndtri(1) = inf.
+    monkeypatch.setattr(sim, "_philox_words", lambda seed, first, paths, count: np.full(
+        (paths, count), 2 ** 64 - 1, dtype=np.uint64))
+    from scipy.special import ndtri
+
+    grid = TimeGrid(1.0, 7)
+    bw = bslq.BrownianEnsemble.generate(3, 5, grid)
+    assert np.all(np.isfinite(bw.increments))
+    assert np.all(bw.increments == np.sqrt(grid.dt) * ndtri(1.0 - 2.0 ** -53))
 
 
 def test_increment_is_pure_function_of_seed_path_step():
@@ -525,3 +538,53 @@ def test_synthesis_samples_no_process(monkeypatch, spec_2d):
     assert synth.ensemble.u.shape == (50, 101, 2)
     assert outside  # the counter sees the sampling done outside the path layer
     assert inside == []
+
+
+# -- streamed summary ----------------------------------------------------------
+
+
+def full_ensemble_outputs(spec, seed, paths):
+    """(X, Y, Z, u) or (X, v) of the whole-ensemble routes."""
+    bw = bslq.BrownianEnsemble.generate(seed, paths, spec.grid)
+    if isinstance(spec, bslq.ForwardProblemSpec):
+        psol = bslq.solve_forward_riccati(spec)
+        ens = sim.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol), bw)
+        return ens.X, ens.v
+    ens = bslq.synthesize_optimal(spec, bw).ensemble
+    return ens.X, ens.Y, ens.Z, ens.u
+
+
+def streamed_case(name, spec_2d):
+    if name in ("2x2", "noisy SF"):
+        return bslq.resample(spec_2d if name == "2x2" else noisy_sf(), 20)
+    return bslq.builtin_scenario(name, steps=20)
+
+
+@pytest.mark.parametrize("paths", [1, sim.PATH_BLOCK - 1, sim.PATH_BLOCK, sim.PATH_BLOCK + 1,
+                                   2 * sim.PATH_BLOCK + 1])
+@pytest.mark.parametrize("name", ["2x2", "S4", "SF", "noisy SF"])
+def test_streamed_summary_matches_the_materialised_route(name, paths, spec_2d):
+    spec = streamed_case(name, spec_2d)
+    fields, mean, std = sim.simulate_summary(spec, 11, paths)
+    outputs = np.concatenate(full_ensemble_outputs(spec, 11, paths), axis=-1)
+    for stat, streamed in (("mean", mean), ("std", std)):
+        columns = np.stack([getattr(outputs[:, k, i], stat)()
+                            for k in range(outputs.shape[1])
+                            for i in range(outputs.shape[2])]).reshape(streamed.shape)
+        assert np.all(np.abs(streamed - columns) <= 1e-13 + 1e-12 * np.abs(columns)), stat
+    assert list(fields) == (["X", "v"] if name.endswith("SF") else ["X", "Y", "Z", "u"])
+    assert not np.any(std[0])  # every path starts at the same state
+
+
+def test_streamed_memory_does_not_grow_with_paths(tmp_path):
+    def peak(paths):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "builtin:S4", "--steps", "50", "--paths", str(paths),
+                         "--out", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first draw loads scipy
+    assert peak(8 * sim.PATH_BLOCK) - peak(2 * sim.PATH_BLOCK) <= 2 ** 20
