@@ -20,8 +20,7 @@ from .evaluate import (BoundCheck, CheckRow, CostReport, PerturbationReport,
                        random_affine_control, solve_value, stationarity_residual,
                        value_formula, verify, verify_backward, verify_forward)
 from .grid import AffineProcess, MatrixPath, TimeGrid
-from .ode import (OdeProblem, integrate, integrate_backward, integrate_forward,
-                  interior_derivative)
+from .ode import OdeProblem, integrate, interior_derivative
 from .oracle import (BinomialTree, DiscreteSolution, OracleComparison, compare,
                      replay_cost, solve_discrete)
 from .problem import (BUILTIN_NAMES, ForwardProblemSpec, ProblemSpec,

@@ -17,6 +17,10 @@ A float state runs the same RK4 loop on Python floats, without the cost of
 numpy calls on 0-d or 1x1 arrays.  The Riccati solves of n = m = 1 problems
 use this: their one right-hand side per equation, built in 1x1-exact float
 arithmetic, is bitwise equal to its matrix build (:mod:`bslq.riccati`).
+For n = 1 :func:`integrate_linear` applies its substep maps on Python floats
+too, column by column, by the operations of the array recursion in the same
+order.  A product there is a plain ``x * y``, never ``0.0 + x * y``, so a
+-0.0 product keeps its sign, as it does in numpy.
 Both :func:`integrate` and :func:`integrate_linear` run with numpy overflow
 and invalid-value warnings off: a blow-up surfaces once, as the
 :class:`IntegrationError` of the first node, in integration order, where the
@@ -26,6 +30,7 @@ state is not finite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -141,22 +146,6 @@ def _all_finite(y: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(y)))
 
 
-def integrate_forward(grid: TimeGrid, rhs, y0, substeps: int = DEFAULT_SUBSTEPS,
-                      post_step=None) -> np.ndarray:
-    """Integrate ``rhs(t, y)`` forward from y(0) = y0 at the RK4 stage times."""
-    times, index = rk4_stages(grid, "forward", substeps)
-    return integrate(OdeProblem(grid, lambda e, y: rhs(times[index[e]], y), "forward",
-                                substeps), y0, post_step)
-
-
-def integrate_backward(grid: TimeGrid, rhs, yT, substeps: int = DEFAULT_SUBSTEPS,
-                       post_step=None) -> np.ndarray:
-    """Integrate ``rhs(t, y)`` backward from y(T) = yT at the RK4 stage times."""
-    times, index = rk4_stages(grid, "backward", substeps)
-    return integrate(OdeProblem(grid, lambda e, y: rhs(times[index[e]], y), "backward",
-                                substeps), yT, post_step)
-
-
 def integrate_linear(grid: TimeGrid, M: np.ndarray, N: np.ndarray,
                      r0: np.ndarray, r1: np.ndarray, aT: np.ndarray,
                      bT: np.ndarray, substeps: int = DEFAULT_SUBSTEPS):
@@ -167,39 +156,53 @@ def integrate_linear(grid: TimeGrid, M: np.ndarray, N: np.ndarray,
     aT, bT are a batch, and a batched solve equals the column-by-column
     solves bitwise.  A substep's four stages compose to an affine map
     z -> [[X, Y], [0, X]] z + (ca, cb) on z = (a, b), formed for all
-    substeps in batched operations; only applying the maps is sequential.
-    The finished paths are checked once for a non-finite node.
+    substeps in batched operations; only applying the maps is sequential,
+    on Python floats when n = 1.  The finished paths are checked once for a
+    non-finite node.
     """
     steps, n = grid.steps, M.shape[-1]
-    G = steps * substeps
-    h = -grid.dt / substeps
-    Ms, Ns = M.reshape(G, 4, n, n), N.reshape(G, 4, n, n)
-    r0s, r1s = r0.reshape(G, 4, n, -1), r1.reshape(G, 4, n, -1)
     a, b = aT.reshape(n, -1).astype(float), bT.reshape(n, -1).astype(float)
     a_path, b_path = np.empty((steps + 1,) + a.shape), np.empty((steps + 1,) + b.shape)
     a_path[steps], b_path[steps] = a, b
     with np.errstate(over="ignore", invalid="ignore"):
-        # Stage k's operator Xk, Yk and forcing ak, bk, summed with RK4 weights.
-        Xk, Yk, ak, bk = Ms[:, 0], Ns[:, 0], r0s[:, 0], r1s[:, 0]
-        X, Y, ca, cb = Xk, Yk, ak, bk
-        for i, scale, w in ((1, 0.5 * h, 2.0), (2, 0.5 * h, 2.0), (3, h, 1.0)):
-            Mi, Ni = Ms[:, i], Ns[:, i]
-            Xk, Yk = Mi + scale * (Mi @ Xk), Ni + scale * (Mi @ Yk + Ni @ Xk)
-            ak, bk = (_apply(Mi, scale * ak) + _apply(Ni, scale * bk) + r0s[:, i],
-                      _apply(Mi, scale * bk) + r1s[:, i])
-            X, Y, ca, cb = X + w * Xk, Y + w * Yk, ca + w * ak, cb + w * bk
-        X = np.eye(n) + (h / 6.0) * X
-        Y, ca, cb = (h / 6.0) * Y, (h / 6.0) * ca, (h / 6.0) * cb
-        for k in range(steps - 1, -1, -1):
-            for g in range((steps - 1 - k) * substeps, (steps - k) * substeps):
-                a, b = _apply(X[g], a) + _apply(Y[g], b) + ca[g], _apply(X[g], b) + cb[g]
-            a_path[k], b_path[k] = a, b
+        X, Y, ca, cb = _substep_maps(grid, M, N, r0, r1, substeps)
+        if n == 1:   # the same operations on Python floats, one column at a time
+            apply, X, Y = operator.mul, memoryview(X.ravel()), memoryview(Y.ravel())
+            runs = [(float(a[0, j]), float(b[0, j]),
+                     *(memoryview(x[:, 0, j]) for x in (ca, cb, a_path, b_path)))
+                    for j in range(a.shape[1])]
+        else:
+            apply, runs = _apply, [(a, b, ca, cb, a_path, b_path)]
+        for a, b, ca, cb, a_out, b_out in runs:
+            for k in range(steps - 1, -1, -1):
+                for g in range((steps - 1 - k) * substeps, (steps - k) * substeps):
+                    a, b = apply(X[g], a) + apply(Y[g], b) + ca[g], apply(X[g], b) + cb[g]
+                a_out[k], b_out[k] = a, b
     finite = np.logical_and(*(np.isfinite(p[:steps]).all(axis=(1, 2)) for p in (a_path, b_path)))
     if not finite.all():
         k = int(np.flatnonzero(~finite)[-1])   # the first node the backward pass reached
         raise IntegrationError(f"non-finite state at node {k} (t={grid.nodes[k]:g})")
     shape = (steps + 1, n) + aT.shape[1:]
     return a_path.reshape(shape), b_path.reshape(shape)
+
+
+def _substep_maps(grid: TimeGrid, M: np.ndarray, N: np.ndarray, r0: np.ndarray,
+                  r1: np.ndarray, substeps: int) -> tuple[np.ndarray, ...]:
+    """X, Y, ca, cb of each backward substep's map z -> [[X, Y], [0, X]] z +
+    (ca, cb): its four RK4 stages composed, for all substeps at once."""
+    G, n, h = grid.steps * substeps, M.shape[-1], -grid.dt / substeps
+    Ms, Ns = M.reshape(G, 4, n, n), N.reshape(G, 4, n, n)
+    r0s, r1s = r0.reshape(G, 4, n, -1), r1.reshape(G, 4, n, -1)
+    # Stage k's operator Xk, Yk and forcing ak, bk, summed with RK4 weights.
+    Xk, Yk, ak, bk = Ms[:, 0], Ns[:, 0], r0s[:, 0], r1s[:, 0]
+    X, Y, ca, cb = Xk, Yk, ak, bk
+    for i, scale, w in ((1, 0.5 * h, 2.0), (2, 0.5 * h, 2.0), (3, h, 1.0)):
+        Mi, Ni = Ms[:, i], Ns[:, i]
+        Xk, Yk = Mi + scale * (Mi @ Xk), Ni + scale * (Mi @ Yk + Ni @ Xk)
+        ak, bk = (_apply(Mi, scale * ak) + _apply(Ni, scale * bk) + r0s[:, i],
+                  _apply(Mi, scale * bk) + r1s[:, i])
+        X, Y, ca, cb = X + w * Xk, Y + w * Yk, ca + w * ak, cb + w * bk
+    return np.eye(n) + (h / 6.0) * X, (h / 6.0) * Y, (h / 6.0) * ca, (h / 6.0) * cb
 
 
 def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:

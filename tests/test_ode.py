@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import integrate_backward, integrate_forward
 
+from bslq import ode
 from bslq.errors import IntegrationError
 from bslq.grid import MatrixPath, TimeGrid
-from bslq.ode import (OdeProblem, integrate, integrate_backward, integrate_forward,
-                      integrate_linear, interior_derivative, rk4_stages)
+from bslq.ode import OdeProblem, integrate, integrate_linear, interior_derivative, rk4_stages
 
 
 def test_zero_rhs_constant():
@@ -181,3 +182,49 @@ def test_record_returns_stage_states():
     # The first evaluation of each interval sees the state at its start node.
     np.testing.assert_array_equal(stages[::4 * sub], path[:0:-1])
     np.testing.assert_array_equal(path, integrate(problem, np.array([1.0])))
+
+
+def signed_zero_draws(rng, shape):
+    # Normal draws with a fifth each replaced by exact +0.0 and -0.0.
+    u = rng.random(shape)
+    return np.where(u < 0.2, 0.0, np.where(u < 0.4, -0.0, rng.standard_normal(shape)))
+
+
+@pytest.mark.parametrize("sub", [1, 4])
+@pytest.mark.parametrize("K", [1, 3, 16, 40])
+def test_scalar_recursion_is_the_array_recursion_bitwise(K, sub):
+    grid = TimeGrid(1.0, 6)
+    rng = np.random.default_rng(10 * K + sub)
+    E = 4 * grid.steps * sub
+    M, N = signed_zero_draws(rng, (2, E, 1, 1))
+    r0, r1 = signed_zero_draws(rng, (2, E, 1, K))
+    aT, bT = signed_zero_draws(rng, (2, 1, K))
+    # Column 0 has forcing +0.0, which the substep maps turn into ca = cb = -0.0
+    # (h < 0), so from b(T) = -0.0 it stays at -0.0 only if every product keeps its sign.
+    r0[..., 0] = r1[..., 0] = 0.0
+    aT[0, 0] = bT[0, 0] = -0.0
+    X, Y, ca, cb = ode._substep_maps(grid, M, N, r0, r1, sub)
+    a, b = aT, bT
+    ref_a, ref_b = [a], [b]
+    for g in range(grid.steps * sub):   # the array recursion, on (1, K) arrays
+        a, b = ode._apply(X[g], a) + ode._apply(Y[g], b) + ca[g], ode._apply(X[g], b) + cb[g]
+        if (g + 1) % sub == 0:
+            ref_a.append(a)
+            ref_b.append(b)
+    got_a, got_b = integrate_linear(grid, M, N, r0, r1, aT, bT, sub)
+    assert got_a.tobytes() == np.stack(ref_a[::-1]).tobytes()
+    assert got_b.tobytes() == np.stack(ref_b[::-1]).tobytes()
+
+
+def test_scalar_recursion_makes_no_array_call_per_step(monkeypatch):
+    calls = []
+    apply = ode._apply
+    monkeypatch.setattr(ode, "_apply", lambda A, x: calls.append(x.shape) or apply(A, x))
+    counts = []
+    for steps in (5, 40):
+        calls.clear()
+        E = 4 * steps * 4
+        M, r = np.full((E, 1, 1), -0.5), np.ones((E, 1, 3))
+        integrate_linear(TimeGrid(1.0, steps), M, M, r, r, np.ones((1, 3)), np.ones((1, 3)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
