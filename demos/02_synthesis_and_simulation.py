@@ -1,11 +1,12 @@
 """Synthesizing the optimal control and simulating the closed loop.
 
 The optimal pair of a backward LQ problem is parameterised by a forward
-"dual" SDE.  The pipeline is:
+"dual" SDE.  The pipeline, all inside ``bslq.synthesize_optimal``, is:
 
-    reduce -> solve Sigma -> solve (phi, beta) -> simulate X -> synthesize,
+    reduce -> solve Sigma -> solve (phi, beta) -> simulate X -> read outputs,
 
-after which (u, Y, Z) are pointwise algebraic functions of X.  Two exact
+where the outputs (X*, Y, Z, u) are one map M applied to (X, W, 1) at each
+node, so they are pointwise algebraic functions of X.  Two exact
 structural facts make the synthesis easy to sanity-check on every run:
 
 * Y(T) equals the prescribed terminal value, path by path, bitwise;

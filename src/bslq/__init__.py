@@ -16,7 +16,7 @@ from .errors import (ConsistencyError, ConvexityError, IntegrationError,
 from .evaluate import (BoundCheck, CheckRow, CostReport, PerturbationReport,
                        ProbeReport, StationarityReport, VerificationResult,
                        apriori_bound_check, convexity_probe, evaluate_cost,
-                       forward_value, forward_value_formula, path_costs, perturbation_identity,
+                       forward_value, forward_value_formula, perturbation_identity,
                        random_affine_control, solve_value, stationarity_residual,
                        value_formula, verify, verify_backward, verify_forward)
 from .grid import AffineProcess, MatrixPath, TimeGrid
@@ -27,15 +27,11 @@ from .problem import (BUILTIN_NAMES, ForwardProblemSpec, ProblemSpec,
                       ValidationReport, builtin_scenario, homogeneous,
                       load_scenario, parse_scenario, resample, save_scenario,
                       scenario_document, validate)
-from .reduction import (ReducedProblem, ShiftIdentityReport,
-                        apply_cross_substitution, cost_shift_identity_check,
-                        map_control, reduce_problem)
+from .reduction import ReducedProblem, map_control, reduce_problem
 from .riccati import (ForwardRiccatiSolution, HSolution, RiccatiSolution,
                       solve_forward_riccati, solve_h, solve_sigma,
                       uniform_convexity_conditions)
-from .simulate import (BrownianEnsemble, ControlledTrajectories, ForwardEnsemble,
-                       OptimalSynthesis, PathEnsemble, sample_affine_control,
-                       simulate_dual_sde, simulate_forward_closed_loop,
-                       synthesize, synthesize_optimal)
+from .simulate import (BrownianEnsemble, ForwardEnsemble, OptimalSynthesis, PathEnsemble,
+                       simulate_forward_closed_loop, synthesize_optimal)
 
 __version__ = "0.1.0"

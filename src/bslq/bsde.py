@@ -16,11 +16,12 @@ expectation estimation anywhere), which is what makes the downstream
 optimality checks sharp.
 
 The coefficient ODEs run through :func:`bslq.ode.integrate_linear`, batched
-over right-hand sides sharing (M, N).  The drifts built from a Riccati
-solution read its record, the (H, Sigma) or P state and the coefficient
-tables of every RK4 evaluation, so Sigma and P are integrated, and their
-coefficients tabulated, once.  Other drifts are interpolated from their node
-arrays.
+over right-hand sides sharing (M, N), on the drift's table at every RK4
+evaluation.  The drifts built from a Riccati solution read its record, the
+(H, Sigma) or P state and the coefficient tables of every RK4 evaluation, so
+Sigma and P are integrated, and their coefficients tabulated, once.  The
+controlled state equation tabulates its data and controls at the stage
+times, each path by its own rule, as the Riccati tables do.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ class BsdeDriftSpec:
     """Canonical drift  M phi + N beta + r0 + r1 W  sampled on the grid.
 
     The node arrays (r0, r1 may carry a trailing batch axis) are the
-    reference for residual checks.  The coefficient ODEs run at ``substeps``
-    RK4 substeps per interval.  ``stages``, set for the drifts built from a
-    Riccati record, holds (M, N, r0, r1) at every RK4 evaluation of that
-    record; without it the node arrays are interpolated.
+    reference for residual checks.  ``stages`` holds (M, N, r0, r1) at every
+    RK4 evaluation of a backward pass at ``substeps`` RK4 substeps per
+    interval, the coefficients the ODEs are integrated on.
     """
 
     grid: TimeGrid
@@ -55,16 +55,9 @@ class BsdeDriftSpec:
     N: np.ndarray   # (N+1, n, n)
     r0: np.ndarray  # (N+1, n)
     r1: np.ndarray  # (N+1, n)
+    stages: tuple
     cross_form_gap: float = 0.0
-    stages: tuple | None = None
     substeps: int = DEFAULT_SUBSTEPS
-
-    def stage_coefficients(self) -> tuple:
-        if self.stages is not None:
-            return self.stages
-        times, index = rk4_stages(self.grid, "backward", self.substeps)
-        return tuple(MatrixPath.sampled(x, self.grid).tabulate(times)[index]
-                     for x in (self.M, self.N, self.r0, self.r1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +159,7 @@ def solve_affine_bsde(drift: BsdeDriftSpec, xi: AffineProcess) -> AffineBsdeSolu
     terminal value bitwise.
     """
     aT, bT = xi.at_terminal()
-    a, b = integrate_linear(drift.grid, *drift.stage_coefficients(),
-                            aT, bT, drift.substeps)
+    a, b = integrate_linear(drift.grid, *drift.stages, aT, bT, drift.substeps)
     return _wrap_solution(drift, a, b)
 
 
@@ -185,19 +177,30 @@ def solve_controlled_state(spec: ProblemSpec, controls: Sequence[AffineProcess],
 
     dY = (A Y + B u + C Z + f) dt + Z dW with Y(T) = xi reduces, for affine
     u, to  a' = A a + B u0 + C b + f0  and  b' = A b + B u1 + f1.  All
-    controls share (M, N) = (A, C) and ride one pass of the linear kernel.
+    controls share (M, N) = (A, C) and ride one pass of the linear kernel,
+    on A, B, C, f and the controls tabulated at the RK4 stage times.
     Used by the perturbation and convexity probes, where each solution
     plays the role of an exact reference trajectory.
     """
     grid, K = spec.grid, len(controls)
-    A, B, C = spec.A.node_values(), spec.B.node_values(), spec.C.node_values()
-    r0, r1 = (np.stack([mv(B, u) + f for u in parts], axis=-1)
-              for f, parts in zip(spec.f.node_parts(), zip(*(c.node_parts() for c in controls))))
-    drift = BsdeDriftSpec(grid, A, C, r0, r1, substeps=substeps)
-    a, b = integrate_linear(grid, *drift.stage_coefficients(),
+    times, index = rk4_stages(grid, "backward", substeps)
+
+    def drift(at):
+        """(A, C, r0, r1) with r = B u + f, one column per control, from
+        ``at(path)``, a path's values at the times wanted."""
+        B, f0, f1 = at(spec.B), at(spec.f.a), at(spec.f.b)
+        r0 = np.stack([mv(B, at(c.a)) + f0 for c in controls], axis=-1)
+        r1 = np.stack([mv(B, at(c.b)) + f1 for c in controls], axis=-1)
+        return at(spec.A), at(spec.C), r0, r1
+
+    A, C, r0, r1 = drift(MatrixPath.node_values)
+    stages = tuple(x[index] for x in drift(lambda path: path.tabulate(times)))
+    a, b = integrate_linear(grid, *stages,
                             *(np.repeat(x[:, None], K, axis=1) for x in spec.xi.at_terminal()),
                             substeps)
-    return [_wrap_solution(BsdeDriftSpec(grid, A, C, r0[..., i], r1[..., i], substeps=substeps),
+    return [_wrap_solution(BsdeDriftSpec(grid, A, C, r0[..., i], r1[..., i],
+                                         stages[:2] + tuple(r[..., i] for r in stages[2:]),
+                                         substeps=substeps),
                            a[..., i], b[..., i]) for i in range(K)]
 
 

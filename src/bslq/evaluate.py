@@ -100,8 +100,7 @@ class CostForm:
     An ensemble with slot map L, s_k = L_k xi_k, has the integrand
     xi_k^T C_k xi_k with C_k = L_k^T M_k L_k plus the linear rows L_k^T a_k
     (on the 1 of xi) and L_k^T b_k (on its W), and a boundary form of the
-    same kind at node ``at`` (:meth:`xi_parts`).  Sampled slots go through
-    :meth:`parts`.
+    same kind at node ``at`` (:meth:`xi_parts`).
     """
 
     M: np.ndarray  # (N, D, D) over the stacked slots
@@ -111,16 +110,6 @@ class CostForm:
     g: np.ndarray
     at: int
     dt: float
-
-    def parts(self, s, W) -> tuple[np.ndarray, np.ndarray]:
-        """Per-path (boundary, running) parts of J(s) for sampled slots s,
-        each of shape (paths, N+1, dim)."""
-        N = len(self.M)
-        s = np.concatenate(s, axis=-1)
-        x, sk = s[:, self.at, :len(self.g)], s[:, :N]
-        integrand = (_dot(mv(self.M, sk), sk)
-                     + 2.0 * (_dot(sk, self.a) + W[:, :N] * _dot(sk, self.b)))
-        return _dot(x @ self.G, x) + 2.0 * (x @ self.g), integrand.sum(axis=1) * self.dt
 
     def xi_parts(self, xi, Ls, Lt=None, weight: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
         """Per-path boundary <G x_s, x_t> + weight <g, x_t> and running
@@ -178,17 +167,10 @@ class CostReport:
     running_term: float
 
 
-def path_costs(spec: ProblemSpec, Y: np.ndarray, Z: np.ndarray, u: np.ndarray,
-               W: np.ndarray) -> np.ndarray:
-    """Per-path cost of sampled (Y, Z, u) trajectories, shape (paths,): left-point
-    quadrature of the running integrand, the initial terms exact at t = 0."""
-    return sum(cost_form(spec).parts((Y, Z, u), W))
-
-
 def evaluate_cost(spec, ens) -> CostReport:
     """Cost report for a synthesized backward or a forward closed-loop
     ensemble: the quadratic form in xi through its slot map, not its sampled
-    Y, Z, u or v (:func:`path_costs` costs those), reduced by one fixed sum."""
+    Y, Z, u or v, reduced by one fixed sum."""
     X = ens.X if isinstance(spec, ForwardProblemSpec) else ens.X_dual
     xi = (*np.moveaxis(X, -1, 0), ens.brownian.W)  # the parts of xi before its 1
     boundary, running = cost_form(spec).xi_parts(xi, ens.slot_map)
@@ -362,8 +344,7 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
 
 def controlled_map(state: AffineBsdeSolution, v: AffineProcess) -> np.ndarray:
     """Slot map (N+1, 2n+m, 2) on xi = (W, 1) of (Y_v, Z_v, v) =
-    (a_Y + b_Y W, b_Y, a_v + b_v W), the trajectories that
-    :func:`bslq.simulate.sample_affine_control` samples."""
+    (a_Y + b_Y W, b_Y, a_v + b_v W), the exact state under the control v."""
     aY, bY = state.phi.node_parts()
     av, bv = v.node_parts()
     return np.stack((np.concatenate((bY, np.zeros_like(bY), bv), axis=-1),
@@ -413,8 +394,8 @@ def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
     """Estimate min_v J0(0; v) / E int |v|^2 over random affine controls.
 
     Both are costed as quadratic forms in xi = (W, 1) from the controls' node
-    arrays, exactly as on the sampled trajectories of
-    :func:`bslq.simulate.sample_affine_control`."""
+    arrays and their exact states (:func:`controlled_map`); no trajectory is
+    sampled."""
     hspec = homogeneous(spec)
     grid = hspec.grid
     W = BrownianEnsemble.generate(seed, paths, grid).W

@@ -182,45 +182,3 @@ def map_control(reduced: ReducedProblem, v: np.ndarray, Z: np.ndarray) -> np.nda
     node axis second-to-last.
     """
     return v - mv(reduced.cross_gain, Z)
-
-
-def apply_cross_substitution(reduced: ReducedProblem, u: np.ndarray,
-                             Z: np.ndarray) -> np.ndarray:
-    """Forward map v = u + R22^{-1} R21 Z (inverse of :func:`map_control`)."""
-    return u + mv(reduced.cross_gain, Z)
-
-
-@dataclass(frozen=True)
-class ShiftIdentityReport:
-    """Monte-Carlo check of J_original(u) = J_reduced(v) - shift."""
-
-    residual: float
-    stderr: float
-    shift: float
-    original: float
-    reduced: float
-
-
-def cost_shift_identity_check(spec: ProblemSpec, reduced: ReducedProblem,
-                              traj) -> ShiftIdentityReport:
-    """Evaluate both sides of the cost identity on common random numbers.
-
-    ``traj`` carries (Y, Z, u) trajectories simulated under ``spec`` together
-    with their Brownian ensemble.  The residual is |J_orig - (J_red - shift)|
-    with a Monte-Carlo standard error from the per-path differences; it is
-    zero in continuous time, so what remains is quadrature bias O(dt) plus
-    noise.
-    """
-    from .evaluate import mc_stderr, path_costs  # deferred: evaluate builds on this module
-
-    cost_orig = path_costs(spec, traj.Y, traj.Z, traj.u, traj.brownian.W)
-    v = apply_cross_substitution(reduced, traj.u, traj.Z)
-    cost_red = path_costs(reduced.base, traj.Y, traj.Z, v, traj.brownian.W)
-    diff = cost_orig - (cost_red - reduced.constant_shift)
-    return ShiftIdentityReport(
-        residual=float(abs(diff.mean())),
-        stderr=mc_stderr(diff),
-        shift=reduced.constant_shift,
-        original=float(cost_orig.mean()),
-        reduced=float(cost_red.mean()),
-    )

@@ -251,12 +251,6 @@ def _canonical_base(problem) -> ProblemSpec:
     return spec
 
 
-def sigma_derivative(t: float, S: np.ndarray, A, B, C, S1, S2, R11, R22) -> np.ndarray:
-    """Right-hand side of the backward Riccati equation at one time point."""
-    rows = (np.asarray(x)[None] for x in (A, B, C, S1, S2, R11, R22))
-    return _sigma_rhs(_matrices(*np.shape(B)), np.array([t]), *rows)(0, S)
-
-
 def _sigma_rhs(ar: _Arithmetic, t, A, B, C, S1, S2, R11, R22):
     """Right-hand side of the backward Riccati equation, with the times
     ``t`` and the coefficients given at every RK4 evaluation."""
@@ -375,12 +369,6 @@ def uniform_convexity_conditions(spec: ForwardProblemSpec, tol: float = PSD_TOL)
         return False
     schur = Qv - np.swapaxes(Sv, -1, -2) @ np.linalg.solve(Rv, Sv)
     return bool(np.min(np.linalg.eigvalsh(0.5 * (schur + np.swapaxes(schur, -1, -2)))) >= tol)
-
-
-def forward_riccati_derivative(t: float, P: np.ndarray, A, B, C, D, Q, S, R) -> np.ndarray:
-    """Right-hand side of the forward LQ Riccati equation at one time point."""
-    rows = (np.asarray(x)[None] for x in (A, B, C, D, Q, S, R))
-    return _forward_rhs(_matrices(*np.shape(B)), np.array([t]), *rows)(0, P)
 
 
 def _forward_rhs(ar: _Arithmetic, t, A, B, C, D, Q, S, R):

@@ -23,20 +23,25 @@ the data rho1, rho2, q by assumption), and K (a + W b) = K a + W (K b).  So
 (Y, Z, v) = L (X, W, 1) with one slot map L of shape (N+1, 2n+m, n+2),
 formed once on the node arrays, and each Euler coefficient is a map of the
 same kind: the weight rows times L plus the data rows (-A^T, q) or
-(-C^T, rho1).  The synthesis reads the outputs off L, with the cross-term
-substitution u = v - R22^{-1} R21 Z folded into the rows of v, and
-recovers the original problem's adjoint state as X* = X - H Y (the identity
-X*(0) = G Y(0) + g then holds by construction).  The outputs are algebraic
-in X, so they satisfy the first-order optimality relation exactly at every
-path and node, whatever the time step.  The forward closed loop is run the
-same way, on (X, v) = L (X, W, 1) with v = -K X + feed: drift [A, B] L + b
-and diffusion [C, D] L + sigma.  No (paths, N+1, dim) sample of the data is
-built.  Each ensemble keeps its L as ``slot_map``, through which
-:mod:`bslq.evaluate` costs it.
+(-C^T, rho1).  After that, the cross-term substitution u = v - R22^{-1}
+R21 Z is folded into the rows of v, and the rows of the original problem's
+adjoint state X* = X - H Y are put above them (the identity X*(0) =
+G Y(0) + g then holds by construction): (X*, Y, Z, u) = M (X, W, 1).  The
+outputs are algebraic in X, so they satisfy the first-order optimality
+relation exactly at every path and node, whatever the time step.  The
+forward closed loop is built the same way, on (X, v) = M (X, W, 1) with
+v = -K X + feed: drift [A, B] M + b and diffusion [C, D] M + sigma.
+
+Each problem kind builds one closed-loop record (drift, diffusion, X(0)
+and M with its named fields), formed once per solve however many path
+blocks run; every entry point below runs from it.  No (paths, N+1, dim)
+sample of the data is built.  Each ensemble keeps its slot map (M without
+the rows of X*) as ``slot_map``, through which :mod:`bslq.evaluate` costs it.
 
 Every output being M (X, W, 1), its per-node moments follow from those of
 (X, W): :func:`simulate_summary` runs blocks of PATH_BLOCK paths and keeps
 only per-node sums, so its memory does not depend on the number of paths.
+It computes the outputs themselves only for a ``per_block`` reader.
 
 Randomness is counter-based: path p of an ensemble with seed s draws its
 increments from a Philox4x64 generator keyed by (s, p), with the k-th
@@ -58,8 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Philox
 
-from .bsde import (AffineBsdeSolution, assemble_drift, solve_affine_bsde,
-                   solve_controlled_state, solve_eta_zeta)
+from .bsde import AffineBsdeSolution, assemble_drift, solve_affine_bsde, solve_eta_zeta
 from .errors import SimulationError
 from .grid import AffineProcess, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS
@@ -160,11 +164,6 @@ class BrownianEnsemble:
         np.cumsum(inc, axis=1, out=W[:, 1:])
         return BrownianEnsemble(self.seed, coarse, inc, W, self.first)
 
-    def mean_consistency(self) -> tuple[float, float]:
-        """|sample mean of W(T)| and its 4-sigma allowance 4 sqrt(T/paths)."""
-        return (float(abs(self.W[:, -1].mean())),
-                float(4.0 * np.sqrt(self.grid.T / self.paths)))
-
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
@@ -185,13 +184,13 @@ class PathEnsemble:
 
 
 @dataclass(frozen=True, eq=False)
-class ControlledTrajectories:
-    """(Y, Z, u) sampled from exact affine representations; no adjoint."""
+class ForwardEnsemble:
+    """Closed-loop trajectories of the forward problem."""
 
     brownian: BrownianEnsemble
-    Y: np.ndarray
-    Z: np.ndarray
-    u: np.ndarray
+    X: np.ndarray  # (paths, N+1, n)
+    v: np.ndarray  # (paths, N+1, m)
+    slot_map: np.ndarray  # (N+1, n+m, n+2): (X, v) = L (X, W, 1)
 
 
 def _euler_loop(X0: np.ndarray, drift: np.ndarray, diffusion: np.ndarray,
@@ -277,6 +276,32 @@ def _coefficient(rows, L: np.ndarray, K0: np.ndarray, data: AffineProcess) -> np
     return np.concatenate(rows, axis=-1) @ L + _slot_map((K0, _parts(data)))
 
 
+@dataclass(frozen=True, eq=False)
+class _ClosedLoop:
+    """dX = drift xi dt + diffusion xi dW on xi = (X, W, 1), X(0) = x0, and
+    the outputs M xi, one row block of M per field (``fields`` holds the
+    widths in row order); the field named ``state`` is X itself."""
+
+    drift: np.ndarray      # (N+1, n, n+2)
+    diffusion: np.ndarray  # (N+1, n, n+2)
+    x0: np.ndarray         # (n,)
+    what: str              # names the loop in a blow-up message
+    M: np.ndarray          # (N+1, total width, n+2)
+    fields: dict[str, int]
+    state: str | None = None
+
+    def simulate(self, brownian: BrownianEnsemble) -> np.ndarray:
+        """The Euler paths of X, (paths, N+1, n)."""
+        X0 = np.broadcast_to(self.x0, (brownian.paths, len(self.x0)))
+        return _euler_loop(X0, self.drift, self.diffusion, brownian, self.what)
+
+    def outputs(self, X: np.ndarray, W: np.ndarray) -> dict[str, np.ndarray]:
+        """Every field at every path and node, one array per field."""
+        ends = np.cumsum(list(self.fields.values()))
+        return {name: X if name == self.state else _gain_affine(self.M[:, end - width:end], X, W)
+                for (name, width), end in zip(self.fields.items(), ends)}
+
+
 def _optimal_map(reduced: ReducedProblem, sigma: RiccatiSolution,
                  bsde: AffineBsdeSolution) -> np.ndarray:
     """Slot map (N+1, 2n+m, n+2) of the reduced optimum: (Y, Z, v) = L (X, W, 1)."""
@@ -293,52 +318,25 @@ def _optimal_map(reduced: ReducedProblem, sigma: RiccatiSolution,
                      (R22inv @ _T(sigma.BofSigma), v_aff))
 
 
-def _dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
-              bsde: AffineBsdeSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reduced optimum's slot map L and the dual SDE's drift and diffusion."""
+def _dual_loop(reduced: ReducedProblem, sigma: RiccatiSolution,
+               bsde: AffineBsdeSolution) -> _ClosedLoop:
+    """The dual SDE, the adjoint equation along the reduced optimum
+    (Y, Z, v) = L (X, W, 1), with outputs (X*, Y, Z, u) = M (X, W, 1).
+
+    M is L with u = v - R22^{-1} R21 Z folded into the rows of v, below the
+    rows of X* = X - H Y."""
     spec = reduced.base
+    n = spec.n
     Q, S1, S2, R11, R12 = (p.node_values() for p in (spec.Q, spec.S1, spec.S2,
                                                       spec.R11, spec.R12))
     L = _optimal_map(reduced, sigma, bsde)
-    return (L, _coefficient((Q, _T(S1), _T(S2)), L, -_T(spec.A.node_values()), spec.q),
-            _coefficient((S1, R11, R12), L, -_T(spec.C.node_values()), spec.rho1))
-
-
-def simulate_dual_sde(reduced: ReducedProblem, sigma: RiccatiSolution,
-                      bsde: AffineBsdeSolution,
-                      brownian: BrownianEnsemble) -> np.ndarray:
-    """Euler-Maruyama simulation of the dual SDE, the adjoint equation along
-    the optimal (Y, Z, v); X(0) = g on every path."""
-    _, drift, diffusion = _dual_sde(reduced, sigma, bsde)
-    X0 = np.broadcast_to(reduced.base.g, (brownian.paths, reduced.base.n))
-    return _euler_loop(X0, drift, diffusion, brownian, "dual SDE")
-
-
-def _fold_cross(reduced: ReducedProblem, L: np.ndarray) -> np.ndarray:
-    """Fold u = v - R22^{-1} R21 Z into the v rows of (Y, Z, v) = L (X, W, 1)."""
-    n = reduced.base.n
+    drift = _coefficient((Q, _T(S1), _T(S2)), L, -_T(spec.A.node_values()), spec.q)
+    diffusion = _coefficient((S1, R11, R12), L, -_T(spec.C.node_values()), spec.rho1)
     L[:, 2 * n:] -= reduced.cross_gain @ L[:, n:2 * n]
-    return L
-
-
-def synthesize(reduced: ReducedProblem, sigma: RiccatiSolution,
-               bsde: AffineBsdeSolution, X_dual: np.ndarray,
-               brownian: BrownianEnsemble) -> PathEnsemble:
-    """Pointwise synthesis of (u, Y, Z) and the original adjoint state.
-
-    The outputs are the reduced optimum's slot map applied to (X, W, 1) at
-    each node, with u = v - R22^{-1} R21 Z folded into the rows of v.  They
-    are algebraic in X, so the first-order optimality relation of the
-    original problem holds to rounding error regardless of the Euler step
-    used for X.
-    """
-    n = reduced.base.n
-    L = _fold_cross(reduced, _optimal_map(reduced, sigma, bsde))
-    Y, Z, u = (_gain_affine(rows, X_dual, brownian.W)
-               for rows in np.split(L, [n, 2 * n], axis=1))
-    X_adj = mv(reduced.h.H, Y)
-    np.subtract(X_dual, X_adj, out=X_adj)  # in place: one (paths, N+1, n) array less at the peak
-    return PathEnsemble(brownian, X=X_adj, X_dual=X_dual, u=u, Y=Y, Z=Z, slot_map=L)
+    X_rows = -reduced.h.H @ L[:, :n]
+    X_rows[..., :n] += np.eye(n)
+    return _ClosedLoop(drift, diffusion, spec.g, "dual SDE", np.concatenate((X_rows, L), axis=1),
+                       {"X": n, "Y": n, "Z": n, "u": spec.m})
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,38 +359,19 @@ def _solve(spec: ProblemSpec, substeps: int) -> tuple[ReducedProblem, RiccatiSol
 
 def synthesize_optimal(spec: ProblemSpec, brownian: BrownianEnsemble,
                        substeps: int = DEFAULT_SUBSTEPS) -> OptimalSynthesis:
-    """Full pipeline: reduce, solve Riccati and BSDE, simulate, synthesize."""
-    reduced, sigma, bsde = _solve(spec, substeps)
-    X_dual = simulate_dual_sde(reduced, sigma, bsde, brownian)
-    ensemble = synthesize(reduced, sigma, bsde, X_dual, brownian)
-    return OptimalSynthesis(spec, reduced, sigma, bsde, ensemble)
+    """Full pipeline: reduce, solve Riccati and BSDE, simulate the dual SDE
+    and read (X*, Y, Z, u) off its outputs map.
 
-
-def sample_affine_control(spec: ProblemSpec, control: AffineProcess,
-                          brownian: BrownianEnsemble,
-                          substeps: int = DEFAULT_SUBSTEPS) -> ControlledTrajectories:
-    """Exact (Y, Z) trajectories of the state equation under an affine control.
-
-    The backward equation is solved in closed affine form (see
-    :func:`bslq.bsde.solve_controlled_state`) and evaluated pathwise; Z is
-    the deterministic loading b(t).
+    The outputs are algebraic in the dual state, so the first-order
+    optimality relation of the original problem holds to rounding error
+    regardless of the Euler step.
     """
-    sol = solve_controlled_state(spec, [control], substeps)[0]
-    W = brownian.W
-    Y = sol.phi.sample(W)
-    Z = np.broadcast_to(sol.beta.a.node_values(), Y.shape).copy()
-    u = control.sample(W)
-    return ControlledTrajectories(brownian, Y=Y, Z=Z, u=u)
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardEnsemble:
-    """Closed-loop trajectories of the forward problem."""
-
-    brownian: BrownianEnsemble
-    X: np.ndarray  # (paths, N+1, n)
-    v: np.ndarray  # (paths, N+1, m)
-    slot_map: np.ndarray  # (N+1, n+m, n+2): (X, v) = L (X, W, 1)
+    reduced, sigma, bsde = _solve(spec, substeps)
+    loop = _dual_loop(reduced, sigma, bsde)
+    X = loop.simulate(brownian)
+    ensemble = PathEnsemble(brownian, X_dual=X, slot_map=loop.M[:, spec.n:],
+                            **loop.outputs(X, brownian.W))
+    return OptimalSynthesis(spec, reduced, sigma, bsde, ensemble)
 
 
 def feedforward(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
@@ -409,9 +388,9 @@ def feedforward(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
     return weight, open_loop
 
 
-def _closed_loop(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
-                 adjoint: AffineBsdeSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The closed loop's slot map (X, v) = L (X, W, 1), its drift and its diffusion.
+def _forward_loop(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
+                  adjoint: AffineBsdeSolution) -> _ClosedLoop:
+    """The forward closed loop with outputs (X, v) = M (X, W, 1).
 
     Feedback  v = -K X - (R + D^T P D)^{-1} (B^T eta + D^T zeta + D^T P sigma
     + rhoTilde)  with K the Riccati gain (:func:`feedforward`).
@@ -419,11 +398,13 @@ def _closed_loop(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
     weight, open_loop = feedforward(spec, psol, adjoint)
     K = psol.gain
     eye = np.broadcast_to(np.eye(spec.n), K.shape[:1] + (spec.n, spec.n))
-    L = _slot_map((eye, np.zeros((2,) + eye.shape[:2])),
+    M = _slot_map((eye, np.zeros((2,) + eye.shape[:2])),
                   (-K, -mv(np.linalg.inv(weight), open_loop)))
     A, B, C, D = (p.node_values() for p in (spec.cA, spec.cB, spec.cC, spec.cD))
     null = np.zeros_like(eye)
-    return L, _coefficient((A, B), L, null, spec.b), _coefficient((C, D), L, null, spec.sigma)
+    return _ClosedLoop(_coefficient((A, B), M, null, spec.b),
+                       _coefficient((C, D), M, null, spec.sigma), spec.x0,
+                       "forward closed loop", M, {"X": spec.n, "v": spec.m}, state="X")
 
 
 def simulate_forward_closed_loop(spec: ForwardProblemSpec,
@@ -431,11 +412,9 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
                                  adjoint: AffineBsdeSolution,
                                  brownian: BrownianEnsemble) -> ForwardEnsemble:
     """Euler-Maruyama simulation of the optimal forward closed loop."""
-    L, drift, diffusion = _closed_loop(spec, psol, adjoint)
-    X = _euler_loop(np.broadcast_to(spec.x0, (brownian.paths, spec.n)), drift, diffusion,
-                    brownian, "forward closed loop")
-    return ForwardEnsemble(brownian, X=X, v=_gain_affine(L[:, spec.n:], X, brownian.W),
-                           slot_map=L)
+    loop = _forward_loop(spec, psol, adjoint)
+    return ForwardEnsemble(brownian, slot_map=loop.M,
+                           **loop.outputs(loop.simulate(brownian), brownian.W))
 
 
 def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: int,
@@ -453,32 +432,18 @@ def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: i
     """
     if paths < 1:
         raise ValueError("paths must be at least 1")
-    n, N = spec.n, spec.grid.steps
     if isinstance(spec, ForwardProblemSpec):
         psol = solve_forward_riccati(spec, substeps)
-        M, drift, diffusion = _closed_loop(spec, psol, solve_eta_zeta(spec, psol))
-        x0, what, fields = spec.x0, "forward closed loop", {"X": n, "v": spec.m}
-
-        def outputs(X, bw):
-            return X, _gain_affine(M[:, n:], X, bw.W)
+        loop = _forward_loop(spec, psol, solve_eta_zeta(spec, psol))
     else:
-        reduced, sigma, bsde = _solve(spec, substeps)
-        L, drift, diffusion = _dual_sde(reduced, sigma, bsde)
-        L = _fold_cross(reduced, L)
-        X_rows = -reduced.h.H @ L[:, :n]  # X = X_dual - H Y
-        X_rows[..., :n] += np.eye(n)
-        M = np.concatenate((X_rows, L), axis=1)
-        x0, what, fields = spec.g, "dual SDE", {"X": n, "Y": n, "Z": n, "u": spec.m}
-
-        def outputs(X, bw):
-            ens = synthesize(reduced, sigma, bsde, X, bw)
-            return ens.X, ens.Y, ens.Z, ens.u
+        loop = _dual_loop(*_solve(spec, substeps))
+    n, N = spec.n, spec.grid.steps
     s1, s2 = np.zeros((N + 1, n + 1)), np.zeros((N + 1, n + 1, n + 1))
     for first in range(0, paths, PATH_BLOCK):
         bw = BrownianEnsemble.generate(seed, min(PATH_BLOCK, paths - first), spec.grid, first)
-        X = _euler_loop(np.broadcast_to(x0, (bw.paths, n)), drift, diffusion, bw, what)
+        X = loop.simulate(bw)
         if per_block is not None:
-            per_block(first, dict(zip(fields, outputs(X, bw))))
+            per_block(first, loop.outputs(X, bw.W))
         d = np.empty((N + 1, bw.paths, n + 1))  # xi, time-major
         d[..., :n] = np.swapaxes(X, 0, 1)
         d[..., n] = bw.W.T
@@ -489,6 +454,6 @@ def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: i
         s2 += _T(d) @ d
     mean_d = s1 / paths
     cov = s2 / paths - mean_d[:, :, None] * mean_d[:, None, :]
-    A = M[..., :-1]
+    A = loop.M[..., :-1]
     var = ((A @ cov) * A).sum(axis=-1)
-    return fields, mv(A, ref[:, 0] + mean_d) + M[..., -1], np.sqrt(np.maximum(var, 0.0))
+    return loop.fields, mv(A, ref[:, 0] + mean_d) + loop.M[..., -1], np.sqrt(np.maximum(var, 0.0))

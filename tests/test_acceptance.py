@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import apply_cross_substitution
 
 import bslq
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid
@@ -94,7 +95,7 @@ def test_criterion_2_shift_equation_and_collapse(brownian_cache):
         synth = bslq.synthesize_optimal(bench, bw)
         ens = synth.ensemble
         np.testing.assert_array_equal(ens.X, ens.X_dual, err_msg=name)
-        v = bslq.apply_cross_substitution(red, ens.u, ens.Z)
+        v = apply_cross_substitution(red, ens.u, ens.Z)
         np.testing.assert_array_equal(v, ens.u, err_msg=name)
     _report("2 shift equation", f"SH |H+t|={sh_err:.2e}; "
                                 "S1-S5 collapse bitwise")

@@ -6,14 +6,13 @@ import sys
 import numpy as np
 import pytest
 from conftest import make_spec_2d
-from reference import integrate_backward
+from reference import integrate_backward, sigma_derivative
 
 import bslq
 from bslq import ode
 from bslq.bsde import (BsdeDriftSpec, assemble_drift, solve_affine_bsde,
                        solve_controlled_state, solve_eta_zeta)
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid
-from bslq.riccati import sigma_derivative
 
 
 def pipeline(name, steps=200, **kw):
@@ -134,11 +133,39 @@ def test_generic_node_drift_solver():
     # backward from (1, 0) gives a(t) = e^{T - t}.
     grid = TimeGrid(1.0, 64)
     eye = np.tile(np.eye(1), (65, 1, 1))
-    drift = BsdeDriftSpec(grid, -eye, 0.0 * eye,
-                          np.zeros((65, 1)), np.zeros((65, 1)))
+    nodes = (-eye, 0.0 * eye, np.zeros((65, 1)), np.zeros((65, 1)))
+    evaluations = len(ode.rk4_stages(grid, "backward", ode.DEFAULT_SUBSTEPS)[1])
+    stages = tuple(np.repeat(x[:1], evaluations, axis=0) for x in nodes)
+    drift = BsdeDriftSpec(grid, *nodes, stages)
     sol = solve_affine_bsde(drift, AffineProcess.of_constants([1.0], [0.0], grid))
     a = sol.phi.a.node_values()[:, 0]
     np.testing.assert_allclose(a, np.exp(1.0 - grid.nodes), atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+def test_controlled_state_reads_each_path_by_its_rule(kind):
+    # A piecewise-constant A jumps inside an interval of the RK4 pass; the
+    # controlled state must see the jump where A(t) has it, as an RK4 pass
+    # on A(t), B(t), u(t) and f(t) does.
+    spec = bslq.builtin_scenario("S4", steps=20)
+    grid = spec.grid
+    if kind == "piecewise":
+        A = MatrixPath.piecewise(np.where(grid.nodes < 0.5, 0.3, -0.7)[:, None, None], grid)
+    else:
+        A = MatrixPath.sampled(np.cos(3.0 * grid.nodes)[:, None, None], grid)
+    spec = spec.replace(A=A, C=MatrixPath.constant([[0.4]], grid),
+                        f=AffineProcess.of_constants([0.1], [-0.2], grid))
+    v = AffineProcess.of_constants([0.5], [0.2], grid)
+    sol = solve_controlled_state(spec, [v])[0]
+
+    def rhs(t, y):
+        a, b = y
+        return np.stack([spec.A(t) @ a + spec.B(t) @ v.a(t) + spec.C(t) @ b + spec.f.a(t),
+                         spec.A(t) @ b + spec.B(t) @ v.b(t) + spec.f.b(t)])
+
+    ref = integrate_backward(grid, rhs, np.stack(spec.xi.at_terminal()))
+    for got, want in zip(sol.phi.node_parts(), np.moveaxis(ref, 1, 0)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_martingale_representation_consistency():

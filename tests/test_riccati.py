@@ -8,6 +8,7 @@ import pytest
 from conftest import make_spec_2d
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import forward_riccati_derivative, sigma_derivative
 
 import bslq
 from bslq import riccati
@@ -294,10 +295,10 @@ def test_float_right_hand_sides_equal_the_matrix_forms(values):
     assert floats == matrix
     sigma = ("A", "B", "C", "S1", "S2", "R11", "R22")
     assert (builds(riccati._sigma_rhs, t, *(rows[k] for k in sigma))
-            == [rhs_outcome(riccati.sigma_derivative, 0.5, X, *(mats[k] for k in sigma))] * 2)
+            == [rhs_outcome(sigma_derivative, 0.5, X, *(mats[k] for k in sigma))] * 2)
     forward = ("A", "B", "C", "D", "Q", "S", "R")
     assert (builds(riccati._forward_rhs, t, *(rows[k] for k in forward))
-            == [rhs_outcome(riccati.forward_riccati_derivative, 0.5, X,
+            == [rhs_outcome(forward_riccati_derivative, 0.5, X,
                             *(mats[k] for k in forward))] * 2)
 
 
@@ -415,7 +416,7 @@ def test_scalar_r22_singularity_message():
     with pytest.raises(SingularityError) as floats:
         rhs(0, 0.5)
     with pytest.raises(SingularityError) as matrix:
-        riccati.sigma_derivative(0.25, np.array([[0.5]]),
+        sigma_derivative(0.25, np.array([[0.5]]),
                                  *(np.array([[coef[k]]]) for k in names))
     assert str(floats.value) == str(matrix.value) == "R22 singular at t=0.25"
 

@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import make_spec_2d
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import mean_consistency
 
 import bslq
-from bslq.bsde import assemble_drift, solve_affine_bsde
 from bslq.cli import main
 from bslq.errors import SimulationError
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid, mv
@@ -97,7 +98,7 @@ def test_different_seeds_differ():
 def test_mean_consistency_smoke():
     grid = TimeGrid(1.0, 100)
     bw = bslq.BrownianEnsemble.generate(42, 4000, grid)
-    dev, allowance = bw.mean_consistency()
+    dev, allowance = mean_consistency(bw)
     assert dev <= allowance
 
 
@@ -410,13 +411,10 @@ def test_node_affine_matches_sampled_route(name, spec_2d):
         return
     spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=100)
     bw = bslq.BrownianEnsemble.generate(5, 300, spec.grid)
-    reduced = bslq.reduce_problem(spec)
-    sigma = bslq.solve_sigma(reduced)
-    bsde = solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi)
-    X_dual = sim.simulate_dual_sde(reduced, sigma, bsde, bw)
-    ens = sim.synthesize(reduced, sigma, bsde, X_dual, bw)
+    synth = bslq.synthesize_optimal(spec, bw)
+    reduced, sigma, bsde, ens = synth.reduced, synth.sigma, synth.bsde, synth.ensemble
     ref_dual = reference_dual_sde(reduced, sigma, bsde, bw)
-    assert_close(X_dual, ref_dual)
+    assert_close(ens.X_dual, ref_dual)
     ref = reference_synthesize(reduced, sigma, bsde, ref_dual, bw)
     for actual, expected in zip((ens.X, ens.Y, ens.Z, ens.u), ref):
         assert_close(actual, expected)
@@ -513,10 +511,13 @@ def test_time_major_loop_blows_up_at_the_same_path_and_step():
 
 
 def test_synthesis_samples_no_process(monkeypatch, spec_2d):
-    # The dual SDE, the synthesis and the forward closed loop form their
-    # forcings and outputs at the nodes: no data process is sampled inside.
-    path_layer = {f.__code__ for f in (sim.simulate_dual_sde, sim.synthesize,
-                                       sim.simulate_forward_closed_loop)}
+    # The closed loops form their forcings and outputs at the nodes: no data
+    # process is sampled in building, simulating or reading them, nor in a
+    # streamed summary.
+    path_layer = {f.__code__ for f in (sim._dual_loop, sim._forward_loop,
+                                       sim._ClosedLoop.simulate, sim._ClosedLoop.outputs,
+                                       sim.simulate_forward_closed_loop,
+                                       sim.simulate_summary)}
     inside, outside = [], []
     sample = AffineProcess.sample
 
@@ -535,7 +536,11 @@ def test_synthesis_samples_no_process(monkeypatch, spec_2d):
     psol = bslq.solve_forward_riccati(sf)
     sim.simulate_forward_closed_loop(sf, psol, bslq.solve_eta_zeta(sf, psol),
                                  bslq.BrownianEnsemble.generate(2, 50, sf.grid))
+    blocks = []
+    for spec in (bslq.resample(spec_2d, 10), bslq.resample(sf, 10)):
+        sim.simulate_summary(spec, 2, 50, per_block=lambda first, out: blocks.append(out))
     assert synth.ensemble.u.shape == (50, 101, 2)
+    assert [list(out) for out in blocks] == [["X", "Y", "Z", "u"], ["X", "v"]]
     assert outside  # the counter sees the sampling done outside the path layer
     assert inside == []
 
@@ -588,3 +593,64 @@ def test_streamed_memory_does_not_grow_with_paths(tmp_path):
 
     peak(1)  # the first draw loads scipy
     assert peak(8 * sim.PATH_BLOCK) - peak(2 * sim.PATH_BLOCK) <= 2 ** 20
+
+
+# -- one closed loop per problem -----------------------------------------------
+
+
+def closed_loop_arrays(name):
+    """The bitwise-pinned arrays of a closed loop at 50 steps: (Y, Z, u,
+    X_dual, slot_map) of the optimum, or (X, v, slot_map) of noisy SF."""
+    if name == "SF":
+        spec = bslq.resample(noisy_sf(), 50)
+        psol = bslq.solve_forward_riccati(spec)
+        bw = bslq.BrownianEnsemble.generate(3, 200, spec.grid)
+        ens = bslq.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol), bw)
+        return ens.X, ens.v, ens.slot_map
+    spec = make_spec_2d(50) if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+    ens = bslq.synthesize_optimal(spec, bslq.BrownianEnsemble.generate(3, 200, spec.grid)).ensemble
+    return ens.Y, ens.Z, ens.u, ens.X_dual, ens.slot_map
+
+
+def test_closed_loops_match_a_frozen_digest():
+    # Taken while the dual SDE and the synthesis were separate functions:
+    # building each loop once keeps every array but X* bitwise.
+    digests = {
+        "2x2": "1af1680e8cdf973a9aa38a1dad9af1a37a58f19af88a79a04a37b5f3cc2d04c5",
+        "SH": "a6c06b64e2250ebc57ddb4f2d3cd7e8a8f96f184ebfc5520d8d405ce40f570a3",
+        "SX": "2f1056cf23497789b31ea003757db985607bfb90688e2e01ebe6ae1190adad3b",
+        "SF": "85034ef4f5ef44547323b49dd09ae504f3d77f8687b90d16466715544224bbc5",
+    }
+    for name, digest in digests.items():
+        arrays = closed_loop_arrays(name)
+        assert hashlib.sha256(b"".join(x.tobytes() for x in arrays)).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("name", ["2x2", "SH"])
+def test_adjoint_state_is_x_dual_minus_h_y(name):
+    # X* is read off the X rows of the outputs map; it is X - H Y to rounding.
+    spec = make_spec_2d(50) if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+    synth = bslq.synthesize_optimal(spec, bslq.BrownianEnsemble.generate(3, 200, spec.grid))
+    ens = synth.ensemble
+    expected = ens.X_dual - mv(synth.reduced.h.H, ens.Y)
+    assert np.any(synth.reduced.h.H)
+    assert np.max(np.abs(ens.X - expected)) <= 1e-15 * np.max(np.abs(ens.X))
+
+
+def test_optimal_map_is_formed_once_per_solve(monkeypatch, spec_2d):
+    calls = []
+    optimal_map = sim._optimal_map
+
+    def counted(*args):
+        calls.append(args)
+        return optimal_map(*args)
+
+    monkeypatch.setattr(sim, "_optimal_map", counted)
+    spec = bslq.resample(spec_2d, 10)
+    bslq.synthesize_optimal(spec, bslq.BrownianEnsemble.generate(1, 30, spec.grid))
+    assert len(calls) == 1
+    firsts = []
+    sim.simulate_summary(spec, 1, 2 * sim.PATH_BLOCK + 1,
+                         per_block=lambda first, outputs: firsts.append(first))
+    assert firsts == [0, sim.PATH_BLOCK, 2 * sim.PATH_BLOCK]
+    assert len(calls) == 2
