@@ -27,6 +27,7 @@ times, each path by its own rule, as the Riccati tables do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -188,9 +189,9 @@ def solve_controlled_state(spec: ProblemSpec, controls: Sequence[AffineProcess],
     def drift(at):
         """(A, C, r0, r1) with r = B u + f, one column per control, from
         ``at(path)``, a path's values at the times wanted."""
-        B, f0, f1 = at(spec.B), at(spec.f.a), at(spec.f.b)
-        r0 = np.stack([mv(B, at(c.a)) + f0 for c in controls], axis=-1)
-        r1 = np.stack([mv(B, at(c.b)) + f1 for c in controls], axis=-1)
+        B = at(spec.B)
+        r0, r1 = (np.moveaxis(mv(B, _stacked(at, [getattr(c, part) for c in controls]))
+                              + at(getattr(spec.f, part)), 0, -1) for part in "ab")
         return at(spec.A), at(spec.C), r0, r1
 
     A, C, r0, r1 = drift(MatrixPath.node_values)
@@ -202,6 +203,16 @@ def solve_controlled_state(spec: ProblemSpec, controls: Sequence[AffineProcess],
                                          stages[:2] + tuple(r[..., i] for r in stages[2:]),
                                          substeps=substeps),
                            a[..., i], b[..., i]) for i in range(K)]
+
+
+def _stacked(at, paths: Sequence[MatrixPath]) -> np.ndarray:
+    """``at(path)`` of every path on a leading axis, one ``at`` call per kind:
+    the paths of a kind, stacked on a trailing axis, form one path."""
+    order = sorted(range(len(paths)), key=lambda i: paths[i].kind)
+    x = np.concatenate([at(MatrixPath(kind, np.stack([paths[i].values for i in cols], axis=-1),
+                                      paths[0].grid))
+                        for kind, cols in groupby(order, key=lambda i: paths[i].kind)], axis=-1)
+    return np.moveaxis(x, -1, 0)[np.argsort(order)]
 
 
 def _adjoint_drift(A, B, C, D, P, gain, sigma, rho, b, q):

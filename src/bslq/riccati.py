@@ -24,39 +24,37 @@
          - (P B_f + C_f^T P D_f + S_f^T)(R_f + D_f^T P D_f)^{-1}
            (B_f^T P + D_f^T P C_f + S_f) = 0.
 
-Sigma is symmetrised after every integration substep: the right-hand side
-preserves symmetry analytically, so this only suppresses floating-point
-drift.
+Sigma is symmetrised after every RK4 substep (the right-hand side keeps
+symmetry analytically; this only suppresses rounding drift).  Sigma and P
+are integrated once, over stage tables (:mod:`bslq.ode`); each solution
+keeps the state and coefficient tables of every RK4 evaluation of its pass,
+which the linear BSDEs of :mod:`bslq.bsde` read.
 
-Sigma and P are integrated once, over stage tables (:mod:`bslq.ode`).  Each
-solution keeps the record of its pass, the state and coefficient tables of
-every RK4 evaluation, which the linear BSDEs of :mod:`bslq.bsde` read.
-
-Each equation has one right-hand side: a closure over per-evaluation
-coefficient tables, written in the operations of an arithmetic chosen from
-n and m alone.  The matrix arithmetic calls what numpy's wrappers call, not
-the wrappers: ``ndarray.dot`` (gemm, bitwise ``np.matmul`` when n, m >= 2)
-and the LAPACK gufunc of ``np.linalg.solve``, whose result is kept when
-finite and otherwise left to ``np.linalg.solve`` (so each bit, error and
-non-finite result is its own); ``np.eye(n)`` and the transposes of the
-tables are formed once.  For n = m = 1 the closure runs on Python floats
-over memoryviews of the same tables: a matmul is one product summed from
-+0.0, a solve one division, the identity 1.0 and a transpose the value
-itself.  Each float operation is the 1x1 matrix operation, so the paths
-and stages are bitwise those of the matrix arithmetic, at a small fraction
-of the cost of numpy calls on 1x1 arrays.
-Results keep their (.., 1, 1) shapes.
+Each equation has one right-hand side, a closure over per-evaluation
+coefficient tables in the operations of an arithmetic chosen from n and m.
+Matrices use ``ndarray.dot`` (gemm, bitwise ``np.matmul`` when n, m >= 2)
+and the LAPACK gufunc behind ``np.linalg.solve``, not numpy's wrappers.  In
+the RK4 loop a solve is the bare gufunc: a singular matrix gives all NaN,
+which the right-hand sides use only in products and sums, so it reaches the
+loop's check of every node.  A pass that fails there is replayed from the
+anchor on the checked solve, which keeps a finite result and otherwise
+leaves it to ``np.linalg.solve`` for its error; doing the same operations,
+the replay gives every bit and error of the checked solve.  For n = m = 1
+the closure runs on Python floats over memoryviews of the same tables, each
+operation bitwise its 1x1 matrix form: a matmul is one product summed from
++0.0, a solve one division.  Results keep their (.., 1, 1) shapes.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import PositivityError, SingularityError
+from .errors import IntegrationError, PositivityError, SingularityError
 from .grid import TimeGrid
 from .ode import DEFAULT_SUBSTEPS, OdeProblem, integrate, interior_derivative, rk4_stages
 from .problem import ForwardProblemSpec, ProblemSpec
@@ -77,6 +75,10 @@ def _solve(mat: np.ndarray, rhs: np.ndarray, t: float, name: str) -> np.ndarray:
         raise SingularityError(f"{name} singular at t={t:g}") from exc
 
 
+def _bare_solve(mat: np.ndarray, rhs: np.ndarray, t: float, name: str) -> np.ndarray:
+    return _umath_linalg.solve(mat, rhs, signature="dd->d")  # all NaN if mat is singular
+
+
 def _mul(a: float, b: float) -> float:
     """A 1x1 matmul: one product, summed from +0.0."""
     return 0.0 + a * b
@@ -93,9 +95,8 @@ def _div(a: float, b: float, t: float, name: str) -> float:
 class _Arithmetic(NamedTuple):
     """The operations the right-hand sides are written in.  ``rows`` and
     ``rows_t`` turn a per-evaluation table (K, r, c) into what ``rhs(e, .)``
-    indexes at ``e`` (its rows or their transposes), ``div(a, b, t, name)``
-    is a^{-1} b, ``state`` turns an anchor matrix into the RK4 state and
-    ``sym`` symmetrises a state."""
+    indexes at ``e`` (rows or their transposes), ``div(a, b, t, name)`` is
+    a^{-1} b, ``state`` makes an anchor the RK4 state, ``sym`` symmetrises."""
 
     rows: Callable
     rows_t: Callable
@@ -137,14 +138,20 @@ def _arithmetic(spec) -> _Arithmetic:
     return _FLOATS if _on_floats(spec) else _matrices(spec.n, spec.m)
 
 
-def _integrate(ar: _Arithmetic, grid: TimeGrid, rhs, direction: str, substeps: int,
-               anchor: np.ndarray, record: bool = False):
-    """RK4 from the anchor matrix with symmetrisation after every substep.
+def _integrate(ar: _Arithmetic, grid: TimeGrid, direction: str, substeps: int,
+               anchor: np.ndarray, build, *args, record: bool = False):
+    """RK4 on ``build(ar, *args)`` from the anchor matrix, symmetrising after
+    every substep; a matrix pass runs on bare solves first (module docstring).
     The path (and stages) come back with the anchor's shape per row."""
-    result = integrate(OdeProblem(grid, rhs, direction, substeps), ar.state(anchor),
-                       post_step=ar.sym, record=record)
-    shape = (-1,) + np.shape(anchor)
-    return tuple(x.reshape(shape) for x in result) if record else result.reshape(shape)
+    def run(ar):
+        result = integrate(OdeProblem(grid, build(ar, *args), direction, substeps),
+                           ar.state(anchor), post_step=ar.sym, record=record)
+        shape = (-1,) + np.shape(anchor)
+        return tuple(x.reshape(shape) for x in result) if record else result.reshape(shape)
+    if ar is not _FLOATS:
+        with suppress(IntegrationError):   # a failed pass is replayed on checked solves
+            return run(ar._replace(div=_bare_solve))
+    return run(ar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +168,7 @@ class HSolution:
         """Sup-norm defect of the shift equation, H' estimated by central
         differences at interior nodes."""
         sl, dH = interior_derivative(self.H, self.grid.dt)
-        A = spec.A.node_values()[sl]
-        Q = spec.Q.node_values()[sl]
-        Hs = self.H[sl]
+        A, Q, Hs = spec.A.node_values()[sl], spec.Q.node_values()[sl], self.H[sl]
         res = dH + Hs @ A + np.swapaxes(A, -1, -2) @ Hs + Q
         return float(np.max(np.abs(res), initial=0.0))
 
@@ -175,9 +180,9 @@ def solve_h(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> HSolution:
     node (all RK4 stages vanish).
     """
     times, index = rk4_stages(spec.grid, "forward", substeps)
-    ar = _arithmetic(spec)
-    rhs = _h_rhs(ar, spec.A.tabulate(times)[index], spec.Q.tabulate(times)[index])
-    return HSolution(spec.grid, _integrate(ar, spec.grid, rhs, "forward", substeps, -spec.G))
+    return HSolution(spec.grid, _integrate(_arithmetic(spec), spec.grid, "forward", substeps,
+                                           -spec.G, _h_rhs, *(p.tabulate(times)[index]
+                                                              for p in (spec.A, spec.Q))))
 
 
 def _h_rhs(ar: _Arithmetic, A: np.ndarray, Q: np.ndarray):
@@ -213,11 +218,8 @@ class RiccatiSolution:
         return float(np.min(np.linalg.eigvalsh(0.5 * (self.Sigma + np.swapaxes(self.Sigma, -1, -2)))))
 
     def inverse_identity_error(self) -> float:
-        """Sup-norm of R(Sigma)^{-1} Sigma - Sigma R(Sigma)^{-T}.
-
-        The two products agree analytically; the gap measures how far the
-        computed inverse drifts from that identity.
-        """
+        """Sup-norm of R(Sigma)^{-1} Sigma - Sigma R(Sigma)^{-T}, zero
+        analytically: how far the computed inverse drifts from that identity."""
         left = self.RofSigmaInv @ self.Sigma
         right = self.Sigma @ np.swapaxes(self.RofSigmaInv, -1, -2)
         return float(np.max(np.abs(left - right)))
@@ -226,16 +228,12 @@ class RiccatiSolution:
         """Sup-norm residual of the Riccati equation on the grid samples,
         Sigma' estimated by central differences at interior nodes."""
         sl, dS = interior_derivative(self.Sigma, self.grid.dt)
-        A = spec.A.node_values()[sl]
-        R22 = spec.R22.node_values()[sl]
-        S = self.Sigma[sl]
-        BS = self.BofSigma[sl]
-        CS = self.CofSigma[sl]
-        RSinv = self.RofSigmaInv[sl]
-        At = np.swapaxes(A, -1, -2)
+        A, R22 = (p.node_values()[sl] for p in (spec.A, spec.R22))
+        S, BS, CS, RSinv = (x[sl] for x in (self.Sigma, self.BofSigma, self.CofSigma,
+                                            self.RofSigmaInv))
         term_b = BS @ np.linalg.solve(R22, np.swapaxes(BS, -1, -2))
         term_c = CS @ RSinv @ S @ np.swapaxes(CS, -1, -2)
-        res = dS - A @ S - S @ At + term_b + term_c
+        res = dS - A @ S - S @ np.swapaxes(A, -1, -2) + term_b + term_c
         return float(np.max(np.abs(res), initial=0.0))
 
 
@@ -293,28 +291,23 @@ def solve_sigma(problem, substeps: int = DEFAULT_SUBSTEPS) -> RiccatiSolution:
     times = times[index]
     cs = canonical_samples(src, times)
     ar = _arithmetic(spec)
-    _, H = _integrate(ar, spec.grid, _h_rhs(ar, cs.A, cs.Q), "backward", substeps, H_T,
-                      record=True)
-    rhs = _sigma_rhs(ar, times, cs.A, cs.B, cs.C, *cs.shifted(H), cs.R22)
-    path, stages = _integrate(ar, spec.grid, rhs, "backward", substeps,
-                              np.zeros((spec.n, spec.n)), record=True)
+    _, H = _integrate(ar, spec.grid, "backward", substeps, H_T, _h_rhs, cs.A, cs.Q, record=True)
+    path, stages = _integrate(ar, spec.grid, "backward", substeps, np.zeros_like(H_T), _sigma_rhs,
+                              times, cs.A, cs.B, cs.C, *cs.shifted(H), cs.R22, record=True)
     return _derive_sigma_paths(spec, path, substeps, np.stack([H, stages], axis=1), cs)
 
 
 def sigma_terms(Sigma, B, C, S1, S2, R11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B(Sigma), C(Sigma), R(Sigma)) on a stack of times."""
-    BofS = B + Sigma @ np.swapaxes(S2, -1, -2)
-    CofS = C + Sigma @ np.swapaxes(S1, -1, -2)
-    RofS = np.eye(Sigma.shape[-1]) + Sigma @ R11
-    return BofS, CofS, RofS
+    return (B + Sigma @ np.swapaxes(S2, -1, -2), C + Sigma @ np.swapaxes(S1, -1, -2),
+            np.eye(Sigma.shape[-1]) + Sigma @ R11)
 
 
 def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray, substeps=None,
                         stages=None, coefficients=None) -> RiccatiSolution:
     nodes = spec.grid.nodes
-    BofS, CofS, RofS = sigma_terms(Sigma, spec.B.node_values(), spec.C.node_values(),
-                                   spec.S1.node_values(), spec.S2.node_values(),
-                                   spec.R11.node_values())
+    BofS, CofS, RofS = sigma_terms(Sigma, *(p.node_values() for p in (
+        spec.B, spec.C, spec.S1, spec.S2, spec.R11)))
     # Invertibility is judged against the natural unit scale of I + Sigma R11
     # (a plain condition number would hide an absolutely tiny 1x1 entry).
     svals = np.linalg.svd(RofS, compute_uv=False)
@@ -327,8 +320,7 @@ def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray, substeps=None,
             f"(t={nodes[worst]:g}, cond={conds[worst]:.3e})"
         )
     RofSinv = np.linalg.inv(RofS)
-    sym = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
-    eigmin = np.min(np.linalg.eigvalsh(sym), axis=-1)
+    eigmin = np.min(np.linalg.eigvalsh(0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))), axis=-1)
     worst = int(np.argmin(eigmin))
     if eigmin[worst] < -PSD_TOL:
         raise PositivityError(
@@ -362,9 +354,7 @@ def uniform_convexity_conditions(spec: ForwardProblemSpec, tol: float = PSD_TOL)
     positive definite."""
     if np.min(np.linalg.eigvalsh(spec.cG)) < tol:
         return False
-    Rv = spec.cR.node_values()
-    Qv = spec.cQ.node_values()
-    Sv = spec.cS.node_values()
+    Rv, Qv, Sv = (p.node_values() for p in (spec.cR, spec.cQ, spec.cS))
     if np.min(np.linalg.eigvalsh(Rv)) < tol:
         return False
     schur = Qv - np.swapaxes(Sv, -1, -2) @ np.linalg.solve(Rv, Sv)
@@ -401,10 +391,8 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
     times = times[index]
     coefficients = tuple(p.tabulate(times) for p in (
         spec.cA, spec.cB, spec.cC, spec.cD, spec.cQ, spec.cS, spec.cR))
-    ar = _arithmetic(spec)
-    rhs = _forward_rhs(ar, times, *coefficients)
-    P, stages = _integrate(ar, spec.grid, rhs, "backward", substeps, spec.cG, record=True)
-    nodes = spec.grid.nodes
+    P, stages = _integrate(_arithmetic(spec), spec.grid, "backward", substeps, spec.cG,
+                           _forward_rhs, times, *coefficients, record=True)
     Dv = spec.cD.node_values()
     Wv = spec.cR.node_values() + np.swapaxes(Dv, -1, -2) @ P @ Dv
     min_eig = np.min(np.linalg.eigvalsh(0.5 * (Wv + np.swapaxes(Wv, -1, -2))), axis=-1)
@@ -412,7 +400,7 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
     if min_eig[worst] <= 0.0:
         raise PositivityError(
             f"R + D^T P D loses positivity at node {worst} "
-            f"(t={nodes[worst]:g}, min eigenvalue {min_eig[worst]:.3e})"
+            f"(t={spec.grid.nodes[worst]:g}, min eigenvalue {min_eig[worst]:.3e})"
         )
     gain = feedback_gain(P, spec.cB.node_values(), spec.cC.node_values(), Dv,
                          spec.cS.node_values(), spec.cR.node_values())

@@ -249,6 +249,39 @@ def test_batched_controlled_state_equals_single(name, spec_2d):
             assert np.array_equal(x, y)
 
 
+def test_controlled_state_tabulates_per_kind_not_per_control(monkeypatch):
+    # The controls of one kind are stacked into one path, tabulated once.
+    spec = bslq.homogeneous(make_spec_2d(20))
+    tabulate, calls = MatrixPath.tabulate, []
+    monkeypatch.setattr(MatrixPath, "tabulate",
+                        lambda self, times: calls.append(self) or tabulate(self, times))
+    counts = []
+    for K in (3, 16):
+        calls.clear()
+        solve_controlled_state(spec, random_controls(spec, K))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_controls_of_mixed_kinds_equal_their_single_solves():
+    # Grouped by kind, each control still gets its own column, bitwise.
+    spec = bslq.homogeneous(make_spec_2d(20))
+    grid = spec.grid
+    rng = np.random.default_rng(3)
+    sampled = random_controls(spec, 2, seed=4)
+    controls = [sampled[0],
+                AffineProcess.of_constants([0.5, -0.2], [0.1, 0.3], grid),
+                AffineProcess(MatrixPath.piecewise(rng.standard_normal((21, 2)), grid),
+                              sampled[1].b),
+                AffineProcess.deterministic(sampled[1].a)]
+    batched = solve_controlled_state(spec, controls)
+    for control, sol in zip(controls, batched):
+        single = solve_controlled_state(spec, [control])[0]
+        for x, y in zip(*((*s.phi.node_parts(), s.drift.r0, s.drift.r1, *s.drift.stages)
+                          for s in (sol, single))):
+            assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("name", ["SX", "SH", "2x2"])
 def test_sigma_one_pass_matches_reference(name, spec_2d):
     # Reference: the joint (H, Sigma) pass written against the source

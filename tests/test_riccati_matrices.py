@@ -1,9 +1,11 @@
 """The matrix arithmetic of the Riccati kernels (n >= 2 or m >= 2): solves
 and products against numpy's own, frozen digests at shapes the 2x2 fixture
-does not cover, a guard that the RK4 loops bypass the ``np.linalg.solve``
-wrapper, and properties of definite-case backward problems."""
+does not cover, guards that the RK4 loops bypass the ``np.linalg.solve``
+wrapper and make checked solves only in the replay of a failed pass, and
+properties of definite-case backward problems."""
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -15,8 +17,9 @@ from test_riccati import forward_2x2
 
 import bslq
 from bslq import riccati
-from bslq.errors import SingularityError
+from bslq.errors import IntegrationError, SingularityError
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid
+from bslq.problem import _zeros
 
 
 def _paths(grid):
@@ -218,6 +221,67 @@ def test_rk4_loops_do_not_call_the_numpy_solve_wrapper(monkeypatch):
     with pytest.raises(SingularityError, match="R \\+ D\\^T P D singular at t=1"):
         bslq.solve_forward_riccati(singular)
     assert calls["loops"] == 1
+
+
+def s4_2x2(**scales):
+    """An n = m = 2 copy of S4 at 8 steps (B = R22 = R11 = I, xi = (0, W)),
+    with the coefficients named in ``scales`` set to that multiple of I."""
+    grid = TimeGrid(1.0, 8)
+
+    def eye(scale):
+        return MatrixPath.constant(scale * np.eye(2), grid)
+    fields = _zeros(bslq.ProblemSpec, 2, 2, grid) | {
+        "B": eye(1.0), "R22": eye(1.0), "R11": eye(1.0),
+        "xi": AffineProcess.of_constants([0.0, 0.0], [1.0, 1.0], grid)}
+    return bslq.ProblemSpec(n=2, m=2, grid=grid,
+                            **(fields | {k: eye(v) for k, v in scales.items()}))
+
+
+def spy_on_checked_solves(monkeypatch):
+    """Calls of ``riccati._solve``, one count per RK4 pass (``integrate`` call)."""
+    counts = []
+    solve, integrate = riccati._solve, riccati.integrate
+
+    def solve_spy(*args):
+        counts[-1] += 1
+        return solve(*args)
+
+    def integrate_spy(*args, **kwargs):
+        counts.append(0)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "_solve", solve_spy)
+    monkeypatch.setattr(riccati, "integrate", integrate_spy)
+    return counts
+
+
+def test_successful_matrix_passes_make_no_checked_solve(monkeypatch):
+    # With checked solves in the loop, an 8-step 2x2 solve_sigma would call
+    # _solve 256 times (two solves per evaluation, 4 evaluations, 4 substeps).
+    counts = spy_on_checked_solves(monkeypatch)
+    bslq.solve_h(make_spec_2d(8))
+    bslq.solve_sigma(bslq.reduce_problem(make_spec_2d(8)))
+    bslq.solve_sigma(bslq.reduce_problem(make_spec_2d(50)))
+    bslq.solve_forward_riccati(forward_2x2(50))
+    assert counts == [0] * 8   # solve_h 1, reduce_problem 1 and solve_sigma 2 each, P 1
+
+
+@pytest.mark.parametrize("scales, error, message", [
+    # Sigma = (1 - t) I, so R(Sigma) = I - 2 Sigma is singular at t = 0.5, as
+    # in test_scalar_singularity_messages[r-of-sigma].
+    ({"R11": -2.0}, SingularityError, "R(Sigma) singular at t=0.5"),
+    ({"A": 400.0, "B": 1e150}, IntegrationError, "non-finite state at node 7 (t=0.875)"),
+], ids=["r-of-sigma", "blow-up"])
+def test_a_failed_matrix_pass_raises_from_its_checked_replay(monkeypatch, scales, error,
+                                                             message):
+    red = bslq.reduce_problem(s4_2x2(**scales))
+    counts = spy_on_checked_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(message)):
+            bslq.solve_sigma(red)
+    # The H pass and the bare Sigma pass make no checked solve; the replay does.
+    assert counts[:2] == [0, 0] and len(counts) == 3 and counts[2] > 0
 
 
 # -- definite-case backward problems ---------------------------------------------
