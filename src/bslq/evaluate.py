@@ -24,8 +24,9 @@ The optimality checks implement three independent characterisations:
 * the quadratic expansion J(xi; u* + eps v) - J(xi; u*) = eps^2 J0(0; v)
   under common random numbers, for exact affine perturbations v, read off
   the exact per-path polynomial 2 eps C + eps^2 J0 in eps;
-* a uniform-convexity probe estimating min_v J0(0; v) / E int |v|^2 over
-  random affine controls, with a certificate when it is credibly negative.
+* a uniform-convexity probe taking min_v J0(0; v) / E int |v|^2 over
+  random affine controls in exact expectation, with a certificate when it
+  is negative.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class CostForm:
     An ensemble with slot map L, s_k = L_k xi_k, has the integrand
     xi_k^T C_k xi_k with C_k = L_k^T M_k L_k plus the linear rows L_k^T a_k
     (on the 1 of xi) and L_k^T b_k (on its W), and a boundary form of the
-    same kind at node ``at`` (:meth:`xi_parts`).
+    same kind at node ``at`` (:meth:`tables`).
     """
 
     M: np.ndarray  # (N, D, D) over the stacked slots
@@ -111,11 +112,11 @@ class CostForm:
     at: int
     dt: float
 
-    def xi_parts(self, xi, Ls, Lt=None, weight: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-        """Per-path boundary <G x_s, x_t> + weight <g, x_t> and running
-        B(s, t) + weight L(t) of s = L_s xi and t = L_t xi, for ``xi`` the d - 1
-        parts before its 1 and slot maps (N+1, D, d), a narrower L_t acting on
-        the trailing parts.  With ``Lt`` None and weight 2 these are J(s)'s."""
+    def tables(self, Ls, Lt=None, weight: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary table (d, d) of <G x_s, x_t> + weight <g, x_t> and running
+        tables (N, d, d) of B(s, t) + weight L(t) for s = L_s xi and t = L_t xi,
+        xi = (..., W, 1), slot maps (N+1, D, d), a narrower L_t acting on the
+        trailing parts.  With ``Lt`` None and weight 2 these are J(s)'s."""
         Lt = Ls if Lt is None else np.pad(Lt, ((0, 0), (0, 0), (Ls.shape[-1] - Lt.shape[-1], 0)))
         N, at, n = len(self.M), self.at, len(self.g)
         run = Ls[:N].swapaxes(-1, -2) @ self.M @ Lt[:N]
@@ -123,8 +124,14 @@ class CostForm:
         run[:, -2] += weight * np.einsum("ki,kij->kj", self.b, Lt[:N])
         boundary = Ls[at, :n].T @ self.G @ Lt[at, :n]
         boundary[-1] += weight * (self.g @ Lt[at, :n])
-        return (_quad_sums(boundary[None], xi, slice(at, at + 1)),
-                _quad_sums(run, xi, slice(N)) * self.dt)
+        return boundary, run
+
+    def xi_parts(self, xi, Ls, Lt=None, weight: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+        """Per-path boundary and running parts of :meth:`tables` on ``xi``,
+        the d - 1 parts before its 1."""
+        boundary, run = self.tables(Ls, Lt, weight)
+        return (_quad_sums(boundary[None], xi, slice(self.at, self.at + 1)),
+                _quad_sums(run, xi, slice(len(self.M))) * self.dt)
 
 
 def cost_form(spec) -> CostForm:
@@ -369,57 +376,42 @@ def random_affine_control(grid: TimeGrid, m: int, rng: np.random.Generator) -> A
 
 
 @dataclass(frozen=True)
-class ProbeTrial:
-    ratio: float
-    stderr: float
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     """Lower-bound probe for J0(0; v) >= delta * E int |v|^2.
 
-    ``delta_hat`` is the smallest cost-to-energy ratio over the sampled
-    controls; a value below -3 stderr is a numerically credible certificate
-    that the homogeneous functional is not uniformly convex.
+    ``delta_hat`` is the smallest cost-to-energy ratio over the random
+    controls, each an exact expectation; a negative one certifies that the
+    homogeneous functional is not uniformly convex.
     """
 
     delta_hat: float
-    stderr: float
     certificate: bool
-    trials: list[ProbeTrial] = field(repr=False)
+    ratios: list[float] = field(repr=False)
 
 
 def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
-                    paths: int = 2000, substeps: int = DEFAULT_SUBSTEPS) -> ProbeReport:
-    """Estimate min_v J0(0; v) / E int |v|^2 over random affine controls.
+                    substeps: int = DEFAULT_SUBSTEPS) -> ProbeReport:
+    """min_v J0(0; v) / E int |v|^2 over random affine controls, in expectation.
 
-    Both are costed as quadratic forms in xi = (W, 1) from the controls' node
-    arrays and their exact states (:func:`controlled_map`); no trajectory is
-    sampled."""
+    Both are quadratic forms in xi = (W, 1), tabulated from the controls'
+    node arrays and their exact states (:func:`controlled_map`).  Through
+    E W = 0 and E W^2 = t a node's xi^T C xi has expectation C_WW t + C_11,
+    so no path is drawn and the ratios carry no sampling error."""
     hspec = homogeneous(spec)
-    grid = hspec.grid
-    W = BrownianEnsemble.generate(seed, paths, grid).W
+    grid, form = hspec.grid, cost_form(hspec)
+    N, t = grid.steps, grid.nodes
     rng = np.random.Generator(philox(seed, 0xC0FFEE))
-    form = cost_form(hspec)
     controls = [random_affine_control(grid, hspec.m, rng) for _ in range(trials)]
-    states = solve_controlled_state(hspec, controls, substeps)
-    out: list[ProbeTrial] = []
-    for v, state in zip(controls, states):
-        num = sum(form.xi_parts((W,), controlled_map(state, v)))
-        den = _square_sums(v, W, slice(grid.steps)) * grid.dt
-        dbar = den.mean()
-        ratio = num.mean() / dbar
-        # Delta-method stderr of the ratio of means, from the linearised
-        # per-path residual: the same variance as cov(num, den) gives, without
-        # its cancellation between O(1) covariances when num ~ ratio * den.
-        out.append(ProbeTrial(float(ratio), mc_stderr((num - ratio * den) / dbar)))
-    worst = min(out, key=lambda tr: tr.ratio)
-    return ProbeReport(
-        delta_hat=worst.ratio,
-        stderr=worst.stderr,
-        certificate=worst.ratio < -3.0 * worst.stderr,
-        trials=out,
-    )
+    ratios = []
+    for v, state in zip(controls, solve_controlled_state(hspec, controls, substeps)):
+        boundary, run = form.tables(controlled_map(state, v))
+        num = (boundary[0, 0] * t[form.at] + boundary[1, 1]
+               + (run[:, 0, 0] @ t[:N] + run[:, 1, 1].sum()) * grid.dt)
+        a, b = v.node_parts()
+        den = (np.sum(a[:N] ** 2) + t[:N] @ np.sum(b[:N] ** 2, axis=-1)) * grid.dt
+        ratios.append(float(num / den))
+    delta_hat = min(ratios)
+    return ProbeReport(delta_hat=delta_hat, certificate=delta_hat < 0.0, ratios=ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +527,41 @@ def _row(name: str, value: float, threshold: float, comparator: str) -> CheckRow
     return CheckRow(name, float(value), float(threshold), comparator, bool(ok))
 
 
+def _allowance(coarse: float, fine: float) -> float:
+    """Discretization allowance of an estimate at N steps from its value at 2N
+    on the same paths: twice the difference, floored at 1e-4."""
+    return max(2.0 * abs(coarse - fine), 1e-4)
+
+
+def _brownian_pair(spec, seed: int, paths: int):
+    """The spec resampled at 2N steps, its Brownian ensemble, and that
+    ensemble aggregated onto the N-step grid."""
+    fine_spec = resample(spec, 2 * spec.grid.steps)
+    fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid)
+    return fine_spec, fine_brownian, fine_brownian.coarsen(2)
+
+
+def _result(rows: list[CheckRow], formula: float, mc: CostReport, c_dt: float,
+            **extra) -> VerificationResult:
+    return VerificationResult(rows, all(r.passed for r in rows), value_report=dict(
+        value_formula=formula, value_mc=mc.estimate, value_mc_stderr=mc.stderr,
+        value_c_dt=c_dt, **extra))
+
+
+PERTURBATIONS = 3  # random affine controls in the perturbation rows
+
+
 def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
                     substeps: int = DEFAULT_SUBSTEPS, trials: int = 16,
-                    eps_grid=(-1.0, -0.5, -0.1, 0.1, 0.5, 1.0),
-                    perturbations: int = 3) -> VerificationResult:
+                    eps_grid=(-1.0, -0.5, -0.1, 0.1, 0.5, 1.0)) -> VerificationResult:
     """Run the full verification table for a backward problem.
 
     Monte-Carlo tolerances are self-calibrated: every estimate is computed
     at the working step count and at twice that step count on the same
     (aggregated) Brownian paths, and the discretization allowance is twice
-    the difference between the two, floored at 1e-4.
+    the difference between the two, floored at 1e-4.  The convexity probe
+    is exact in expectation and draws its controls independently of
+    ``seed``, so the ``delta_hat`` row is the same at every seed.
     """
     for e in map(float, eps_grid):
         if not math.isfinite(e * e):  # e ** 2 would raise OverflowError
@@ -552,9 +569,7 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
             raise ValueError(f"--eps-grid entries must {need}, got {e:g}")
     if not any(eps_grid):
         raise ValueError("--eps-grid needs a nonzero entry: eps = 0 perturbs nothing")
-    fine_spec = resample(spec, 2 * spec.grid.steps)
-    fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid)
-    brownian = fine_brownian.coarsen(2)
+    fine_spec, fine_brownian, brownian = _brownian_pair(spec, seed, paths)
 
     synth = synthesize_optimal(spec, brownian, substeps)
     fine_synth = synthesize_optimal(fine_spec, fine_brownian, substeps)
@@ -577,20 +592,18 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
 
     v_formula = value_formula(spec, reduced, sigma, bsde)
     mc = evaluate_cost(spec, ens)
-    mc_fine = evaluate_cost(fine_spec, fine_synth.ensemble)
-    c_dt = max(2.0 * abs(mc.estimate - mc_fine.estimate), 1e-4)
+    c_dt = _allowance(mc.estimate, evaluate_cost(fine_spec, fine_synth.ensemble).estimate)
     rows.append(_row("value_gap", abs(v_formula - mc.estimate),
                      3.0 * mc.stderr + c_dt, "<="))
 
-    probe = convexity_probe(spec, trials=trials, seed=seed + 1,
-                            paths=min(paths, 2000), substeps=substeps)
-    rows.append(_row("delta_hat", probe.delta_hat, -3.0 * probe.stderr, ">="))
+    probe = convexity_probe(spec, trials=trials, substeps=substeps)
+    rows.append(_row("delta_hat", probe.delta_hat, 0.0, ">="))
 
     rng = np.random.Generator(philox(seed, 0x9E37))
     max_defect, min_diff = 0.0, np.inf
     eps_max = max(eps_grid, key=abs)
     fine_grid = fine_spec.grid
-    vs = [random_affine_control(spec.grid, spec.m, rng) for _ in range(perturbations)]
+    vs = [random_affine_control(spec.grid, spec.m, rng) for _ in range(PERTURBATIONS)]
     fine_vs = [AffineProcess(*(MatrixPath.sampled(p.tabulate(fine_grid.nodes), fine_grid)
                                for p in (v.a, v.b))) for v in vs]
     states = solve_controlled_state(homogeneous(spec), vs, substeps)
@@ -603,7 +616,7 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
         rep_fine = perturbation_identity(fine_spec, fine_synth.ensemble, fine_v,
                                          [eps_max], substeps, fine_state)
         ref = next(r for r in rep.rows if r.eps == eps_max)
-        c_pert = max(2.0 * abs(ref.defect - rep_fine.rows[0].defect), 1e-4)
+        c_pert = _allowance(ref.defect, rep_fine.rows[0].defect)
         for r in rep.rows:
             tol = 3.0 * r.defect_stderr + c_pert
             max_defect = max(max_defect, abs(r.defect) - tol)
@@ -613,24 +626,14 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
 
     bound = apriori_bound_check(spec, ens)
     rows.append(_row("apriori_bound_ratio", bound.lhs, bound.rhs + 1e-12, "<="))
-
-    passed = all(r.passed for r in rows)
-    return VerificationResult(rows, passed, value_report={
-        "value_formula": v_formula,
-        "value_mc": mc.estimate,
-        "value_mc_stderr": mc.stderr,
-        "value_c_dt": c_dt,
-        "delta_hat": probe.delta_hat,
-        "stationarity_sup": stat.sup,
-    })
+    return _result(rows, v_formula, mc, c_dt, delta_hat=probe.delta_hat,
+                   stationarity_sup=stat.sup)
 
 
 def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
                    substeps: int = DEFAULT_SUBSTEPS) -> VerificationResult:
     """Verification table for a forward problem."""
-    fine_spec = resample(spec, 2 * spec.grid.steps)
-    fine_brownian = BrownianEnsemble.generate(seed, paths, fine_spec.grid)
-    brownian = fine_brownian.coarsen(2)
+    fine_spec, fine_brownian, brownian = _brownian_pair(spec, seed, paths)
 
     def run(s, bw):
         psol = solve_forward_riccati(s, substeps)
@@ -638,7 +641,6 @@ def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
         return psol, adj, simulate_forward_closed_loop(s, psol, adj, bw)
 
     psol, adj, ens = run(spec, brownian)
-    psol_f, adj_f, ens_f = run(fine_spec, fine_brownian)
 
     rows: list[CheckRow] = []
     rows.append(_row("p_terminal_anchor", float(np.max(np.abs(psol.P[-1] - spec.cG))), 0.0, "<="))
@@ -648,17 +650,10 @@ def verify_forward(spec: ForwardProblemSpec, paths: int = 10000, seed: int = 42,
     rows.append(_row("adjoint_residual", adj.residual(), 1e-6, "<="))
 
     rep = forward_value(spec, psol, adj, ens)
-    rep_fine = forward_value(fine_spec, psol_f, adj_f, ens_f)
-    c_dt = max(2.0 * abs(rep.mc.estimate - rep_fine.mc.estimate), 1e-4)
+    fine_mc = forward_value(fine_spec, *run(fine_spec, fine_brownian)).mc
+    c_dt = _allowance(rep.mc.estimate, fine_mc.estimate)
     rows.append(_row("forward_value_gap", rep.gap, 3.0 * rep.mc.stderr + c_dt, "<="))
-
-    passed = all(r.passed for r in rows)
-    return VerificationResult(rows, passed, value_report={
-        "value_formula": rep.formula,
-        "value_mc": rep.mc.estimate,
-        "value_mc_stderr": rep.mc.stderr,
-        "value_c_dt": c_dt,
-    })
+    return _result(rows, rep.formula, rep.mc, c_dt)
 
 
 def verify(spec, **kw) -> VerificationResult:

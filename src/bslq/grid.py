@@ -39,6 +39,9 @@ class TimeGrid:
             raise ValueError(f"horizon must be positive and finite, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not self.dt >= np.finfo(float).tiny:  # a subnormal or zero step
+            raise ValueError(f"time step T/steps is not a normal positive double: "
+                             f"T = {self.T}, steps = {self.steps}")
 
     @property
     def dt(self) -> float:
@@ -104,10 +107,6 @@ class MatrixPath:
     @property
     def rows(self) -> int:
         return self.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.shape[1] if len(self.shape) == 2 else 1
 
     def node_values(self) -> np.ndarray:
         """Samples at every grid node, shape (steps + 1, *shape)."""

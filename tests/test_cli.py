@@ -460,6 +460,19 @@ def test_scenario_header_numbers_are_checked(field, value, message, tmp_path, ca
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["verify", "--paths", "2"], ["value"]])
+def test_underflowing_time_step_exits_two(command, tmp_path, capsys):
+    # With T = 5e-324 the step T/steps is 0: verify died with an IndexError
+    # traceback, and value printed "value = 0" and exited 0.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4", steps=2))
+    doc["T"] = 5e-324
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run([command[0], str(path), *command[1:], "--steps", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: time step T/steps is not a normal positive "
+                                       "double: T = 5e-324, steps = 2\n")
+
+
 @pytest.mark.parametrize("field", ["G", "g", "x0"])
 def test_constant_given_as_a_path_exits_two(field, tmp_path, capsys):
     name = "SF" if field == "x0" else "S4"

@@ -1,6 +1,7 @@
 """Cost evaluation, value formula, and the optimality check battery."""
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from reference import form_parts, path_costs, sample_affine_control
 import bslq
 from bslq.errors import (IntegrationError, PositivityError, ReductionError,
                          SimulationError, SingularityError)
-from bslq.evaluate import CostForm, _quad_sums, cost_form, mc_stderr
+from bslq.evaluate import (CostForm, _quad_sums, _square_sums, controlled_map, cost_form,
+                           mc_stderr)
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid, mv
 
 
@@ -278,7 +280,7 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     assert inside == []
     outside.clear()
     bslq.perturbation_identity(spec, synth.ensemble, v, [0.5])
-    bslq.convexity_probe(spec, trials=2, seed=3, paths=50)
+    bslq.convexity_probe(spec, trials=2, seed=3)
     assert outside == [] and inside == []
 
 
@@ -360,11 +362,22 @@ def test_xi_form_matches_sampled_kernel(name, spec_2d, brownian_cache):
 
 @pytest.mark.parametrize("name", ["S1", "S4", "SX", "SH", "2x2"])
 def test_probe_ratio_matches_sampled_route_closely(name, spec_2d):
-    # The probe's numerator and energy are forms in xi = (W, 1).
+    # The probe's numerator and energy are quadratic forms in xi = (W, 1), so
+    # their expectations are their means over the two paths W = +-sqrt(t),
+    # whose first two moments are exact: sampled trajectories on those paths
+    # give the exact ratio up to rounding.
     spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50)
-    rep = bslq.convexity_probe(spec, trials=4, seed=11, paths=300)
-    for trial, (ratio, _, _) in zip(rep.trials, reference_probe(spec, 4, 11, 300)):
-        assert abs(trial.ratio - ratio) <= XI_RTOL * abs(ratio)
+    rep = bslq.convexity_probe(spec, trials=4, seed=11)
+    hspec, controls = probe_controls(spec, 4, 11)
+    grid = hspec.grid
+    root = np.sqrt(grid.nodes)
+    two_point = SimpleNamespace(W=np.stack((root, -root)))
+    for ratio, v in zip(rep.ratios, controls):
+        traj = sample_affine_control(hspec, v, two_point)
+        u = traj.u[:, :grid.steps]
+        num = path_costs(hspec, traj.Y, traj.Z, traj.u, two_point.W)
+        ref = num.mean() / (np.einsum("pki,pki->p", u, u).mean() * grid.dt)
+        assert abs(ratio - ref) <= XI_RTOL * abs(ref)
 
 
 XI_ERRORS = (IntegrationError, PositivityError, ReductionError, SimulationError,
@@ -438,57 +451,60 @@ def test_xi_form_matches_sampled_kernel_property(problem):
 # -- convexity probe -------------------------------------------------------------
 
 
-def reference_probe(spec, trials, seed, paths):
-    """(ratio, stderr, textbook stderr) per trial of the probe on sampled
-    trajectories: sample_affine_control, path_costs and the einsum energy.
-    The textbook delta-method stderr from cov(num, den) is the same variance
-    with cancellation between its terms."""
+def probe_controls(spec, trials, seed):
+    """The homogeneous problem and the random controls the probe draws."""
     hspec = bslq.homogeneous(spec)
-    grid, N = hspec.grid, hspec.grid.steps
-    brownian = bslq.BrownianEnsemble.generate(seed, paths, grid)
     key = np.array([seed, 0xC0FFEE], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
+    return hspec, [bslq.random_affine_control(hspec.grid, hspec.m, rng) for _ in range(trials)]
+
+
+def reference_probe(spec, trials, seed, paths, block=20_000):
+    """(ratio, stderr) per probe control by Monte Carlo over ``paths``
+    Brownian paths, drawn in blocks to bound memory: J0 and the energy per
+    path as forms in xi = (W, 1), the stderr the delta-method one of a ratio
+    of means from the linearised residual."""
+    hspec, controls = probe_controls(spec, trials, seed)
+    grid, form = hspec.grid, cost_form(hspec)
+    states = bslq.solve_controlled_state(hspec, controls)
+    maps = [controlled_map(state, v) for state, v in zip(states, controls)]
+    num, den = [[] for _ in controls], [[] for _ in controls]
+    for first in range(0, paths, block):
+        W = bslq.BrownianEnsemble.generate(seed, min(block, paths - first), grid, first).W
+        for v, L, n, d in zip(controls, maps, num, den):
+            n.append(sum(form.xi_parts((W,), L)))
+            d.append(_square_sums(v, W, slice(grid.steps)) * grid.dt)
     out = []
-    for _ in range(trials):
-        v = bslq.random_affine_control(grid, hspec.m, rng)
-        traj = sample_affine_control(hspec, v, brownian)
-        num = path_costs(hspec, traj.Y, traj.Z, traj.u, brownian.W)
-        den = np.einsum("pki,pki->p", traj.u[:, :N], traj.u[:, :N]) * grid.dt
-        nbar, dbar = num.mean(), den.mean()
-        ratio = nbar / dbar
-        residual = (num - ratio * den) / dbar
-        cov = np.cov(num, den, ddof=1)
-        var = (cov[0, 0] / dbar ** 2 + nbar ** 2 * cov[1, 1] / dbar ** 4
-               - 2.0 * nbar * cov[0, 1] / dbar ** 3)
-        out.append((ratio, residual.std(ddof=1) / np.sqrt(paths), np.sqrt(var / paths)))
+    for n, d in zip(map(np.concatenate, num), map(np.concatenate, den)):
+        ratio = n.mean() / d.mean()
+        out.append((ratio, mc_stderr((n - ratio * d) / d.mean())))
     return out
 
 
-@pytest.mark.parametrize("name", ["S4", "SX", "SH", "2x2"])
+@pytest.mark.parametrize("name", ["S4", "S5", "SX", "SH", "2x2"])
 def test_probe_matches_sampled_route(name, spec_2d):
-    # The probe costs each control on its node arrays; the reference samples
-    # the trajectories and costs them path by path.
+    # Each exact ratio lies within 4 standard errors of the Monte-Carlo ratio
+    # of the same control at 1e5 paths.
     spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50)
-    rep = bslq.convexity_probe(spec, trials=16, seed=11, paths=400)
-    ref = reference_probe(spec, 16, 11, 400)
-    assert len(rep.trials) == len(ref) == 16
-    for trial, (ratio, stderr, textbook) in zip(rep.trials, ref):
-        assert abs(trial.ratio - ratio) <= 1e-12 * abs(ratio)
-        assert abs(trial.stderr - stderr) <= 1e-12 * stderr
-        assert abs(trial.stderr - textbook) <= 1e-9 * textbook
-    assert rep.delta_hat == min(trial.ratio for trial in rep.trials)
+    rep = bslq.convexity_probe(spec, trials=16, seed=11)
+    ref = reference_probe(spec, 16, 11, 100_000)
+    assert len(rep.ratios) == len(ref) == 16
+    for ratio, (mc, stderr) in zip(rep.ratios, ref):
+        assert abs(ratio - mc) <= 4.0 * stderr, (ratio, mc, stderr)
+    assert rep.delta_hat == min(rep.ratios)
 
 
 def test_probe_unit_ratio_s1():
     spec = bslq.builtin_scenario("S1", steps=100)
-    rep = bslq.convexity_probe(spec, trials=8, seed=3, paths=500)
+    rep = bslq.convexity_probe(spec, trials=8, seed=3)
     assert rep.delta_hat == pytest.approx(1.0, abs=1e-12)
+    assert rep.ratios == pytest.approx([1.0] * 8, abs=1e-12)
     assert not rep.certificate
 
 
 def test_probe_positive_s5():
     spec = bslq.builtin_scenario("S5", steps=100)
-    rep = bslq.convexity_probe(spec, trials=16, seed=3, paths=2000)
+    rep = bslq.convexity_probe(spec, trials=16, seed=3)
     assert rep.delta_hat > 0.0
     assert not rep.certificate
 
@@ -496,9 +512,35 @@ def test_probe_positive_s5():
 def test_probe_negative_certificate():
     spec = bslq.builtin_scenario("S1", steps=100)
     spec = spec.replace(R22=MatrixPath.constant([[-1.0]], spec.grid))
-    rep = bslq.convexity_probe(spec, trials=8, seed=3, paths=500)
+    rep = bslq.convexity_probe(spec, trials=8, seed=3)
     assert rep.delta_hat < 0.0
     assert rep.certificate
+    assert rep.ratios == pytest.approx([-1.0] * 8, abs=1e-12)  # J0 = -E int |v|^2
+
+
+def test_probe_draws_no_brownian_path(monkeypatch, spec_2d):
+    calls = []
+    generate = bslq.BrownianEnsemble.generate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(bslq.BrownianEnsemble, "generate", spy)
+    bslq.convexity_probe(spec_2d, trials=2, seed=3)
+    bslq.convexity_probe(bslq.builtin_scenario("S5", steps=50), trials=2, seed=3)
+    assert calls == []
+    bslq.BrownianEnsemble.generate(3, 2, spec_2d.grid)
+    assert len(calls) == 1  # the spy sees a draw
+
+
+def test_delta_hat_row_is_the_same_at_every_seed():
+    spec = bslq.builtin_scenario("S5", steps=20)
+    rows = [next((r.value, r.threshold) for r in bslq.verify(
+        spec, paths=50, seed=seed, trials=4).rows if r.name == "delta_hat")
+        for seed in (1, 2)]
+    assert rows[0] == rows[1]
+    assert rows[0][1] == 0.0
 
 
 # -- a-priori bound ---------------------------------------------------------------
@@ -589,7 +631,7 @@ def test_forward_value_formula_is_homogeneous_value_without_data():
 
 def test_verify_backward_passes():
     result = bslq.verify(bslq.builtin_scenario("S4", steps=100),
-                         paths=2000, seed=42, trials=4, perturbations=2)
+                         paths=2000, seed=42, trials=4)
     assert result.passed
     names = {r.name for r in result.rows}
     assert {"riccati_residual", "stationarity_sup", "value_gap",

@@ -25,6 +25,14 @@ def test_time_grid_rejects_bad_input():
         TimeGrid(1.0, 0)
 
 
+def test_time_grid_rejects_a_subnormal_step():
+    # T = 5e-324 over 2 steps gives dt = 0; 1e-300 over 1e9 a subnormal dt.
+    for T, steps in ((5e-324, 2), (1e-300, 10 ** 9)):
+        with pytest.raises(ValueError, match=f"T = {T}, steps = {steps}"):
+            TimeGrid(T, steps)
+    assert TimeGrid(1e-300, 10).dt == 1e-301
+
+
 def test_matrix_path_kinds():
     grid = TimeGrid(1.0, 4)
     const = MatrixPath.constant([[2.0]], grid)
