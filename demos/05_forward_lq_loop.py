@@ -29,9 +29,9 @@ print(f"closed-loop Monte Carlo   = {report.mc.estimate:.6f} "
 
 print()
 print("closed-loop state is deterministic here (no diffusion feeds it):")
-print("  X(t) at t = 0, 0.5, 1:", loop.X[0, [0, 100, 200], 0],
+print("  X(t) at t = 0, 0.5, 1:", loop["X"][0, [0, 100, 200], 0],
       " (closed form (2 - t)/2)")
-print("  v(t) is constant -1/2:", loop.v[0, [0, 100, 200], 0])
+print("  v(t) is constant -1/2:", loop["v"][0, [0, 100, 200], 0])
 
 print()
 print("quadratic scaling of the value in the initial state:")

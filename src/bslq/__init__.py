@@ -31,7 +31,7 @@ from .reduction import ReducedProblem, map_control, reduce_problem
 from .riccati import (ForwardRiccatiSolution, HSolution, RiccatiSolution,
                       solve_forward_riccati, solve_h, solve_sigma,
                       uniform_convexity_conditions)
-from .simulate import (BrownianEnsemble, ForwardEnsemble, OptimalSynthesis, PathEnsemble,
+from .simulate import (BrownianEnsemble, OptimalSynthesis, PathEnsemble,
                        simulate_forward_closed_loop, synthesize_optimal)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ class SpecValidationError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """An ODE integration produced a non-finite state."""
+    """An ODE integration or a quadrature produced a non-finite value."""
 
 
 class ConsistencyError(RuntimeError):
@@ -35,7 +35,8 @@ class PositivityError(RuntimeError):
 
 class ReductionError(RuntimeError):
     """The control-weight block is not positive definite, so the
-    cross-term elimination is not well defined."""
+    cross-term elimination is not well defined, or the constant shift of
+    the reduction is not finite."""
 
 
 class SimulationError(RuntimeError):

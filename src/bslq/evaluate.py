@@ -38,13 +38,14 @@ import numpy as np
 
 from .bsde import (AffineBsdeSolution, assemble_drift, solve_affine_bsde,
                    solve_controlled_state, solve_eta_zeta)
+from .errors import IntegrationError
 from .grid import AffineProcess, MatrixPath, TimeGrid, mv
 from .ode import DEFAULT_SUBSTEPS
 from .problem import ForwardProblemSpec, ProblemSpec, homogeneous, resample
 from .reduction import ReducedProblem, reduce_problem
 from .riccati import (ForwardRiccatiSolution, RiccatiSolution, solve_forward_riccati,
                       solve_sigma, uniform_convexity_conditions)
-from .simulate import (BrownianEnsemble, ForwardEnsemble, PathEnsemble, feedforward, philox,
+from .simulate import (BrownianEnsemble, PathEnsemble, feedforward, philox,
                        simulate_forward_closed_loop, synthesize_optimal)
 
 
@@ -174,12 +175,11 @@ class CostReport:
     running_term: float
 
 
-def evaluate_cost(spec, ens) -> CostReport:
+def evaluate_cost(spec, ens: PathEnsemble) -> CostReport:
     """Cost report for a synthesized backward or a forward closed-loop
-    ensemble: the quadratic form in xi through its slot map, not its sampled
-    Y, Z, u or v, reduced by one fixed sum."""
-    X = ens.X if isinstance(spec, ForwardProblemSpec) else ens.X_dual
-    xi = (*np.moveaxis(X, -1, 0), ens.brownian.W)  # the parts of xi before its 1
+    ensemble: the quadratic form in xi through its slot map, not its
+    fields Y, Z, u or v, reduced by one fixed sum."""
+    xi = (*np.moveaxis(ens.state, -1, 0), ens.brownian.W)  # the parts of xi before its 1
     boundary, running = cost_form(spec).xi_parts(xi, ens.slot_map)
     costs = boundary + running
     P = costs.shape[0]
@@ -209,10 +209,7 @@ def value_formula(spec: ProblemSpec, reduced: ReducedProblem,
     """
     base = reduced.base
     t = base.grid.nodes
-    S1 = base.S1.node_values()
-    S2 = base.S2.node_values()
-    R11 = base.R11.node_values()
-    R22 = base.R22.node_values()
+    S1, S2, R11, R22 = (p.node_values() for p in (base.S1, base.S2, base.R11, base.R22))
     Sg = sigma.Sigma
     RSinv = sigma.RofSigmaInv
     R22inv = np.linalg.inv(R22)
@@ -241,8 +238,12 @@ def value_formula(spec: ProblemSpec, reduced: ReducedProblem,
     integrand = term1 + term2 + term3 + term4 + term5 + term6
     running = float(np.trapezoid(integrand, dx=base.grid.dt))
     g = base.g
-    head = 2.0 * float(aphi[0] @ g) - float(g @ sigma.Sigma[0] @ g)
-    return head + running - reduced.constant_shift
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite g may overflow here
+        head = 2.0 * float(aphi[0] @ g) - float(g @ sigma.Sigma[0] @ g)
+    value = head + running - reduced.constant_shift
+    if not math.isfinite(value):
+        raise IntegrationError(f"optimal value is not finite: {value}")
+    return value
 
 
 def solve_value(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS):
@@ -264,22 +265,19 @@ class StationarityReport:
     rms: float
 
 
-def stationarity_residual(spec: ProblemSpec, ensemble) -> StationarityReport:
+def stationarity_residual(spec: ProblemSpec, ensemble: PathEnsemble) -> StationarityReport:
     """Pointwise residual of the first-order condition over all paths/nodes.
 
     Evaluated with the original problem's coefficients against the adjoint
     state carried by the ensemble; for synthesized optima this must vanish
     to rounding error at every node, independently of the time step.
     """
-    S2 = spec.S2.node_values()
-    R21 = spec.R21.node_values()
-    R22 = spec.R22.node_values()
-    B = spec.B.node_values()
+    S2, R21, R22, B = (p.node_values() for p in (spec.S2, spec.R21, spec.R22, spec.B))
     rho2 = spec.rho2.sample(ensemble.brownian.W)
 
-    res = (mv(S2, ensemble.Y) + mv(R21, ensemble.Z)
-           - mv(np.swapaxes(B, -1, -2), ensemble.X)
-           + mv(R22, ensemble.u) + rho2)
+    res = (mv(S2, ensemble["Y"]) + mv(R21, ensemble["Z"])
+           - mv(np.swapaxes(B, -1, -2), ensemble["X"])
+           + mv(R22, ensemble["u"]) + rho2)
     return StationarityReport(
         sup=float(np.max(np.abs(res))),
         rms=float(np.sqrt(np.mean(res ** 2))),
@@ -332,7 +330,7 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
         state = solve_controlled_state(hspec, [v], substeps)[0]
     L_v = controlled_map(state, v)
     j0 = sum(cost_form(hspec).xi_parts((W,), L_v))
-    xi = (*np.moveaxis(ensemble.X_dual, -1, 0), W)
+    xi = (*np.moveaxis(ensemble.state, -1, 0), W)
     cross = sum(cost_form(spec).xi_parts(xi, ensemble.slot_map, L_v, 1.0))
     rows = []
     for eps in eps_grid:
@@ -458,7 +456,7 @@ def forward_value_formula(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution
 
 
 def forward_value(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
-                  adjoint: AffineBsdeSolution, ens: ForwardEnsemble) -> ForwardValueReport:
+                  adjoint: AffineBsdeSolution, ens: PathEnsemble) -> ForwardValueReport:
     """Compare :func:`forward_value_formula` with the Monte-Carlo cost of the
     closed loop."""
     formula = forward_value_formula(spec, psol, adjoint)
@@ -479,7 +477,7 @@ class BoundCheck:
     ok: bool
 
 
-def apriori_bound_check(spec: ProblemSpec, ensemble) -> BoundCheck:
+def apriori_bound_check(spec: ProblemSpec, ensemble: PathEnsemble) -> BoundCheck:
     """Smoke test of the standard linear-BSDE energy estimate.
 
     sup_k E|Y(t_k)|^2 + E int |Z|^2 dt must be bounded by a single constant
@@ -490,8 +488,8 @@ def apriori_bound_check(spec: ProblemSpec, ensemble) -> BoundCheck:
     grid = spec.grid
     N, dt = grid.steps, grid.dt
     W = ensemble.brownian.W
-    Z, u = ensemble.Z[:, :N, :], ensemble.u[:, :N, :]
-    lhs = float(np.max(np.mean(_dot(ensemble.Y, ensemble.Y), axis=0))
+    Y, Z, u = ensemble["Y"], ensemble["Z"][:, :N, :], ensemble["u"][:, :N, :]
+    lhs = float(np.max(np.mean(_dot(Y, Y), axis=0))
                 + np.mean(_dot(Z, Z).sum(axis=1) * dt))
     data = float(np.mean(_square_sums(spec.xi, W, slice(N, None)))
                  + np.mean(_dot(u, u).sum(axis=1) * dt)
@@ -588,7 +586,7 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
     stat = stationarity_residual(spec, ens)
     rows.append(_row("stationarity_sup", stat.sup, 1e-10, "<="))
     xi_T = spec.xi.sample(brownian.W)[:, -1, :]
-    rows.append(_row("terminal_hit", float(np.max(np.abs(ens.Y[:, -1, :] - xi_T))), 0.0, "<="))
+    rows.append(_row("terminal_hit", float(np.max(np.abs(ens["Y"][:, -1, :] - xi_T))), 0.0, "<="))
 
     v_formula = value_formula(spec, reduced, sigma, bsde)
     mc = evaluate_cost(spec, ens)

@@ -104,10 +104,6 @@ class MatrixPath:
     def shape(self) -> tuple:
         return self.values.shape[1:]
 
-    @property
-    def rows(self) -> int:
-        return self.shape[0]
-
     def node_values(self) -> np.ndarray:
         """Samples at every grid node, shape (steps + 1, *shape)."""
         if self.kind == CONSTANT:
@@ -193,9 +189,6 @@ class AffineProcess:
     @property
     def shape(self) -> tuple:
         return self.a.shape
-
-    def is_deterministic(self) -> bool:
-        return self.b.is_zero()
 
     def node_parts(self) -> tuple[np.ndarray, np.ndarray]:
         return self.a.node_values(), self.b.node_values()

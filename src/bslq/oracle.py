@@ -74,20 +74,6 @@ class BinomialTree:
     def control_count(self) -> int:
         return 2 ** self.steps - 1
 
-    def increment_moments(self) -> tuple[float, float]:
-        """Exact (mean, second moment) of one increment."""
-        s = self.sqrt_dt
-        return 0.5 * s + 0.5 * (-s), 0.5 * s * s + 0.5 * s * s
-
-    def terminal_moments(self) -> tuple[float, float]:
-        """(total probability, E[W(T)^2]) over the leaves, exactly."""
-        N = self.steps
-        total = sum(math.comb(N, k) for k in range(N + 1)) / 2 ** N
-        # sum_k C(N,k) (N - 2k)^2 = N 2^N, so the normalised ratio is exact.
-        num = sum(math.comb(N, k) * (N - 2 * k) ** 2 for k in range(N + 1))
-        second = self.T * (num / (N * 2 ** N))
-        return total, second
-
 
 @dataclass(frozen=True)
 class ControlNode:

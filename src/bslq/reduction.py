@@ -149,7 +149,10 @@ def reduce_problem(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> Reduc
 
     xa, xb = spec.xi.at_terminal()
     HT = h.H[-1]
-    constant_shift = float(xa @ HT @ xa + grid.T * (xb @ HT @ xb))
+    with np.errstate(over="ignore", invalid="ignore"):
+        constant_shift = float(xa @ HT @ xa + grid.T * (xb @ HT @ xb))
+    if not np.isfinite(constant_shift):
+        raise ReductionError(f"constant shift E<H(T) xi, xi> is not finite: {constant_shift}")
 
     base = spec.replace(
         C=MatrixPath.sampled(cs.C, grid),

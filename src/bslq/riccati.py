@@ -161,9 +161,6 @@ class HSolution:
     grid: TimeGrid
     H: np.ndarray  # (N+1, n, n)
 
-    def is_zero(self) -> bool:
-        return not np.any(self.H)
-
     def residual(self, spec: ProblemSpec) -> float:
         """Sup-norm defect of the shift equation, H' estimated by central
         differences at interior nodes."""

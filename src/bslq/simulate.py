@@ -35,8 +35,9 @@ v = -K X + feed: drift [A, B] M + b and diffusion [C, D] M + sigma.
 Each problem kind builds one closed-loop record (drift, diffusion, X(0)
 and M with its named fields), formed once per solve however many path
 blocks run; every entry point below runs from it.  No (paths, N+1, dim)
-sample of the data is built.  Each ensemble keeps its slot map (M without
-the rows of X*) as ``slot_map``, through which :mod:`bslq.evaluate` costs it.
+sample of the data is built.  The ensemble of either kind keeps the
+simulated state and M, and forms a field only when it is read; its slot map
+(M without the rows of X*) is what :mod:`bslq.evaluate` costs it through.
 
 Every output being M (X, W, 1), its per-node moments follow from those of
 (X, W): :func:`simulate_summary` runs blocks of PATH_BLOCK paths and keeps
@@ -58,7 +59,7 @@ that never draw do not import it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import Philox
@@ -167,30 +168,30 @@ class BrownianEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Simulated trajectories of the synthesized optimal quadruple.
+    """Simulated trajectories of a closed loop, read field by field.
 
-    ``X`` is the original problem's adjoint state (X_dual - H Y); ``X_dual``
-    the raw dual SDE solution.  They coincide whenever the quadratic-weight
-    shift H vanishes.
+    ``state`` holds the Euler paths of the simulated SDE: the dual state of
+    a backward loop, X of a forward one.  Every field is M (state, W, 1),
+    one row block of ``M`` per field (``fields`` holds the widths in row
+    order): (X*, Y, Z, u) of a backward loop, X* = X_dual - H Y the original
+    problem's adjoint state, or (X, v) of a forward one, whose X is
+    ``state`` itself.  ``ens[name]``, (paths, N+1, width), is formed at its
+    first read and then kept.
     """
 
     brownian: BrownianEnsemble
-    X: np.ndarray         # (paths, N+1, n)
-    X_dual: np.ndarray    # (paths, N+1, n)
-    u: np.ndarray         # (paths, N+1, m)
-    Y: np.ndarray         # (paths, N+1, n)
-    Z: np.ndarray         # (paths, N+1, n)
-    slot_map: np.ndarray  # (N+1, 2n+m, n+2): (Y, Z, u) = L (X_dual, W, 1)
+    state: np.ndarray       # (paths, N+1, n)
+    M: np.ndarray           # (N+1, total width, n+2)
+    fields: dict[str, int]
+    slot_map: np.ndarray    # the rows of the cost slots (Y, Z, u) or (X, v) in M
+    _formed: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
-
-@dataclass(frozen=True, eq=False)
-class ForwardEnsemble:
-    """Closed-loop trajectories of the forward problem."""
-
-    brownian: BrownianEnsemble
-    X: np.ndarray  # (paths, N+1, n)
-    v: np.ndarray  # (paths, N+1, m)
-    slot_map: np.ndarray  # (N+1, n+m, n+2): (X, v) = L (X, W, 1)
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._formed:
+            ends = dict(zip(self.fields, np.cumsum(list(self.fields.values()))))
+            rows = slice(ends[name] - self.fields[name], ends[name])
+            self._formed[name] = _gain_affine(self.M[:, rows], self.state, self.brownian.W)
+        return self._formed[name]
 
 
 def _euler_loop(X0: np.ndarray, drift: np.ndarray, diffusion: np.ndarray,
@@ -280,7 +281,8 @@ def _coefficient(rows, L: np.ndarray, K0: np.ndarray, data: AffineProcess) -> np
 class _ClosedLoop:
     """dX = drift xi dt + diffusion xi dW on xi = (X, W, 1), X(0) = x0, and
     the outputs M xi, one row block of M per field (``fields`` holds the
-    widths in row order); the field named ``state`` is X itself."""
+    widths in row order); the cost slots are the rows of M from ``slots``
+    on, and the field named ``state`` is X itself."""
 
     drift: np.ndarray      # (N+1, n, n+2)
     diffusion: np.ndarray  # (N+1, n, n+2)
@@ -288,18 +290,15 @@ class _ClosedLoop:
     what: str              # names the loop in a blow-up message
     M: np.ndarray          # (N+1, total width, n+2)
     fields: dict[str, int]
+    slots: int = 0
     state: str | None = None
 
-    def simulate(self, brownian: BrownianEnsemble) -> np.ndarray:
-        """The Euler paths of X, (paths, N+1, n)."""
+    def ensemble(self, brownian: BrownianEnsemble) -> PathEnsemble:
+        """The Euler paths of X on ``brownian``, with the outputs map."""
         X0 = np.broadcast_to(self.x0, (brownian.paths, len(self.x0)))
-        return _euler_loop(X0, self.drift, self.diffusion, brownian, self.what)
-
-    def outputs(self, X: np.ndarray, W: np.ndarray) -> dict[str, np.ndarray]:
-        """Every field at every path and node, one array per field."""
-        ends = np.cumsum(list(self.fields.values()))
-        return {name: X if name == self.state else _gain_affine(self.M[:, end - width:end], X, W)
-                for (name, width), end in zip(self.fields.items(), ends)}
+        X = _euler_loop(X0, self.drift, self.diffusion, brownian, self.what)
+        return PathEnsemble(brownian, X, self.M, self.fields, self.M[:, self.slots:],
+                            {self.state: X} if self.state else {})
 
 
 def _optimal_map(reduced: ReducedProblem, sigma: RiccatiSolution,
@@ -336,7 +335,7 @@ def _dual_loop(reduced: ReducedProblem, sigma: RiccatiSolution,
     X_rows = -reduced.h.H @ L[:, :n]
     X_rows[..., :n] += np.eye(n)
     return _ClosedLoop(drift, diffusion, spec.g, "dual SDE", np.concatenate((X_rows, L), axis=1),
-                       {"X": n, "Y": n, "Z": n, "u": spec.m})
+                       {"X": n, "Y": n, "Z": n, "u": spec.m}, slots=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,11 +366,8 @@ def synthesize_optimal(spec: ProblemSpec, brownian: BrownianEnsemble,
     regardless of the Euler step.
     """
     reduced, sigma, bsde = _solve(spec, substeps)
-    loop = _dual_loop(reduced, sigma, bsde)
-    X = loop.simulate(brownian)
-    ensemble = PathEnsemble(brownian, X_dual=X, slot_map=loop.M[:, spec.n:],
-                            **loop.outputs(X, brownian.W))
-    return OptimalSynthesis(spec, reduced, sigma, bsde, ensemble)
+    return OptimalSynthesis(spec, reduced, sigma, bsde,
+                            _dual_loop(reduced, sigma, bsde).ensemble(brownian))
 
 
 def feedforward(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
@@ -410,11 +406,9 @@ def _forward_loop(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
 def simulate_forward_closed_loop(spec: ForwardProblemSpec,
                                  psol: ForwardRiccatiSolution,
                                  adjoint: AffineBsdeSolution,
-                                 brownian: BrownianEnsemble) -> ForwardEnsemble:
+                                 brownian: BrownianEnsemble) -> PathEnsemble:
     """Euler-Maruyama simulation of the optimal forward closed loop."""
-    loop = _forward_loop(spec, psol, adjoint)
-    return ForwardEnsemble(brownian, slot_map=loop.M,
-                           **loop.outputs(loop.simulate(brownian), brownian.W))
+    return _forward_loop(spec, psol, adjoint).ensemble(brownian)
 
 
 def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: int,
@@ -441,11 +435,11 @@ def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: i
     s1, s2 = np.zeros((N + 1, n + 1)), np.zeros((N + 1, n + 1, n + 1))
     for first in range(0, paths, PATH_BLOCK):
         bw = BrownianEnsemble.generate(seed, min(PATH_BLOCK, paths - first), spec.grid, first)
-        X = loop.simulate(bw)
+        ens = loop.ensemble(bw)
         if per_block is not None:
-            per_block(first, loop.outputs(X, bw.W))
+            per_block(first, {name: ens[name] for name in ens.fields})
         d = np.empty((N + 1, bw.paths, n + 1))  # xi, time-major
-        d[..., :n] = np.swapaxes(X, 0, 1)
+        d[..., :n] = np.swapaxes(ens.state, 0, 1)
         d[..., n] = bw.W.T
         if first == 0:
             ref = d[:, :1].copy()

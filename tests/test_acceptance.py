@@ -94,9 +94,9 @@ def test_criterion_2_shift_equation_and_collapse(brownian_cache):
                 getattr(bench, field).node_values(), err_msg=f"{name}.{field}")
         synth = bslq.synthesize_optimal(bench, bw)
         ens = synth.ensemble
-        np.testing.assert_array_equal(ens.X, ens.X_dual, err_msg=name)
-        v = apply_cross_substitution(red, ens.u, ens.Z)
-        np.testing.assert_array_equal(v, ens.u, err_msg=name)
+        np.testing.assert_array_equal(ens["X"], ens.state, err_msg=name)
+        v = apply_cross_substitution(red, ens["u"], ens["Z"])
+        np.testing.assert_array_equal(v, ens["u"], err_msg=name)
     _report("2 shift equation", f"SH |H+t|={sh_err:.2e}; "
                                 "S1-S5 collapse bitwise")
 
@@ -215,7 +215,7 @@ def test_criterion_8_numerics_hygiene(brownian_cache):
         f = bslq.synthesize_optimal(bslq.builtin_scenario("S4", steps=2 * N),
                                     fine.coarsen(400 // (2 * N)))
         rms.append(np.sqrt(np.mean(
-            (c.ensemble.X_dual[:, -1, 0] - f.ensemble.X_dual[:, -1, 0]) ** 2)))
+            (c.ensemble.state[:, -1, 0] - f.ensemble.state[:, -1, 0]) ** 2)))
     order = -np.polyfit(np.log([50, 100, 200]), np.log(rms), 1)[0]
     assert order >= 0.5
 

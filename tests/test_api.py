@@ -8,7 +8,7 @@ import bslq
 PUBLIC = [
     "AffineBsdeSolution", "AffineProcess", "BUILTIN_NAMES", "BinomialTree", "BoundCheck",
     "BrownianEnsemble", "BsdeDriftSpec", "CheckRow", "ConsistencyError", "ConvexityError",
-    "CostReport", "DiscreteSolution", "ForwardEnsemble", "ForwardProblemSpec",
+    "CostReport", "DiscreteSolution", "ForwardProblemSpec",
     "ForwardRiccatiSolution", "HSolution", "IntegrationError", "MatrixPath", "OdeProblem",
     "OptimalSynthesis", "OracleComparison", "PathEnsemble", "PerturbationReport",
     "PositivityError", "ProbeReport", "ProblemSpec", "ReducedProblem", "ReductionError",

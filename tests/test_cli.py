@@ -88,10 +88,10 @@ def whole_ensemble_paths_csv(spec, seed, paths, path):
     if isinstance(spec, bslq.ForwardProblemSpec):
         psol = bslq.solve_forward_riccati(spec)
         ens = bslq.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol), bw)
-        fields = {"X": ens.X, "v": ens.v}
+        fields = {"X": ens["X"], "v": ens["v"]}
     else:
         ens = bslq.synthesize_optimal(spec, bw).ensemble
-        fields = {"X": ens.X, "Y": ens.Y, "Z": ens.Z, "u": ens.u}
+        fields = {"X": ens["X"], "Y": ens["Y"], "Z": ens["Z"], "u": ens["u"]}
     header = ["path", "t"] + [f"{name}{f'_{i}' if arr.shape[-1] > 1 else ''}"
                               for name, arr in fields.items() for i in range(arr.shape[-1])]
     t = spec.grid.nodes
@@ -471,6 +471,26 @@ def test_underflowing_time_step_exits_two(command, tmp_path, capsys):
     code, out, err = run([command[0], str(path), *command[1:], "--steps", "2"], capsys)
     assert (code, out, err) == (2, "", "error: time step T/steps is not a normal positive "
                                        "double: T = 5e-324, steps = 2\n")
+
+
+@pytest.mark.parametrize("command, data, message", [
+    (["value"], {"g": [-1e308]}, "optimal value is not finite: -inf"),
+    (["value"], {"Q": [[1.0]], "xi": {"a": [-1e308], "b": [1.0]}},
+     "constant shift E<H(T) xi, xi> is not finite: -inf"),
+    (["reduce", "--out", "{out}"], {"Q": [[1.0]], "xi": {"a": [-1e308], "b": [1.0]}},
+     "constant shift E<H(T) xi, xi> is not finite: -inf"),
+], ids=["value-g", "value-xi", "reduce-xi"])
+def test_overflowing_value_exits_one(command, data, message, tmp_path, capsys):
+    # S4 with R11 = 0: g = -1e308 overflowed <Sigma(0) g, g> to value = -inf,
+    # and xi = -1e308 with Q = 1 the constant shift to -inf (value = nan),
+    # each printed with exit 0 after a RuntimeWarning.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4", steps=50))
+    doc.update(R11=[[0.0]], **data)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    args = [command[0], str(path), *(a.format(out=tmp_path) for a in command[1:])]
+    code, out, err = run([*args, "--steps", "50"], capsys)
+    assert (code, out, err) == (1, "", f"contract violation: {message}\n")
 
 
 @pytest.mark.parametrize("field", ["G", "g", "x0"])

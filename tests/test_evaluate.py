@@ -84,8 +84,9 @@ def test_stationarity_of_synthesized_optimum(name, synth_cache):
 def test_stationarity_linear_in_control(synth_cache):
     spec, synth = synth_cache("S2", paths=200)
     ens = synth.ensemble
-    perturbed = bslq.PathEnsemble(ens.brownian, ens.X, ens.X_dual,
-                                  ens.u + 0.1, ens.Y, ens.Z, slot_map=ens.slot_map)
+    M = ens.M.copy()
+    M[:, -spec.m:, -1] += 0.1  # the constant column of the u rows
+    perturbed = bslq.PathEnsemble(ens.brownian, ens.state, M, ens.fields, ens.slot_map)
     rep = bslq.stationarity_residual(spec, perturbed)
     assert rep.sup == pytest.approx(0.1, abs=1e-12)
     assert rep.rms == pytest.approx(0.1, abs=1e-12)
@@ -202,17 +203,17 @@ def test_perturbation_polynomial_matches_recosting(name, spec_2d, brownian_cache
     eps_grid = (-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0)
     rep = bslq.perturbation_identity(spec, ens, v, eps_grid)
     traj = sample_affine_control(bslq.homogeneous(spec), v, ens.brownian)
-    base = path_costs(spec, ens.Y, ens.Z, ens.u, W)
+    base = path_costs(spec, ens["Y"], ens["Z"], ens["u"], W)
     j0 = path_costs(bslq.homogeneous(spec), traj.Y, traj.Z, traj.u, W)
     tol = 1e-12 * max(1.0, np.max(np.abs(base)))
-    np.testing.assert_allclose(base, reference_path_costs(spec, ens.Y, ens.Z, ens.u, W),
-                               rtol=0.0, atol=tol)
+    np.testing.assert_allclose(base, reference_path_costs(spec, ens["Y"], ens["Z"], ens["u"],
+                                                          W), rtol=0.0, atol=tol)
     assert abs(rep.j0_value - j0.mean()) <= tol
     assert [row.eps for row in rep.rows] == list(eps_grid)
     for row in rep.rows:
         eps = row.eps
-        diff = path_costs(spec, ens.Y + eps * traj.Y, ens.Z + eps * traj.Z,
-                               ens.u + eps * traj.u, W) - base
+        diff = path_costs(spec, ens["Y"] + eps * traj.Y, ens["Z"] + eps * traj.Z,
+                               ens["u"] + eps * traj.u, W) - base
         defect = diff - eps ** 2 * j0
         assert abs(row.cost_diff - diff.mean()) <= tol, eps
         assert abs(row.defect - defect.mean()) <= tol, eps
@@ -241,8 +242,8 @@ def noisy_forward():
 def test_forward_cost_matches_reference():
     spec, ens = noisy_forward()
     W = ens.brownian.W
-    ref = reference_forward_costs(spec, ens.X, ens.v, W)
-    terminal, running = form_parts(cost_form(spec), (ens.X, ens.v), W)
+    ref = reference_forward_costs(spec, ens["X"], ens["v"], W)
+    terminal, running = form_parts(cost_form(spec), (ens["X"], ens["v"]), W)
     np.testing.assert_allclose(terminal + running, ref, rtol=0.0,
                                atol=1e-12 * max(1.0, np.max(np.abs(ref))))
     rep = bslq.evaluate_cost(spec, ens)
@@ -317,11 +318,11 @@ def assert_xi_form_matches_sampled(spec, ens, v=None):
     W = ens.brownian.W
     form = cost_form(spec)
     forward = isinstance(spec, bslq.ForwardProblemSpec)
-    slots = (ens.X, ens.v) if forward else (ens.Y, ens.Z, ens.u)
+    slots = (ens["X"], ens["v"]) if forward else (ens["Y"], ens["Z"], ens["u"])
     abs_slots = tuple(map(np.abs, slots))
     scales = form_parts(magnitude(form), abs_slots, np.abs(W))
     refs = form_parts(form, slots, W)
-    xi = (*np.moveaxis(ens.X if forward else ens.X_dual, -1, 0), W)
+    xi = (*np.moveaxis(ens.state, -1, 0), W)
     for new, ref, scale in zip(form.xi_parts(xi, ens.slot_map), refs, scales):
         assert np.all(np.abs(new - ref) <= XI_RTOL * scale)
     ref, tol = sum(refs), XI_RTOL * np.max(sum(scales))

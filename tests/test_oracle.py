@@ -13,16 +13,6 @@ from bslq.grid import AffineProcess, MatrixPath, TimeGrid
 from bslq.oracle import BinomialTree
 
 
-def test_tree_moments_exact():
-    tree = BinomialTree(6, 1.0)
-    mean, second = tree.increment_moments()
-    assert mean == 0.0
-    assert second == tree.dt
-    total, terminal_second = tree.terminal_moments()
-    assert total == 1.0
-    assert terminal_second == tree.T
-
-
 def test_single_step_hand_solution():
     # One control at the root: cost 2(c - u) + u^2, minimised at u = 1
     # with value 2c - 1.

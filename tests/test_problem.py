@@ -54,7 +54,6 @@ def test_affine_process_sampling():
     W = np.array([[0.0, 0.5, -1.0]])
     vals = proc.sample(W)
     np.testing.assert_allclose(vals[0, :, 0], [1.0, 2.0, -1.0])
-    assert not proc.is_deterministic()
     aT, bT = proc.at_terminal()
     assert aT[0] == 1.0 and bT[0] == 2.0
 

@@ -139,13 +139,13 @@ def synthesize(name, seed=42, paths=500, steps=200, **kw):
 def test_dual_sde_constant_case():
     # All coefficient products vanish and X(0) = g = 1, so X is constant.
     spec, bw, synth = synthesize("S2")
-    np.testing.assert_array_equal(synth.ensemble.X_dual,
-                                  np.ones_like(synth.ensemble.X_dual))
+    np.testing.assert_array_equal(synth.ensemble.state,
+                                  np.ones_like(synth.ensemble.state))
 
 
 def test_dual_sde_zero_case():
     spec, bw, synth = synthesize("S1")
-    assert not np.any(synth.ensemble.X_dual)
+    assert not np.any(synth.ensemble.state)
 
 
 def test_dual_sde_explicit_increments():
@@ -157,12 +157,12 @@ def test_dual_sde_explicit_increments():
     manual = np.zeros((100, len(t)))
     scale = 1.0 / (2.0 - t[:-1])
     manual[:, 1:] = np.cumsum(scale[None, :] * bw.increments, axis=1)
-    np.testing.assert_allclose(synth.ensemble.X_dual[:, :, 0], manual, atol=1e-13)
+    np.testing.assert_allclose(synth.ensemble.state[:, :, 0], manual, atol=1e-13)
 
 
 def test_dual_sde_initial_condition():
     spec, bw, synth = synthesize("S2", paths=50)
-    np.testing.assert_array_equal(synth.ensemble.X_dual[:, 0, 0],
+    np.testing.assert_array_equal(synth.ensemble.state[:, 0, 0],
                                   np.full(50, spec.g[0]))
 
 
@@ -173,26 +173,26 @@ def test_synthesis_s2():
     spec, bw, synth = synthesize("S2", paths=200)
     ens = synth.ensemble
     t = spec.grid.nodes
-    np.testing.assert_allclose(ens.u, 1.0, atol=1e-12)
-    np.testing.assert_allclose(ens.Y[:, :, 0], np.broadcast_to(t, ens.Y[:, :, 0].shape),
+    np.testing.assert_allclose(ens["u"], 1.0, atol=1e-12)
+    np.testing.assert_allclose(ens["Y"][:, :, 0], np.broadcast_to(t, ens["Y"][:, :, 0].shape),
                                atol=1e-12)  # Y = c - 1 + t with c = 1
-    assert not np.any(ens.Z)
+    assert not np.any(ens["Z"])
 
 
 def test_synthesis_s4():
     spec, bw, synth = synthesize("S4", paths=200)
     ens = synth.ensemble
     t = spec.grid.nodes
-    np.testing.assert_allclose(ens.u, ens.X_dual, atol=1e-13)
-    np.testing.assert_allclose(ens.Z[:, :, 0],
-                               np.broadcast_to(1.0 / (2.0 - t), ens.Z[:, :, 0].shape),
+    np.testing.assert_allclose(ens["u"], ens.state, atol=1e-13)
+    np.testing.assert_allclose(ens["Z"][:, :, 0],
+                               np.broadcast_to(1.0 / (2.0 - t), ens["Z"][:, :, 0].shape),
                                atol=1e-12)
 
 
 def test_synthesis_s1_all_zero():
     _, _, synth = synthesize("S1", paths=50)
     ens = synth.ensemble
-    for arr in (ens.X, ens.X_dual, ens.u, ens.Y, ens.Z):
+    for arr in (ens["X"], ens.state, ens["u"], ens["Y"], ens["Z"]):
         assert not np.any(arr)
 
 
@@ -200,29 +200,29 @@ def test_terminal_hit_exact():
     for name in ("S2", "S4", "SX", "SH"):
         spec, bw, synth = synthesize(name, paths=100)
         xi = spec.xi.sample(bw.W)[:, -1, :]
-        assert np.max(np.abs(synth.ensemble.Y[:, -1, :] - xi)) == 0.0
+        assert np.max(np.abs(synth.ensemble["Y"][:, -1, :] - xi)) == 0.0
 
 
 def test_initial_state_deterministic_across_paths():
     spec, bw, synth = synthesize("S4", paths=100)
-    Y0 = synth.ensemble.Y[:, 0, 0]
+    Y0 = synth.ensemble["Y"][:, 0, 0]
     assert np.all(Y0 == Y0[0])
 
 
 def test_adjoint_equals_dual_without_shift():
     # H = 0 for S4, so the adjoint state is the dual state bitwise.
     _, _, synth = synthesize("S4", paths=20)
-    np.testing.assert_array_equal(synth.ensemble.X, synth.ensemble.X_dual)
+    np.testing.assert_array_equal(synth.ensemble["X"], synth.ensemble.state)
 
 
 def test_adjoint_differs_with_shift():
     spec, bw, synth = synthesize("SH", paths=20)
     ens = synth.ensemble
-    assert np.any(ens.X != ens.X_dual)
+    assert np.any(ens["X"] != ens.state)
     # X* = X - H Y with H(t) = -t
     t = spec.grid.nodes
-    expected = ens.X_dual[:, :, 0] + t[None, :] * ens.Y[:, :, 0]
-    np.testing.assert_allclose(ens.X[:, :, 0], expected, atol=1e-12)
+    expected = ens.state[:, :, 0] + t[None, :] * ens["Y"][:, :, 0]
+    np.testing.assert_allclose(ens["X"][:, :, 0], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["S4", "SX"])
@@ -236,11 +236,11 @@ def test_state_equation_one_step_defect(name):
     B = spec.B.node_values()[:N]
     C = spec.C.node_values()[:N]
     f = spec.f.sample(bw.W)[:, :N, :]
-    drift = (np.einsum("kij,pkj->pki", A, ens.Y[:, :N])
-             + np.einsum("kij,pkj->pki", B, ens.u[:, :N])
-             + np.einsum("kij,pkj->pki", C, ens.Z[:, :N]) + f)
-    defect = (ens.Y[:, 1:] - ens.Y[:, :N] - drift * dt
-              - ens.Z[:, :N] * bw.increments[:, :, None])
+    drift = (np.einsum("kij,pkj->pki", A, ens["Y"][:, :N])
+             + np.einsum("kij,pkj->pki", B, ens["u"][:, :N])
+             + np.einsum("kij,pkj->pki", C, ens["Z"][:, :N]) + f)
+    defect = (ens["Y"][:, 1:] - ens["Y"][:, :N] - drift * dt
+              - ens["Z"][:, :N] * bw.increments[:, :, None])
     rms = np.sqrt(np.mean(defect ** 2, axis=(0, 2)))
     assert np.max(rms) <= 5.0 * dt
 
@@ -257,7 +257,7 @@ def test_strong_convergence_order():
         s_c = bslq.synthesize_optimal(bslq.builtin_scenario("S4", steps=N), bw_c)
         s_f = bslq.synthesize_optimal(bslq.builtin_scenario("S4", steps=2 * N), bw_f)
         errs.append(np.sqrt(np.mean(
-            (s_c.ensemble.X_dual[:, -1, 0] - s_f.ensemble.X_dual[:, -1, 0]) ** 2)))
+            (s_c.ensemble.state[:, -1, 0] - s_f.ensemble.state[:, -1, 0]) ** 2)))
     order = np.polyfit(np.log([50, 100, 200]), np.log(errs), 1)[0]
     assert -order >= 0.5
 
@@ -285,8 +285,8 @@ def forward_loop(x0=1.0, paths=200, seed=11):
 
 def test_forward_loop_zero_start():
     _, _, ens = forward_loop(x0=0.0)
-    assert not np.any(ens.X)
-    assert not np.any(ens.v)
+    assert not np.any(ens["X"])
+    assert not np.any(ens["v"])
 
 
 def test_forward_loop_closed_form():
@@ -294,10 +294,10 @@ def test_forward_loop_closed_form():
     # Euler recursion reproduces the linear-in-t solution exactly.
     sf, _, ens = forward_loop(x0=1.0)
     t = sf.grid.nodes
-    np.testing.assert_allclose(ens.X[:, :, 0],
-                               np.broadcast_to((2.0 - t) / 2.0, ens.X[:, :, 0].shape),
+    np.testing.assert_allclose(ens["X"][:, :, 0],
+                               np.broadcast_to((2.0 - t) / 2.0, ens["X"][:, :, 0].shape),
                                atol=1e-12)
-    np.testing.assert_allclose(ens.v, -0.5, atol=1e-12)
+    np.testing.assert_allclose(ens["v"], -0.5, atol=1e-12)
 
 
 # -- node-affine synthesis against the sampled formulas -------------------------
@@ -406,7 +406,7 @@ def test_node_affine_matches_sampled_route(name, spec_2d):
         adj = bslq.solve_eta_zeta(spec, psol)
         bw = bslq.BrownianEnsemble.generate(5, 300, spec.grid)
         ens = sim.simulate_forward_closed_loop(spec, psol, adj, bw)
-        for actual, ref in zip((ens.X, ens.v), reference_forward(spec, psol, adj, bw)):
+        for actual, ref in zip((ens["X"], ens["v"]), reference_forward(spec, psol, adj, bw)):
             assert_close(actual, ref)
         return
     spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=100)
@@ -414,11 +414,11 @@ def test_node_affine_matches_sampled_route(name, spec_2d):
     synth = bslq.synthesize_optimal(spec, bw)
     reduced, sigma, bsde, ens = synth.reduced, synth.sigma, synth.bsde, synth.ensemble
     ref_dual = reference_dual_sde(reduced, sigma, bsde, bw)
-    assert_close(ens.X_dual, ref_dual)
+    assert_close(ens.state, ref_dual)
     ref = reference_synthesize(reduced, sigma, bsde, ref_dual, bw)
-    for actual, expected in zip((ens.X, ens.Y, ens.Z, ens.u), ref):
+    for actual, expected in zip((ens["X"], ens["Y"], ens["Z"], ens["u"]), ref):
         assert_close(actual, expected)
-    assert np.all(ens.Y[:, 0] == ens.Y[0, 0])
+    assert np.all(ens["Y"][:, 0] == ens["Y"][0, 0])
 
 
 def sampled_forcing(L, W):
@@ -471,9 +471,9 @@ def test_cross_weighted_optimum_is_stationary_and_matches_references(problem):
     assert np.any(synth.reduced.cross_gain) and np.any(synth.reduced.h.H)
     assert bslq.stationarity_residual(spec, ens).sup <= 1e-10
     ref_dual = reference_dual_sde(synth.reduced, synth.sigma, synth.bsde, bw)
-    assert_close(ens.X_dual, ref_dual)
+    assert_close(ens.state, ref_dual)
     ref = reference_synthesize(synth.reduced, synth.sigma, synth.bsde, ref_dual, bw)
-    for actual, expected in zip((ens.X, ens.Y, ens.Z, ens.u), ref):
+    for actual, expected in zip((ens["X"], ens["Y"], ens["Z"], ens["u"]), ref):
         assert_close(actual, expected)
 
 
@@ -515,7 +515,7 @@ def test_synthesis_samples_no_process(monkeypatch, spec_2d):
     # process is sampled in building, simulating or reading them, nor in a
     # streamed summary.
     path_layer = {f.__code__ for f in (sim._dual_loop, sim._forward_loop,
-                                       sim._ClosedLoop.simulate, sim._ClosedLoop.outputs,
+                                       sim._ClosedLoop.ensemble, sim.PathEnsemble.__getitem__,
                                        sim.simulate_forward_closed_loop,
                                        sim.simulate_summary)}
     inside, outside = [], []
@@ -539,7 +539,7 @@ def test_synthesis_samples_no_process(monkeypatch, spec_2d):
     blocks = []
     for spec in (bslq.resample(spec_2d, 10), bslq.resample(sf, 10)):
         sim.simulate_summary(spec, 2, 50, per_block=lambda first, out: blocks.append(out))
-    assert synth.ensemble.u.shape == (50, 101, 2)
+    assert synth.ensemble["u"].shape == (50, 101, 2)
     assert [list(out) for out in blocks] == [["X", "Y", "Z", "u"], ["X", "v"]]
     assert outside  # the counter sees the sampling done outside the path layer
     assert inside == []
@@ -554,9 +554,9 @@ def full_ensemble_outputs(spec, seed, paths):
     if isinstance(spec, bslq.ForwardProblemSpec):
         psol = bslq.solve_forward_riccati(spec)
         ens = sim.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol), bw)
-        return ens.X, ens.v
+        return ens["X"], ens["v"]
     ens = bslq.synthesize_optimal(spec, bw).ensemble
-    return ens.X, ens.Y, ens.Z, ens.u
+    return ens["X"], ens["Y"], ens["Z"], ens["u"]
 
 
 def streamed_case(name, spec_2d):
@@ -606,10 +606,10 @@ def closed_loop_arrays(name):
         psol = bslq.solve_forward_riccati(spec)
         bw = bslq.BrownianEnsemble.generate(3, 200, spec.grid)
         ens = bslq.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol), bw)
-        return ens.X, ens.v, ens.slot_map
+        return ens["X"], ens["v"], ens.slot_map
     spec = make_spec_2d(50) if name == "2x2" else bslq.builtin_scenario(name, steps=50)
     ens = bslq.synthesize_optimal(spec, bslq.BrownianEnsemble.generate(3, 200, spec.grid)).ensemble
-    return ens.Y, ens.Z, ens.u, ens.X_dual, ens.slot_map
+    return ens["Y"], ens["Z"], ens["u"], ens.state, ens.slot_map
 
 
 def test_closed_loops_match_a_frozen_digest():
@@ -632,9 +632,9 @@ def test_adjoint_state_is_x_dual_minus_h_y(name):
     spec = make_spec_2d(50) if name == "2x2" else bslq.builtin_scenario(name, steps=50)
     synth = bslq.synthesize_optimal(spec, bslq.BrownianEnsemble.generate(3, 200, spec.grid))
     ens = synth.ensemble
-    expected = ens.X_dual - mv(synth.reduced.h.H, ens.Y)
+    expected = ens.state - mv(synth.reduced.h.H, ens["Y"])
     assert np.any(synth.reduced.h.H)
-    assert np.max(np.abs(ens.X - expected)) <= 1e-15 * np.max(np.abs(ens.X))
+    assert np.max(np.abs(ens["X"] - expected)) <= 1e-15 * np.max(np.abs(ens["X"]))
 
 
 def test_optimal_map_is_formed_once_per_solve(monkeypatch, spec_2d):
@@ -654,3 +654,40 @@ def test_optimal_map_is_formed_once_per_solve(monkeypatch, spec_2d):
                          per_block=lambda first, outputs: firsts.append(first))
     assert firsts == [0, sim.PATH_BLOCK, 2 * sim.PATH_BLOCK]
     assert len(calls) == 2
+
+
+# -- fields formed when read ---------------------------------------------------
+
+
+def test_verify_forms_only_the_fields_it_reads(monkeypatch):
+    # The coarse ensemble of verify_backward forms X*, Y, Z and u once each
+    # (stationarity, terminal_hit, the a-priori row); the fine ensemble and
+    # the forward verify are costed through the slot map alone.
+    calls = []
+    gain_affine = sim._gain_affine
+
+    def counted(*args):
+        calls.append(args[0].shape[1])
+        return gain_affine(*args)
+
+    monkeypatch.setattr(sim, "_gain_affine", counted)
+    assert bslq.verify(make_spec_2d(10), paths=20, seed=1, trials=2).rows
+    assert calls == [2, 2, 2, 2]
+    calls.clear()
+    assert bslq.verify(bslq.resample(noisy_sf(), 10), paths=20, seed=1).rows
+    assert calls == []
+
+
+def test_a_field_is_formed_once():
+    spec = bslq.builtin_scenario("SX", steps=10)
+    ens = bslq.synthesize_optimal(spec, bslq.BrownianEnsemble.generate(1, 5, spec.grid)).ensemble
+    for name in ens.fields:
+        assert ens[name] is ens[name]
+    with pytest.raises(KeyError):
+        ens["v"]
+
+
+def test_forward_state_field_is_the_state():
+    _, _, ens = forward_loop(paths=5)
+    assert ens["X"] is ens.state
+    assert list(ens.fields) == ["X", "v"]
