@@ -14,7 +14,7 @@ class SpecValidationError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """An ODE integration or a quadrature produced a non-finite value."""
+    """An ODE integration, a quadrature or the tree oracle produced a non-finite value."""
 
 
 class ConsistencyError(RuntimeError):
@@ -40,4 +40,4 @@ class ReductionError(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """A simulated trajectory blew up (non-finite state)."""
+    """A simulated trajectory or its summary statistics are not finite."""

@@ -20,7 +20,7 @@ and the Monte-Carlo side owns the whole error budget of any comparison.
 The optimality checks implement three independent characterisations:
 
 * stationarity: S2 Y + R21 Z - B^T X + R22 u + rho2 = 0 pointwise along the
-  adjoint state X, an algebraic identity for synthesized optima;
+  adjoint state X (one map on (X, W, 1)), an identity for synthesized optima;
 * the quadratic expansion J(xi; u* + eps v) - J(xi; u*) = eps^2 J0(0; v)
   under common random numbers, for exact affine perturbations v, read off
   the exact per-path polynomial 2 eps C + eps^2 J0 in eps;
@@ -45,7 +45,7 @@ from .problem import ForwardProblemSpec, ProblemSpec, homogeneous, resample
 from .reduction import ReducedProblem, reduce_problem
 from .riccati import (ForwardRiccatiSolution, RiccatiSolution, solve_forward_riccati,
                       solve_sigma, uniform_convexity_conditions)
-from .simulate import (BrownianEnsemble, PathEnsemble, feedforward, philox,
+from .simulate import (BrownianEnsemble, PathEnsemble, _gain_affine, feedforward, philox,
                        simulate_forward_closed_loop, synthesize_optimal)
 
 
@@ -268,16 +268,15 @@ class StationarityReport:
 def stationarity_residual(spec: ProblemSpec, ensemble: PathEnsemble) -> StationarityReport:
     """Pointwise residual of the first-order condition over all paths/nodes.
 
-    Evaluated with the original problem's coefficients against the adjoint
-    state carried by the ensemble; for synthesized optima this must vanish
-    to rounding error at every node, independently of the time step.
+    Evaluated with the original problem's coefficients as one map on the
+    ensemble's (X, W, 1), from its fields' maps and rho2's node parts; for
+    synthesized optima it vanishes to rounding at every node, whatever the step.
     """
     S2, R21, R22, B = (p.node_values() for p in (spec.S2, spec.R21, spec.R22, spec.B))
-    rho2 = spec.rho2.sample(ensemble.brownian.W)
-
-    res = (mv(S2, ensemble["Y"]) + mv(R21, ensemble["Z"])
-           - mv(np.swapaxes(B, -1, -2), ensemble["X"])
-           + mv(R22, ensemble["u"]) + rho2)
+    R = (S2 @ ensemble.rows("Y") + R21 @ ensemble.rows("Z")
+         - np.swapaxes(B, -1, -2) @ ensemble.rows("X") + R22 @ ensemble.rows("u"))
+    R[..., -2:] += np.stack(spec.rho2.node_parts()[::-1], axis=-1)
+    res = _gain_affine(R, ensemble.state, ensemble.brownian.W)
     return StationarityReport(
         sup=float(np.max(np.abs(res))),
         rms=float(np.sqrt(np.mean(res ** 2))),
@@ -484,15 +483,19 @@ def apriori_bound_check(spec: ProblemSpec, ensemble: PathEnsemble) -> BoundCheck
     K = 10 exp(10 * coefficient_bound * T) times E|xi|^2 + E int |u|^2 dt +
     E int |f|^2 dt.  Only finiteness of some such constant is meaningful;
     the explicit K is a generous fixed choice shared by all scenarios.
+    A field's E|.|^2 at node k is tr(L S_k L^T), L its rows of the outputs
+    map and S_k the sample second moment of xi = (X, W, 1) at the node.
     """
     grid = spec.grid
     N, dt = grid.steps, grid.dt
     W = ensemble.brownian.W
-    Y, Z, u = ensemble["Y"], ensemble["Z"][:, :N, :], ensemble["u"][:, :N, :]
-    lhs = float(np.max(np.mean(_dot(Y, Y), axis=0))
-                + np.mean(_dot(Z, Z).sum(axis=1) * dt))
+    xi = np.ones((N + 1, ensemble.state.shape[-1] + 2, len(W)))  # (X, W, 1), paths last
+    xi[:, :-2], xi[:, -2] = np.moveaxis(ensemble.state, 0, -1), W.T
+    S = xi @ np.swapaxes(xi, -1, -2) / len(W)
+    EY, EZ, Eu = (((L @ S) * L).sum(axis=(-2, -1)) for L in map(ensemble.rows, "YZu"))
+    lhs = float(np.max(EY) + EZ[:N].sum() * dt)
     data = float(np.mean(_square_sums(spec.xi, W, slice(N, None)))
-                 + np.mean(_dot(u, u).sum(axis=1) * dt)
+                 + Eu[:N].sum() * dt
                  + np.mean(_square_sums(spec.f, W, slice(N)) * dt))
     K = 10.0 * float(np.exp(10.0 * spec.coefficient_bound() * grid.T))
     rhs = K * data
@@ -585,8 +588,9 @@ def verify_backward(spec: ProblemSpec, paths: int = 10000, seed: int = 42,
 
     stat = stationarity_residual(spec, ens)
     rows.append(_row("stationarity_sup", stat.sup, 1e-10, "<="))
-    xi_T = spec.xi.sample(brownian.W)[:, -1, :]
-    rows.append(_row("terminal_hit", float(np.max(np.abs(ens["Y"][:, -1, :] - xi_T))), 0.0, "<="))
+    W_T, (aT, bT) = brownian.W[:, -1:], spec.xi.at_terminal()
+    Y_T = _gain_affine(ens.rows("Y")[-1:], ens.state[:, -1:], W_T)[:, 0]
+    rows.append(_row("terminal_hit", float(np.max(np.abs(Y_T - (aT + bT * W_T)))), 0.0, "<="))
 
     v_formula = value_formula(spec, reduced, sigma, bsde)
     mc = evaluate_cost(spec, ens)

@@ -17,10 +17,10 @@ A float state runs the same RK4 loop on Python floats, without the cost of
 numpy calls on 0-d or 1x1 arrays.  The Riccati solves of n = m = 1 problems
 use this: their one right-hand side per equation, built in 1x1-exact float
 arithmetic, is bitwise equal to its matrix build (:mod:`bslq.riccati`).
-For n = 1 :func:`integrate_linear` applies its substep maps on Python floats
-too, column by column, by the operations of the array recursion in the same
-order.  A product there is a plain ``x * y``, never ``0.0 + x * y``, so a
--0.0 product keeps its sign, as it does in numpy.
+:func:`integrate_linear` applies its substep maps on (a, b) stacked, or on
+Python floats, column by column, for n = 1 below ARRAY_COLUMNS columns, in
+the array recursion's order.  A float product is a plain ``x * y``, never
+``0.0 + x * y``, so a -0.0 product keeps its sign, as it does in numpy.
 Both :func:`integrate` and :func:`integrate_linear` run with numpy overflow
 and invalid-value warnings off: a blow-up surfaces once, as the
 :class:`IntegrationError` of the first node, in integration order, where the
@@ -30,7 +30,6 @@ state is not finite.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +39,7 @@ from .errors import IntegrationError
 from .grid import TimeGrid
 
 DEFAULT_SUBSTEPS = 4
+ARRAY_COLUMNS = 16  # n = 1 from this many columns: arrays beat Python floats
 
 
 @dataclass(frozen=True)
@@ -156,34 +156,42 @@ def integrate_linear(grid: TimeGrid, M: np.ndarray, N: np.ndarray,
     aT, bT are a batch, and a batched solve equals the column-by-column
     solves bitwise.  A substep's four stages compose to an affine map
     z -> [[X, Y], [0, X]] z + (ca, cb) on z = (a, b), formed for all
-    substeps in batched operations; only applying the maps is sequential,
-    on Python floats when n = 1.  The finished paths are checked once for a
-    non-finite node.
+    substeps in batched operations; only applying the maps is sequential:
+    X to (a, b) stacked, then Y b to a (on floats for n = 1 below
+    ARRAY_COLUMNS columns).  The paths are checked once for a non-finite node.
     """
     steps, n = grid.steps, M.shape[-1]
-    a, b = aT.reshape(n, -1).astype(float), bT.reshape(n, -1).astype(float)
-    a_path, b_path = np.empty((steps + 1,) + a.shape), np.empty((steps + 1,) + b.shape)
-    a_path[steps], b_path[steps] = a, b
+    z = np.stack((aT.reshape(n, -1), bT.reshape(n, -1)), dtype=float)
+    path = np.empty((2, steps + 1) + z.shape[1:])  # the a and b halves
+    path[:, steps] = z
     with np.errstate(over="ignore", invalid="ignore"):
         X, Y, ca, cb = _substep_maps(grid, M, N, r0, r1, substeps)
-        if n == 1:   # the same operations on Python floats, one column at a time
-            apply, X, Y = operator.mul, memoryview(X.ravel()), memoryview(Y.ravel())
-            runs = [(float(a[0, j]), float(b[0, j]),
-                     *(memoryview(x[:, 0, j]) for x in (ca, cb, a_path, b_path)))
-                    for j in range(a.shape[1])]
+        if n == 1 and z.shape[-1] < ARRAY_COLUMNS:  # one column at a time
+            X, Y = memoryview(X.ravel()), memoryview(Y.ravel())
+            for j, (a, b) in enumerate(z[:, 0].T.tolist()):
+                a_out, b_out, ca_j, cb_j = map(memoryview, (
+                    path[0, :, 0, j], path[1, :, 0, j], ca[:, 0, j], cb[:, 0, j]))
+                for k in range(steps - 1, -1, -1):
+                    for g in range((steps - 1 - k) * substeps, (steps - k) * substeps):
+                        a, b = X[g] * a + Y[g] * b + ca_j[g], X[g] * b + cb_j[g]
+                    a_out[k], b_out[k] = a, b
         else:
-            apply, runs = _apply, [(a, b, ca, cb, a_path, b_path)]
-        for a, b, ca, cb, a_out, b_out in runs:
+            c = np.stack((ca, cb), axis=1)
+            Xc, Yc = ([A[:, :, j:j + 1] for j in range(n)] for A in (X, Y))
             for k in range(steps - 1, -1, -1):
                 for g in range((steps - 1 - k) * substeps, (steps - k) * substeps):
-                    a, b = apply(X[g], a) + apply(Y[g], b) + ca[g], apply(X[g], b) + cb[g]
-                a_out[k], b_out[k] = a, b
-    finite = np.logical_and(*(np.isfinite(p[:steps]).all(axis=(1, 2)) for p in (a_path, b_path)))
+                    Xz, Yb = Xc[0][g] * z[:, :1], Yc[0][g] * z[1, :1]
+                    for j in range(1, n):
+                        Xz, Yb = Xz + Xc[j][g] * z[:, j:j + 1], Yb + Yc[j][g] * z[1, j:j + 1]
+                    Xz[0] += Yb
+                    z = np.add(Xz, c[g], out=Xz)
+                path[:, k] = z
+    finite = np.isfinite(path[:, :steps]).all(axis=(0, 2, 3))
     if not finite.all():
         k = int(np.flatnonzero(~finite)[-1])   # the first node the backward pass reached
         raise IntegrationError(f"non-finite state at node {k} (t={grid.nodes[k]:g})")
     shape = (steps + 1, n) + aT.shape[1:]
-    return a_path.reshape(shape), b_path.reshape(shape)
+    return path[0].reshape(shape), path[1].reshape(shape)
 
 
 def _substep_maps(grid: TimeGrid, M: np.ndarray, N: np.ndarray, r0: np.ndarray,

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvexityError
+from .errors import ConsistencyError, ConvexityError, IntegrationError
 from .problem import ProblemSpec
 
 MAX_STEPS = 12
@@ -320,6 +320,7 @@ def _step_y(spec, lv: _Level, y: np.ndarray, s: float, dt: float, w, Bu=0.0):
     return np.linalg.solve(lv.K, rhs.T).T, Z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _sweep checks the value
 def _optimal_controls(spec, tree, levels, ws, drop: float) -> tuple[list[np.ndarray], bool]:
     """Minimise the cost by block elimination leaves-first, then
     back-substitute root-first: the controls of each level as (2^level, m)
@@ -372,6 +373,7 @@ def _optimal_controls(spec, tree, levels, ws, drop: float) -> tuple[list[np.ndar
     return controls, dropped
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(spec, tree, levels, ws, controls) -> tuple[float, float, np.ndarray]:
     """Cost, gradient norm and Y(0) of given controls: a forward Y sweep
     leaves-first and an adjoint sweep root-first, every level batched."""
@@ -390,6 +392,8 @@ def _sweep(spec, tree, levels, ws, controls) -> tuple[float, float, np.ndarray]:
         gV[k] = 2.0 * lv.scale * (VW + lin)
     y0 = y[0]
     total += float(y0 @ spec.G @ y0 + 2.0 * spec.g @ y0)
+    if not math.isfinite(total):
+        raise IntegrationError(f"tree value at {N} steps is not finite: {total}")
 
     grads = []
     mu = gV[0][:, :n] + 2.0 * (y[:1] @ spec.G + spec.g)
@@ -426,7 +430,7 @@ def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
 
     Requires steps <= 12 and state/control dimensions <= 3.  The step count
     must also keep I + dt A safely invertible:
-    steps >= T (2 max|A| + max|C| + 1).
+    steps >= T (2 max|A| + max|C| + 1); a non-finite value raises IntegrationError.
     """
     tree, levels, ws, dfs = _tree(spec, steps)
     m, N = spec.m, steps

@@ -176,7 +176,7 @@ class PathEnsemble:
     order): (X*, Y, Z, u) of a backward loop, X* = X_dual - H Y the original
     problem's adjoint state, or (X, v) of a forward one, whose X is
     ``state`` itself.  ``ens[name]``, (paths, N+1, width), is formed at its
-    first read and then kept.
+    first read and then kept; :meth:`rows` is the field's map.
     """
 
     brownian: BrownianEnsemble
@@ -186,11 +186,14 @@ class PathEnsemble:
     slot_map: np.ndarray    # the rows of the cost slots (Y, Z, u) or (X, v) in M
     _formed: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
+    def rows(self, name: str) -> np.ndarray:
+        """The rows of M that form the field ``name``: (N+1, width, n+2)."""
+        ends = dict(zip(self.fields, np.cumsum(list(self.fields.values()))))
+        return self.M[:, ends[name] - self.fields[name]:ends[name]]
+
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self._formed:
-            ends = dict(zip(self.fields, np.cumsum(list(self.fields.values()))))
-            rows = slice(ends[name] - self.fields[name], ends[name])
-            self._formed[name] = _gain_affine(self.M[:, rows], self.state, self.brownian.W)
+            self._formed[name] = _gain_affine(self.rows(name), self.state, self.brownian.W)
         return self._formed[name]
 
 
@@ -423,6 +426,7 @@ def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: i
     xi(path 0) with xi = (X, W); then mean = M (mean xi, 1) and var =
     diag(A C A^T), A the (X, W) columns of M and C the covariance of xi.
     ``per_block(first, outputs)`` gets each block's outputs by name.
+    A non-finite mean or std raises SimulationError.
     """
     if paths < 1:
         raise ValueError("paths must be at least 1")
@@ -449,5 +453,9 @@ def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: i
     mean_d = s1 / paths
     cov = s2 / paths - mean_d[:, :, None] * mean_d[:, None, :]
     A = loop.M[..., :-1]
-    var = ((A @ cov) * A).sum(axis=-1)
-    return loop.fields, mv(A, ref[:, 0] + mean_d) + loop.M[..., -1], np.sqrt(np.maximum(var, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite M may overflow here
+        var = ((A @ cov) * A).sum(axis=-1)
+        mean, std = mv(A, ref[:, 0] + mean_d) + loop.M[..., -1], np.sqrt(np.maximum(var, 0.0))
+    if not np.isfinite((mean, std)).all():
+        raise SimulationError("output mean or std is not finite")
+    return loop.fields, mean, std

@@ -5,10 +5,14 @@ The RK4 integrators are written against ``rhs(t, y)``: they drive
 in :func:`bslq.ode.rk4_stages`, so a test can state an equation as a
 function of time instead of as an evaluation-indexed table.
 
+:func:`integrate_linear_by_halves` is the BSDE recursion of
+:func:`bslq.ode.integrate_linear` with the a and b halves held apart.
+
 The rest costs and checks *sampled* trajectories, where the library works
 on slot maps: exact (Y, Z, u) under an affine control, per-path costs of
 sampled slots, the cost-shift identity of the reduction, the one-time
-Riccati right-hand sides, and the sample-mean check of an ensemble.
+Riccati right-hand sides, the sample-mean check of an ensemble, and the
+a-priori bound's moments from the fields themselves.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from bslq.bsde import solve_controlled_state
-from bslq.evaluate import CostForm, _dot, cost_form, mc_stderr
+from bslq.errors import IntegrationError
+from bslq.evaluate import CostForm, _dot, _square_sums, cost_form, mc_stderr
 from bslq.grid import mv
-from bslq.ode import DEFAULT_SUBSTEPS, OdeProblem, integrate, rk4_stages
+from bslq.ode import DEFAULT_SUBSTEPS, OdeProblem, _apply, _substep_maps, integrate, rk4_stages
 from bslq.riccati import _forward_rhs, _matrices, _sigma_rhs
 
 
@@ -36,6 +41,27 @@ def integrate_backward(grid, rhs, yT, substeps: int = DEFAULT_SUBSTEPS, post_ste
     times, index = rk4_stages(grid, "backward", substeps)
     return integrate(OdeProblem(grid, lambda e, y: rhs(times[index[e]], y), "backward",
                                 substeps), yT, post_step)
+
+
+def integrate_linear_by_halves(grid, M, N, r0, r1, aT, bT, substeps: int = DEFAULT_SUBSTEPS):
+    """:func:`bslq.ode.integrate_linear` on arrays, a and b held apart: per
+    substep a' = X a + Y b + ca and b' = X b + cb by three ``_apply`` calls."""
+    steps, n = grid.steps, M.shape[-1]
+    a, b = aT.reshape(n, -1).astype(float), bT.reshape(n, -1).astype(float)
+    a_path, b_path = np.empty((steps + 1,) + a.shape), np.empty((steps + 1,) + b.shape)
+    a_path[steps], b_path[steps] = a, b
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, Y, ca, cb = _substep_maps(grid, M, N, r0, r1, substeps)
+        for k in range(steps - 1, -1, -1):
+            for g in range((steps - 1 - k) * substeps, (steps - k) * substeps):
+                a, b = _apply(X[g], a) + _apply(Y[g], b) + ca[g], _apply(X[g], b) + cb[g]
+            a_path[k], b_path[k] = a, b
+    finite = np.logical_and(*(np.isfinite(p[:steps]).all(axis=(1, 2)) for p in (a_path, b_path)))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[-1])
+        raise IntegrationError(f"non-finite state at node {k} (t={grid.nodes[k]:g})")
+    shape = (steps + 1, n) + aT.shape[1:]
+    return a_path.reshape(shape), b_path.reshape(shape)
 
 
 def sigma_derivative(t: float, S: np.ndarray, A, B, C, S1, S2, R11, R22) -> np.ndarray:
@@ -136,3 +162,16 @@ def cost_shift_identity_check(spec, reduced, traj) -> ShiftIdentityReport:
         original=float(cost_orig.mean()),
         reduced=float(cost_red.mean()),
     )
+
+
+def apriori_by_fields(spec, ens) -> tuple[float, float]:
+    """(lhs, data) of :func:`bslq.apriori_bound_check` from the fields Y, Z
+    and u of the ensemble: per-path squares averaged over the paths."""
+    N, dt = spec.grid.steps, spec.grid.dt
+    W = ens.brownian.W
+    Y, Z, u = ens["Y"], ens["Z"][:, :N], ens["u"][:, :N]
+    lhs = float(np.max(np.mean(_dot(Y, Y), axis=0)) + np.mean(_dot(Z, Z).sum(axis=1) * dt))
+    data = float(np.mean(_square_sums(spec.xi, W, slice(N, None)))
+                 + np.mean(_dot(u, u).sum(axis=1) * dt)
+                 + np.mean(_square_sums(spec.f, W, slice(N)) * dt))
+    return lhs, data

@@ -479,11 +479,18 @@ def test_underflowing_time_step_exits_two(command, tmp_path, capsys):
      "constant shift E<H(T) xi, xi> is not finite: -inf"),
     (["reduce", "--out", "{out}"], {"Q": [[1.0]], "xi": {"a": [-1e308], "b": [1.0]}},
      "constant shift E<H(T) xi, xi> is not finite: -inf"),
-], ids=["value-g", "value-xi", "reduce-xi"])
+    (["oracle", "--compare"], {"f": {"a": [1000.0], "b": [0.0]}, "g": [-1e308]},
+     "tree value at 8 steps is not finite: nan"),
+    (["simulate", "--paths", "100", "--out", "{out}"],
+     {"B": [[1e8]], "g": [1e8], "xi": {"a": [1.0], "b": [1.0]},
+      "q": {"a": [0.0], "b": [-1e150]}}, "output mean or std is not finite"),
+], ids=["value-g", "value-xi", "reduce-xi", "oracle-tree", "simulate-std"])
 def test_overflowing_value_exits_one(command, data, message, tmp_path, capsys):
     # S4 with R11 = 0: g = -1e308 overflowed <Sigma(0) g, g> to value = -inf,
     # and xi = -1e308 with Q = 1 the constant shift to -inf (value = nan),
-    # each printed with exit 0 after a RuntimeWarning.
+    # each printed with exit 0 after a RuntimeWarning.  The oracle printed a
+    # tree value of nan before it exited 1, and simulate wrote an inf std to
+    # summary.csv and exited 0.
     doc = bslq.scenario_document(bslq.builtin_scenario("S4", steps=50))
     doc.update(R11=[[0.0]], **data)
     path = tmp_path / "huge.json"
@@ -491,6 +498,7 @@ def test_overflowing_value_exits_one(command, data, message, tmp_path, capsys):
     args = [command[0], str(path), *(a.format(out=tmp_path) for a in command[1:])]
     code, out, err = run([*args, "--steps", "50"], capsys)
     assert (code, out, err) == (1, "", f"contract violation: {message}\n")
+    assert not (tmp_path / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("field", ["G", "g", "x0"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from reference import form_parts, path_costs, sample_affine_control
+from reference import apriori_by_fields, form_parts, path_costs, sample_affine_control
 
 import bslq
 from bslq.errors import (IntegrationError, PositivityError, ReductionError,
@@ -275,10 +275,10 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     bslq.evaluate_cost(spec, synth.ensemble)
     fspec, fens = noisy_forward()
     bslq.evaluate_cost(fspec, fens)
-    # The stationarity check samples rho2 on purpose, outside the kernel.
     bslq.stationarity_residual(spec, synth.ensemble)
+    assert outside == [] and inside == []
+    spec.rho2.sample(synth.ensemble.brownian.W)
     assert outside  # the counter sees the sampling done outside the kernel
-    assert inside == []
     outside.clear()
     bslq.perturbation_identity(spec, synth.ensemble, v, [0.5])
     bslq.convexity_probe(spec, trials=2, seed=3)
@@ -553,6 +553,17 @@ def test_apriori_bound(name, synth_cache):
     check = bslq.apriori_bound_check(spec, synth.ensemble)
     assert check.ok
     assert np.isfinite(check.constant)
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S4", "S5", "SX", "SH", "2x2"])
+def test_apriori_moments_match_the_field_route(name, spec_2d, brownian_cache):
+    # The second moments tr(L S_k L^T) against the fields Y, Z, u themselves.
+    spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+    ens = bslq.synthesize_optimal(spec, brownian_cache(7, 300, spec.grid.steps)).ensemble
+    check = bslq.apriori_bound_check(spec, ens)
+    lhs, data = apriori_by_fields(spec, ens)
+    assert check.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert check.rhs == pytest.approx(check.constant * data, rel=1e-12, abs=0.0)
 
 
 # -- forward value -----------------------------------------------------------------

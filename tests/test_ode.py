@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import integrate_backward, integrate_forward
+from reference import integrate_backward, integrate_forward, integrate_linear_by_halves
 
 from bslq import ode
 from bslq.errors import IntegrationError
@@ -214,6 +214,37 @@ def test_scalar_recursion_is_the_array_recursion_bitwise(K, sub):
     got_a, got_b = integrate_linear(grid, M, N, r0, r1, aT, bT, sub)
     assert got_a.tobytes() == np.stack(ref_a[::-1]).tobytes()
     assert got_b.tobytes() == np.stack(ref_b[::-1]).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3, 16])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_stacked_recursion_is_the_per_half_recursion_bitwise(n, K):
+    grid, sub = TimeGrid(1.0, 6), 4
+    rng = np.random.default_rng(100 * n + K)
+    E = 4 * grid.steps * sub
+    M, N = signed_zero_draws(rng, (2, E, n, n)) / n
+    r0, r1 = signed_zero_draws(rng, (2, E, n, K))
+    aT, bT = signed_zero_draws(rng, (2, n, K))
+    r0[..., 0] = r1[..., 0] = 0.0   # a column with zero forcing
+    r0[:, -1] = r1[:, -1] = 0.0     # and a zero forcing row
+    aT[0, 0] = bT[0, 0] = -0.0
+    got = integrate_linear(grid, M, N, r0, r1, aT, bT, sub)
+    ref = integrate_linear_by_halves(grid, M, N, r0, r1, aT, bT, sub)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+
+
+@pytest.mark.parametrize("n, K", [(1, 16), (2, 1), (3, 3)])
+def test_stacked_recursion_fails_at_the_per_half_node(n, K):
+    grid, sub = TimeGrid(1.0, 10), 4
+    E = 4 * grid.steps * sub
+    M, zero = np.full((E, n, n), -30000.0 / n), np.zeros((E, n, n))
+    r, one = np.zeros((E, n, K)), np.ones((n, K))
+    errors = []
+    for solve in (integrate_linear, integrate_linear_by_halves):
+        with pytest.raises(IntegrationError) as err:
+            solve(grid, M, zero, r, r, one, one, sub)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "non-finite state at node 2 (t=0.2)"
 
 
 def test_scalar_recursion_makes_no_array_call_per_step(monkeypatch):

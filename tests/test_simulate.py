@@ -660,22 +660,41 @@ def test_optimal_map_is_formed_once_per_solve(monkeypatch, spec_2d):
 
 
 def test_verify_forms_only_the_fields_it_reads(monkeypatch):
-    # The coarse ensemble of verify_backward forms X*, Y, Z and u once each
-    # (stationarity, terminal_hit, the a-priori row); the fine ensemble and
-    # the forward verify are costed through the slot map alone.
+    # verify_backward applies two maps on (X, W, 1): the m-row stationarity
+    # residual at every node and Y's rows at the last node (terminal_hit);
+    # the a-priori row reads second moments, and the costs and the forward
+    # verify go through the slot map alone.
     calls = []
     gain_affine = sim._gain_affine
 
     def counted(*args):
-        calls.append(args[0].shape[1])
+        calls.append(args[0].shape[:2])  # (nodes, rows) of the map
         return gain_affine(*args)
 
     monkeypatch.setattr(sim, "_gain_affine", counted)
+    monkeypatch.setattr(bslq.evaluate, "_gain_affine", counted)
     assert bslq.verify(make_spec_2d(10), paths=20, seed=1, trials=2).rows
-    assert calls == [2, 2, 2, 2]
+    assert calls == [(11, 2), (1, 2)]
     calls.clear()
     assert bslq.verify(bslq.resample(noisy_sf(), 10), paths=20, seed=1).rows
     assert calls == []
+
+
+def test_verify_backward_reads_no_field(monkeypatch):
+    calls = []
+    getitem = sim.PathEnsemble.__getitem__
+
+    def spy(self, name):
+        calls.append(name)
+        return getitem(self, name)
+
+    monkeypatch.setattr(sim.PathEnsemble, "__getitem__", spy)
+    for spec in (make_spec_2d(10), bslq.builtin_scenario("S5", steps=10)):
+        assert bslq.verify(spec, paths=20, seed=1, trials=2).rows
+    assert calls == []
+    spec = bslq.builtin_scenario("S5", steps=10)
+    bslq.synthesize_optimal(spec, bslq.BrownianEnsemble.generate(1, 3, spec.grid)).ensemble["Y"]
+    assert calls == ["Y"]  # the spy sees a read
 
 
 def test_a_field_is_formed_once():
