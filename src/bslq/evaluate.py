@@ -117,7 +117,8 @@ class CostForm:
         """Boundary table (d, d) of <G x_s, x_t> + weight <g, x_t> and running
         tables (N, d, d) of B(s, t) + weight L(t) for s = L_s xi and t = L_t xi,
         xi = (..., W, 1), slot maps (N+1, D, d), a narrower L_t acting on the
-        trailing parts.  With ``Lt`` None and weight 2 these are J(s)'s."""
+        trailing parts.  With ``Lt`` None and weight 2 these are J(s)'s, with
+        weight 0 J0(s)'s, the cost of the same s under homogeneous data."""
         Lt = Ls if Lt is None else np.pad(Lt, ((0, 0), (0, 0), (Ls.shape[-1] - Lt.shape[-1], 0)))
         N, at, n = len(self.M), self.at, len(self.g)
         run = Ls[:N].swapaxes(-1, -2) @ self.M @ Lt[:N]
@@ -315,22 +316,21 @@ def perturbation_identity(spec: ProblemSpec, ensemble: PathEnsemble,
     the homogeneous-data state equation under v in closed affine form, and
     the solution under u* + eps v is the base trajectory plus eps times that.
     With M and G symmetric the cost is exactly quadratic, so per path the
-    difference is the polynomial 2 eps C + eps^2 J0(0; v), J0 the cost of
-    :func:`homogeneous` data, with C = B(s*, t) + L(t) + <G x*, x_t> +
-    <g, x_t> the cross term (zero in expectation at the optimum).  Both are
-    costed through slot maps, not sampled arrays: that of t = (Y_v, Z_v, v)
-    on xi = (W, 1) (:func:`controlled_map`) and the ensemble's.  The defect
-    2 eps C carries only quadrature bias and common-random-number noise.
-    ``state`` is (Y_v, Z_v) from a batched :func:`solve_controlled_state` call.
+    difference is 2 eps C + eps^2 J0(0; v), J0 the form at weight 0 (the cost
+    under homogeneous data) and C = B(s*, t) + L(t) + <G x*, x_t> + <g, x_t>
+    the cross term (zero in expectation at the optimum), both costed through
+    slot maps, not sampled arrays: that of t = (Y_v, Z_v, v) on xi = (W, 1)
+    (:func:`controlled_map`) and the ensemble's.  The defect 2 eps C carries
+    only quadrature bias and common-random-number noise.  ``state`` is
+    (Y_v, Z_v) from a batched :func:`solve_controlled_state` call.
     """
-    hspec = homogeneous(spec)
-    W = ensemble.brownian.W
+    W, form = ensemble.brownian.W, cost_form(spec)
     if state is None:
-        state = solve_controlled_state(hspec, [v], substeps)[0]
+        state = solve_controlled_state(homogeneous(spec), [v], substeps)[0]
     L_v = controlled_map(state, v)
-    j0 = sum(cost_form(hspec).xi_parts((W,), L_v))
+    j0 = sum(form.xi_parts((W,), L_v, weight=0.0))
     xi = (*np.moveaxis(ensemble.state, -1, 0), W)
-    cross = sum(cost_form(spec).xi_parts(xi, ensemble.slot_map, L_v, 1.0))
+    cross = sum(form.xi_parts(xi, ensemble.slot_map, L_v, 1.0))
     rows = []
     for eps in eps_grid:
         defect = 2.0 * eps * cross
@@ -390,18 +390,18 @@ def convexity_probe(spec: ProblemSpec, trials: int = 16, seed: int = 42,
                     substeps: int = DEFAULT_SUBSTEPS) -> ProbeReport:
     """min_v J0(0; v) / E int |v|^2 over random affine controls, in expectation.
 
-    Both are quadratic forms in xi = (W, 1), tabulated from the controls'
-    node arrays and their exact states (:func:`controlled_map`).  Through
-    E W = 0 and E W^2 = t a node's xi^T C xi has expectation C_WW t + C_11,
-    so no path is drawn and the ratios carry no sampling error."""
-    hspec = homogeneous(spec)
-    grid, form = hspec.grid, cost_form(hspec)
+    Both are quadratic forms in xi = (W, 1), J0 from the form's weight-0
+    tables (:meth:`CostForm.tables`) on the controls' node arrays and their
+    exact states (:func:`controlled_map`).  Through E W = 0 and E W^2 = t a
+    node's xi^T C xi has expectation C_WW t + C_11, so no path is drawn and
+    the ratios carry no sampling error."""
+    grid, form = spec.grid, cost_form(spec)
     N, t = grid.steps, grid.nodes
     rng = np.random.Generator(philox(seed, 0xC0FFEE))
-    controls = [random_affine_control(grid, hspec.m, rng) for _ in range(trials)]
+    controls = [random_affine_control(grid, spec.m, rng) for _ in range(trials)]
     ratios = []
-    for v, state in zip(controls, solve_controlled_state(hspec, controls, substeps)):
-        boundary, run = form.tables(controlled_map(state, v))
+    for v, state in zip(controls, solve_controlled_state(homogeneous(spec), controls, substeps)):
+        boundary, run = form.tables(controlled_map(state, v), weight=0.0)
         num = (boundary[0, 0] * t[form.at] + boundary[1, 1]
                + (run[:, 0, 0] @ t[:N] + run[:, 1, 1].sum()) * grid.dt)
         a, b = v.node_parts()

@@ -25,6 +25,7 @@ PIECEWISE = "piecewise-constant"
 SAMPLED = "grid-sampled"
 
 _KINDS = (CONSTANT, PIECEWISE, SAMPLED)
+_NODE_ROUNDING = 4.0 * np.finfo(float).eps  # relative to T
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,11 @@ class MatrixPath:
         """Evaluate at an arbitrary time in [0, T]."""
         if self.kind == CONSTANT:
             return self.values[0]
+        if self.kind == PIECEWISE:
+            return self.tabulate(t)
         N, dt = self.grid.steps, self.grid.dt
         pos = t / dt
         k = int(np.clip(np.floor(pos), 0, N - 1))
-        if self.kind == PIECEWISE:
-            return self.values[N] if t >= self.grid.T else self.values[k]
         theta = pos - k
         if theta <= 0.0:
             return self.values[k]
@@ -138,10 +139,13 @@ class MatrixPath:
         if self.kind == CONSTANT:
             return np.broadcast_to(self.values[0], times.shape + self.shape)
         N = self.grid.steps
+        if self.kind == PIECEWISE:
+            # The interval from the node table, not t / dt (which can round below
+            # a node's index); a time within node rounding (eps T) of a node is at it.
+            k = np.searchsorted(self.grid.nodes, times + _NODE_ROUNDING * self.grid.T, "right")
+            return self.values[np.clip(k - 1, 0, N)]
         pos = times / self.grid.dt
         k = np.clip(np.floor(pos), 0, N - 1).astype(int)
-        if self.kind == PIECEWISE:
-            return self.values[np.where(times >= self.grid.T, N, k)]
         theta = (pos - k).reshape((-1,) + (1,) * len(self.shape))
         return np.where(theta <= 0.0, self.values[k],
                         (1.0 - theta) * self.values[k] + theta * self.values[k + 1])

@@ -22,9 +22,10 @@ coordinates, which no other node sees and which a Schur complement
 eliminates (one pivot block).  At the root everything left is eliminated.
 
 A, B, C, the weights and the probability 0.5^level depend on the level
-only; noise enters only the affine data f, q, rho1, rho2 and xi.  So every
-node of a level shares one quadratic block, one range basis and one pivot,
-and the whole tree takes N small factorisations.  Linear terms and the
+only (node tables and CostForm of the scenario resampled onto the tree's
+N-step grid); noise enters only the affine data f, q, rho1, rho2 and xi.
+So every node of a level shares one quadratic block, one range basis and
+one pivot, and the whole tree takes N small factorisations.  Linear terms and the
 back-substituted controls are per node, carried as (2^level, .) arrays.
 
 The elimination is a congruence, so by Sylvester's law and Haynsworth's
@@ -47,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, ConvexityError, IntegrationError
-from .problem import ProblemSpec
+from .evaluate import cost_form
+from .problem import ProblemSpec, resample
 
 MAX_STEPS = 12
 NONCONVEX_TOL = -1e-9
@@ -99,26 +101,10 @@ class DiscreteSolution:
     nodes: list[ControlNode] = field(repr=False)
 
 
-def _blocked_weight(spec: ProblemSpec, t: float) -> np.ndarray:
-    n, m = spec.n, spec.m
-    M = np.zeros((2 * n + m, 2 * n + m))
-    M[:n, :n] = spec.Q(t)
-    M[:n, n:2 * n] = spec.S1(t).T
-    M[:n, 2 * n:] = spec.S2(t).T
-    M[n:2 * n, :n] = spec.S1(t)
-    M[n:2 * n, n:2 * n] = spec.R11(t)
-    M[n:2 * n, 2 * n:] = spec.R12(t)
-    M[2 * n:, :n] = spec.S2(t)
-    M[2 * n:, n:2 * n] = spec.R21(t)
-    M[2 * n:, 2 * n:] = spec.R22(t)
-    return M
-
-
-def _affine_at(proc, t: float, w):
-    """a(t) + b(t) w; a (len(w), dim) array for an array of node values w."""
-    if np.ndim(w):
-        return proc.a(t) + proc.b(t) * w[:, None]
-    return proc.a(t) + proc.b(t) * w
+def _affine(parts, w: np.ndarray) -> np.ndarray:
+    """a + b w, (len(w), dim), at a level's node values w for its parts (a, b)."""
+    a, b = parts
+    return a + b * w[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +121,9 @@ class _Level:
     K: np.ndarray        # I + dt A
     B: np.ndarray
     C: np.ndarray
+    f: tuple             # the parts (a, b) of f
     W: np.ndarray        # blocked weight
+    lin: tuple           # the parts (a, b) of the linear weight (q, rho1, rho2)
     scale: float         # 0.5^level dt
     child: int
     Y: np.ndarray
@@ -146,16 +134,17 @@ class _Level:
 
 
 def _levels(spec: ProblemSpec, tree: BinomialTree) -> list[_Level]:
-    """Build the per-level structure bottom-up (it does not depend on sigma)."""
+    """Build the per-level structure bottom-up (it does not depend on sigma)
+    from the node tables of ``spec``, the scenario on the tree's grid."""
     n, m, N = spec.n, spec.m, tree.steps
     dt, s = tree.dt, tree.sqrt_dt
-    nodes_t = np.linspace(0.0, spec.grid.T, N + 1)
+    form = cost_form(spec)
+    A, B, C = (p.node_values() for p in (spec.A, spec.B, spec.C))
+    fa, fb = spec.f.node_parts()
     levels: list[_Level] = [None] * N
     M = np.zeros((n, 0))                 # leaves: Y = xi, no coordinates
     for k in reversed(range(N)):
-        t = nodes_t[k]
-        K, B, C = np.eye(n) + dt * spec.A(t), spec.B(t), spec.C(t)
-        W = _blocked_weight(spec, t)
+        K, W = np.eye(n) + dt * A[k], form.M[k]
         rc = M.shape[1]
         d = 2 * rc + m
         up = np.zeros((n, d))
@@ -165,7 +154,7 @@ def _levels(spec: ProblemSpec, tree: BinomialTree) -> list[_Level]:
         Z = (up - dn) / (2.0 * s)
         U = np.zeros((m, d))
         U[:, 2 * rc:] = np.eye(m)
-        Y = np.linalg.solve(K, 0.5 * (up + dn) - dt * (B @ U + C @ Z))
+        Y = np.linalg.solve(K, 0.5 * (up + dn) - dt * (B[k] @ U + C[k] @ Z))
         V = np.concatenate([Y, Z, U], axis=0)
         scale = (0.5 ** k) * dt
         H = scale * (V.T @ W @ V)
@@ -179,7 +168,8 @@ def _levels(spec: ProblemSpec, tree: BinomialTree) -> list[_Level]:
             basis = np.linalg.svd(Y)[2].T
             rank = min(n, d)
             M = Y @ basis[:, :rank]
-        levels[k] = _Level(t, K, B, C, W, scale, rc, Y, V, 0.5 * (H + H.T),
+        levels[k] = _Level(spec.grid.nodes[k], K, B[k], C[k], (fa[k], fb[k]), W,
+                           (form.a[k], form.b[k]), scale, rc, Y, V, 0.5 * (H + H.T),
                            basis, rank)
     return levels
 
@@ -306,17 +296,11 @@ def _node_layout(N: int, s: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return ws, dfs
 
 
-def _local_linear(spec: ProblemSpec, lv: _Level, w: np.ndarray) -> np.ndarray:
-    """Per-node linear cost weight (q, rho1, rho2), shape (nodes, 2n + m)."""
-    return np.concatenate([_affine_at(spec.q, lv.t, w), _affine_at(spec.rho1, lv.t, w),
-                           _affine_at(spec.rho2, lv.t, w)], axis=1)
-
-
-def _step_y(spec, lv: _Level, y: np.ndarray, s: float, dt: float, w, Bu=0.0):
+def _step_y(lv: _Level, y: np.ndarray, s: float, dt: float, w, Bu=0.0):
     """One backward step at a level for every node: (Y, Z) from the children."""
     up, dn = y[0::2], y[1::2]
     Z = (up - dn) / (2.0 * s)
-    rhs = 0.5 * (up + dn) - dt * (Bu + Z @ lv.C.T + _affine_at(spec.f, lv.t, w))
+    rhs = 0.5 * (up + dn) - dt * (Bu + Z @ lv.C.T + _affine(lv.f, w))
     return np.linalg.solve(lv.K, rhs.T).T, Z
 
 
@@ -328,7 +312,7 @@ def _optimal_controls(spec, tree, levels, ws, drop: float) -> tuple[list[np.ndar
     of the pivot's inverse (a pseudo-inverse for a singular Lam)."""
     m, N = spec.m, tree.steps
     dt, s = tree.dt, tree.sqrt_dt
-    y = _affine_at(spec.xi, spec.grid.T, ws[N])
+    y = _affine(spec.xi.at_terminal(), ws[N])
     P, p = np.zeros((0, 0)), np.zeros((2 ** N, 0))
     gains: list = [None] * N
     dropped = False
@@ -338,9 +322,9 @@ def _optimal_controls(spec, tree, levels, ws, drop: float) -> tuple[list[np.ndar
         X = lv.H.copy()
         X[:rc, :rc] += P
         X[rc:2 * rc, rc:2 * rc] += P
-        y, Z = _step_y(spec, lv, y, s, dt, ws[k])
+        y, Z = _step_y(lv, y, s, dt, ws[k])
         Vc = np.concatenate([y, Z, np.zeros((y.shape[0], m))], axis=1)
-        px = lv.scale * ((Vc @ lv.W + _local_linear(spec, lv, ws[k])) @ lv.V)
+        px = lv.scale * ((Vc @ lv.W + _affine(lv.lin, ws[k])) @ lv.V)
         px[:, :rc] += p[0::2]
         px[:, rc:2 * rc] += p[1::2]
         if lv.basis is None:
@@ -379,14 +363,14 @@ def _sweep(spec, tree, levels, ws, controls) -> tuple[float, float, np.ndarray]:
     leaves-first and an adjoint sweep root-first, every level batched."""
     n, N = spec.n, tree.steps
     dt, s = tree.dt, tree.sqrt_dt
-    y = _affine_at(spec.xi, spec.grid.T, ws[N])
+    y = _affine(spec.xi.at_terminal(), ws[N])
     total = 0.0
     gV: list = [None] * N
     for k in reversed(range(N)):
         lv, u = levels[k], controls[k]
-        y, Z = _step_y(spec, lv, y, s, dt, ws[k], u @ lv.B.T)
+        y, Z = _step_y(lv, y, s, dt, ws[k], u @ lv.B.T)
         V = np.concatenate([y, Z, u], axis=1)
-        lin = _local_linear(spec, lv, ws[k])
+        lin = _affine(lv.lin, ws[k])
         VW = V @ lv.W
         total += lv.scale * float(np.sum(VW * V) + 2.0 * np.sum(lin * V))
         gV[k] = 2.0 * lv.scale * (VW + lin)
@@ -410,11 +394,13 @@ def _sweep(spec, tree, levels, ws, controls) -> tuple[float, float, np.ndarray]:
 
 
 def _tree(spec: ProblemSpec, steps: int):
-    """Check the preconditions; the tree, its levels and its node layout."""
+    """Check the preconditions; the scenario resampled onto the tree's grid
+    (its TimeGrid rejects steps < 1), the tree, its levels and node layout."""
     if steps > MAX_STEPS:
         raise ValueError(f"binomial oracle capped at {MAX_STEPS} steps, got {steps}")
     if spec.n > 3 or spec.m > 3:
         raise ValueError("binomial oracle supports dimensions n, m <= 3")
+    tree_spec = resample(spec, steps)
     min_steps = spec.grid.T * (2.0 * spec.A.max_abs() + spec.C.max_abs() + 1.0)
     if steps < min_steps:
         raise ValueError(
@@ -422,7 +408,7 @@ def _tree(spec: ProblemSpec, steps: int):
             f"(need >= {min_steps:g})"
         )
     tree = BinomialTree(steps, spec.grid.T)
-    return (tree, _levels(spec, tree)) + _node_layout(steps, tree.sqrt_dt)
+    return (tree_spec, tree, _levels(tree_spec, tree)) + _node_layout(steps, tree.sqrt_dt)
 
 
 def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
@@ -432,7 +418,7 @@ def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
     must also keep I + dt A safely invertible:
     steps >= T (2 max|A| + max|C| + 1); a non-finite value raises IntegrationError.
     """
-    tree, levels, ws, dfs = _tree(spec, steps)
+    tree_spec, tree, levels, ws, dfs = _tree(spec, steps)
     m, N = spec.m, steps
     D = m * tree.control_count()
     level_of = np.repeat(np.arange(N), 2 ** np.arange(N))
@@ -452,11 +438,11 @@ def solve_discrete(spec: ProblemSpec, steps: int) -> DiscreteSolution:
     if negative:
         return DiscreteSolution(steps, None, None, None, min_eig, negative,
                                 convex=False, singular=False, y0=None, nodes=meta)
-    controls = _optimal_controls(spec, tree, levels, ws, tiny)[0]
+    controls = _optimal_controls(tree_spec, tree, levels, ws, tiny)[0]
     u_opt = np.empty(D)
     for k in range(N):
         u_opt[(m * dfs[k])[:, None] + np.arange(m)] = controls[k]
-    value, grad_norm, y0 = _sweep(spec, tree, levels, ws, controls)
+    value, grad_norm, y0 = _sweep(tree_spec, tree, levels, ws, controls)
     return DiscreteSolution(steps, u_opt, value, grad_norm, min_eig, negative,
                             convex=True, singular=singular, y0=y0, nodes=meta)
 
@@ -465,13 +451,13 @@ def _tree_value(spec: ProblemSpec, steps: int) -> float:
     """``solve_discrete(spec, steps).value``, bitwise, with no bisection: that
     drops no pivot eigenvalue above bound / SINGULAR_COND, so if none is at or
     below it either, the two eliminations are one computation."""
-    tree, levels, ws, _ = _tree(spec, steps)
+    tree_spec, tree, levels, ws, _ = _tree(spec, steps)
     spectrum = _Spectrum(levels, spec.m, spec.m * tree.control_count())
     if spectrum.bound and not spectrum.below([0.5 * NONCONVEX_TOL])[0]:
-        controls, dropped = _optimal_controls(spec, tree, levels, ws,
+        controls, dropped = _optimal_controls(tree_spec, tree, levels, ws,
                                               spectrum.bound / SINGULAR_COND)
         if not dropped:
-            return _sweep(spec, tree, levels, ws, controls)[0]
+            return _sweep(tree_spec, tree, levels, ws, controls)[0]
     sol = solve_discrete(spec, steps)
     if sol.convex:
         return sol.value
@@ -483,15 +469,16 @@ def replay_cost(spec: ProblemSpec, steps: int, control: np.ndarray) -> float:
     """Re-run the tree recursion numerically with fixed controls.
 
     Independent of the elimination: used to confirm that the reported value
-    is the recursion's cost at the reported optimum.
+    is the recursion's cost at the reported optimum, on the same node tables.
     """
-    tree = BinomialTree(steps, spec.grid.T)
+    tree, spec = BinomialTree(steps, spec.grid.T), resample(spec, steps)
+    form = cost_form(spec)
+    A, B, C = (p.node_values() for p in (spec.A, spec.B, spec.C))
+    (fa, fb), (xa, xb) = spec.f.node_parts(), spec.xi.node_parts()
     n, m = spec.n, spec.m
     N = steps
     dt, s = tree.dt, tree.sqrt_dt
-    nodes_t = np.linspace(0.0, spec.grid.T, N + 1)
     eye = np.eye(n)
-    weights = [_blocked_weight(spec, nodes_t[k]) for k in range(N)]
 
     def width(level: int) -> int:
         return m * (2 ** (N - level) - 1)
@@ -500,24 +487,19 @@ def replay_cost(spec: ProblemSpec, steps: int, control: np.ndarray) -> float:
 
     def visit(level: int, w: float, offset: int) -> np.ndarray:
         nonlocal total
-        t = nodes_t[level]
         if level == N:
-            return _affine_at(spec.xi, t, w)
+            return xa[N] + xb[N] * w
         wc = width(level + 1)
         y_up = visit(level + 1, w + s, offset + m)
         y_dn = visit(level + 1, w - s, offset + m + wc)
         Z = (y_up - y_dn) / (2.0 * s)
         u = control[offset:offset + m]
-        rhs = 0.5 * (y_up + y_dn) - dt * (spec.B(t) @ u + spec.C(t) @ Z
-                                          + _affine_at(spec.f, t, w))
-        Y = np.linalg.solve(eye + dt * spec.A(t), rhs)
+        rhs = 0.5 * (y_up + y_dn) - dt * (B[level] @ u + C[level] @ Z
+                                          + (fa[level] + fb[level] * w))
+        Y = np.linalg.solve(eye + dt * A[level], rhs)
         vec = np.concatenate([Y, Z, u])
-        lin = np.concatenate([
-            _affine_at(spec.q, t, w),
-            _affine_at(spec.rho1, t, w),
-            _affine_at(spec.rho2, t, w),
-        ])
-        total += (0.5 ** level) * dt * (vec @ weights[level] @ vec + 2.0 * lin @ vec)
+        lin = form.a[level] + form.b[level] * w
+        total += (0.5 ** level) * dt * (vec @ form.M[level] @ vec + 2.0 * lin @ vec)
         return Y
 
     Y0 = visit(0, 0.0, 0)

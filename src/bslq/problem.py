@@ -216,8 +216,9 @@ def homogeneous(spec: ProblemSpec) -> ProblemSpec:
     nonnegativity characterises solvability and whose uniform positivity
     is probed by :func:`bslq.evaluate.convexity_probe`.
     """
-    zeros = _zeros(ProblemSpec, spec.n, spec.m, spec.grid)
-    return spec.replace(**{name: zeros[name] for name in ("f", "g", "q", "rho1", "rho2", "xi")})
+    return spec.replace(**{name: _ZERO[form](_shape(symbols, spec.n, spec.m), spec.grid)
+                           for name, form, symbols, _ in _coefficients(ProblemSpec)
+                           if name in ("f", "g", "q", "rho1", "rho2", "xi")})
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bslq.oracle import NONCONVEX_TOL, SINGULAR_COND, BinomialTree, _blocked_weight
+from bslq.oracle import NONCONVEX_TOL, SINGULAR_COND, BinomialTree
 
 
 def _affine_at(proc, t: float, w: float) -> np.ndarray:
     return proc.a(t) + proc.b(t) * w
+
+
+def _blocked_weight(spec, t: float) -> np.ndarray:
+    """[[Q, S1^T, S2^T], [S1, R11, R12], [S2, R21, R22]] at t, read from the
+    paths themselves, so that this reference does not share the oracle's
+    (``bslq.evaluate.cost_form``) assembly of the weight."""
+    n = spec.n
+    Q, S1, S2, R11, R12, R21, R22 = (p(t) for p in (spec.Q, spec.S1, spec.S2, spec.R11,
+                                                    spec.R12, spec.R21, spec.R22))
+    M = np.zeros((2 * n + spec.m,) * 2)
+    M[:n, :n], M[:n, n:2 * n], M[:n, 2 * n:] = Q, S1.T, S2.T
+    M[n:2 * n, :n], M[n:2 * n, n:2 * n], M[n:2 * n, 2 * n:] = S1, R11, R12
+    M[2 * n:, :n], M[2 * n:, n:2 * n], M[2 * n:, 2 * n:] = S2, R21, R22
+    return M
 
 
 def assemble(spec, steps: int):

@@ -325,6 +325,19 @@ def test_oracle_compare_reuses_the_tree_steps_solve(monkeypatch, capsys):
     assert len(table.splitlines()) == 6
 
 
+@pytest.mark.parametrize("tree_steps", ["0", "-3"])
+def test_oracle_rejects_tree_steps_below_one(tree_steps, tmp_path, capsys):
+    # At T = 0.5 the coarseness bound is below 1; the tree grid is built
+    # first, so the step count itself is what the message names.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S4", steps=20))
+    doc["T"] = 0.5
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["oracle", str(path), "--steps", "20", "--tree-steps", tree_steps],
+                         capsys)
+    assert (code, out, err) == (2, "", f"error: steps must be >= 1, got {tree_steps}\n")
+
+
 def test_oracle_nonconvex_exits_one(tmp_path, capsys):
     doc = bslq.scenario_document(bslq.builtin_scenario("S1", steps=20))
     doc["R22"] = [[-1.0]]

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the package in ``src``,
-with a RuntimeWarning turned into an error as in the in-process tests."""
+with the warnings that the in-process tests turn into errors (pyproject's
+``filterwarnings``) turned into errors too."""
 
 import os
 import pathlib
@@ -10,6 +11,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                      "-W", "error::FutureWarning")
 
 
 def test_demos_found():
@@ -21,7 +24,7 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout

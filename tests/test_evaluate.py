@@ -285,6 +285,38 @@ def test_cost_kernel_samples_no_process(monkeypatch, spec_2d, brownian_cache):
     assert outside == [] and inside == []
 
 
+@pytest.mark.parametrize("name", ["S1", "S4", "S5", "SX", "SH", "2x2"])
+def test_weight_zero_tables_are_the_homogeneous_form(name, spec_2d):
+    # J0 is the spec's own form with its linear rows left out: the weight-0
+    # tables equal the tables of the homogeneous problem's form.
+    spec = spec_2d if name == "2x2" else bslq.builtin_scenario(name, steps=50)
+    rng = np.random.default_rng(11)
+    N, D = spec.grid.steps, 2 * spec.n + spec.m
+    Ls, Lt = rng.standard_normal((N + 1, D, 4)), rng.standard_normal((N + 1, D, 2))
+    own, hom = cost_form(spec), cost_form(bslq.homogeneous(spec))
+    for args in ((Ls,), (Ls, Lt)):
+        for got, want in zip(own.tables(*args, weight=0.0), hom.tables(*args)):
+            assert np.array_equal(got, want)
+
+
+def test_perturbation_with_state_builds_one_form(monkeypatch, spec_2d, brownian_cache):
+    # Given the perturbation's state, the table costs J0 and the cross term
+    # on one CostForm and builds no homogeneous problem.
+    spec, synth = optimum("2x2", spec_2d, brownian_cache, paths=50)
+    v = bslq.random_affine_control(spec.grid, spec.m, np.random.default_rng(2))
+    state = bslq.solve_controlled_state(bslq.homogeneous(spec), [v])[0]
+    forms, homogeneous = [], []
+    init, hom = CostForm.__init__, bslq.evaluate.homogeneous
+    monkeypatch.setattr(CostForm, "__init__", lambda self, *a: forms.append(1) or init(self, *a))
+    monkeypatch.setattr(bslq.evaluate, "homogeneous", lambda s: homogeneous.append(s) or hom(s))
+    with_state = bslq.perturbation_identity(spec, synth.ensemble, v, [0.5], state=state)
+    assert (len(forms), homogeneous) == (1, [])
+    forms.clear()
+    alone = bslq.perturbation_identity(spec, synth.ensemble, v, [0.5])
+    assert (len(forms), len(homogeneous)) == (1, 1)  # the spies see a solve of its own
+    assert alone == with_state
+
+
 # -- the quadratic form in xi against the sampled kernel ------------------------
 
 XI_RTOL = 1e-14

@@ -105,6 +105,21 @@ def test_oracle_2d(spec_2d):
     assert sol.convex and sol.gradient_norm <= 1e-10
 
 
+def test_oracle_reads_node_tables_only(monkeypatch, spec_2d):
+    # The oracle reads the scenario resampled onto its tree grid through node
+    # tables and its CostForm: no path is evaluated at a time of its own.
+    calls = []
+    call = MatrixPath.__call__
+    monkeypatch.setattr(MatrixPath, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    for spec, N in ((spec_2d, 5), (bslq.builtin_scenario("SX", steps=50), 6)):
+        sol = bslq.solve_discrete(spec, N)
+        bslq.compare(0.0, spec, steps=(2, N))
+        bslq.replay_cost(spec, N, sol.control)
+    assert calls == []
+    spec_2d.A(0.5)
+    assert calls == [0.5]  # the spy sees a path evaluation
+
+
 # ---------------------------------------------------------------------------
 # compare's value path: no bisection, values bitwise those of solve_discrete
 # ---------------------------------------------------------------------------
@@ -260,7 +275,7 @@ def test_shifted_counts_match_dense(name):
     lam = solve_dense(spec, N).eigenvalues / 2.0
     gaps = np.flatnonzero(np.diff(lam) > 1e-8 * max(1.0, np.max(np.abs(lam))))
     shifts = 0.5 * (lam[gaps] + lam[gaps + 1])
-    levels = oracle._levels(spec, BinomialTree(N, spec.grid.T))
+    levels = oracle._levels(bslq.resample(spec, N), BinomialTree(N, spec.grid.T))
     spectrum = oracle._Spectrum(levels, spec.m, lam.size)
     assert spectrum.bound >= np.max(np.abs(lam))     # the bisection bracket
     np.testing.assert_array_equal(spectrum.below(shifts), gaps + 1)

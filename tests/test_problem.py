@@ -48,6 +48,32 @@ def test_matrix_path_kinds():
     assert lin(0.5)[0, 0] == 2.0     # node values exact
 
 
+def test_piecewise_path_reads_its_own_node():
+    # A node time reads its own interval on every grid, though t / dt rounds
+    # below the node's index at 153 of the grids N = 1..200 with T = 1.
+    path = MatrixPath.piecewise(np.arange(10.0)[:, None, None], TimeGrid(1.0, 9))
+    assert path(path.grid.nodes[7])[0, 0] == 7.0
+    for N in range(1, 201):
+        grid = TimeGrid(1.0, N)
+        path = MatrixPath.piecewise(np.arange(N + 1.0)[:, None], grid)
+        table = path.tabulate(np.concatenate([grid.nodes, [-0.5, 1.5]]))[:, 0]
+        assert np.array_equal(table, np.r_[np.arange(N + 1.0), 0.0, N])
+        assert [path(t)[0] for t in grid.nodes] == list(range(N + 1))
+        mid = path.tabulate(grid.nodes[:-1] + 0.5 * grid.dt)[:, 0]
+        assert np.array_equal(mid, np.arange(N + 0.0))
+
+
+def test_resample_keeps_piecewise_jumps_in_place():
+    # Jumps at t = 0.3 and 0.6 on a 10-step grid fall on fine nodes 60 and
+    # 120 of 200 steps, not one step late.
+    grid = TimeGrid(1.0, 10)
+    values = np.repeat([0.0, 1.0, 2.0], [3, 3, 5])[:, None, None]
+    spec = bslq.builtin_scenario("S4", steps=10).replace(A=MatrixPath.piecewise(values, grid))
+    fine = bslq.resample(spec, 200).A
+    assert fine.kind == "piecewise-constant"
+    assert np.array_equal(fine.node_values()[:, 0, 0], np.repeat([0.0, 1.0, 2.0], [60, 60, 81]))
+
+
 def test_affine_process_sampling():
     grid = TimeGrid(1.0, 2)
     proc = AffineProcess.of_constants([1.0], [2.0], grid)
@@ -220,6 +246,20 @@ def test_homogeneous_zeroes_data_only():
     assert not np.any(h.g)
     # weights survive
     assert h.R22.node_values()[0, 0, 0] == 1.0
+
+
+def test_homogeneous_builds_only_the_data(monkeypatch):
+    # Six zero coefficients are built (f, g, q, rho1, rho2, xi); the weights
+    # and the state coefficients are the spec's own objects.
+    spec = bslq.builtin_scenario("SX", steps=20)
+    made = []
+    for form, zero in list(bslq.problem._ZERO.items()):
+        monkeypatch.setitem(bslq.problem._ZERO, form, lambda shape, grid, zero=zero:
+                            made.append(shape) or zero(shape, grid))
+    h = bslq.homogeneous(spec)
+    assert len(made) == 6
+    assert all(getattr(h, name) is getattr(spec, name) for name in
+               ("A", "B", "C", "G", "Q", "S1", "S2", "R11", "R12", "R21", "R22"))
 
 
 def test_resample_keeps_constants_exact():
