@@ -136,9 +136,7 @@ def assemble_drift(problem, sigma: RiccatiSolution) -> BsdeDriftSpec:
                  - mv(B, p2) - mv(Sg @ np.swapaxes(S2, -1, -2), p2) + mv(Sg, qq) + ff)
         gap = max(gap, float(np.max(np.abs(r - r_exp), initial=0.0)))
     if gap > CROSS_FORM_TOL:
-        raise ConsistencyError(
-            f"collapsed and expanded drift forms disagree (gap {gap:.3e})"
-        )
+        raise ConsistencyError(f"collapsed and expanded drift forms disagree (gap {gap:.3e})")
     return BsdeDriftSpec(spec.grid, M, N, r0, r1, cross_form_gap=gap,
                          stages=_stage_drift(sigma), substeps=sigma.substeps)
 

@@ -58,6 +58,12 @@ def _columns(fields: dict[str, int]) -> list[str]:
     return [col for name, dim in fields.items() for col in _vector_header(name, dim)]
 
 
+def _write_nodes(out: str, name: str, t, header: list[str], table) -> None:
+    """``name``.csv in ``out``: one row (t_k, table_k flattened) per node."""
+    write_csv(os.path.join(out, name + ".csv"), ["t"] + header,
+              ([t[k]] + list(np.ravel(table[k])) for k in range(len(t))))
+
+
 def _ensure_out(out: str) -> str:
     os.makedirs(out, exist_ok=True)
     return out
@@ -73,29 +79,20 @@ def _load(args) -> object:
 def cmd_solve(args) -> int:
     spec = _load(args)
     out = _ensure_out(args.out)
-    t = spec.grid.nodes
+    t, n = spec.grid.nodes, spec.n
     if isinstance(spec, ForwardProblemSpec):
         psol = solve_forward_riccati(spec, args.substeps)
-        n = spec.n
-        write_csv(os.path.join(out, "p.csv"),
-                  ["t"] + _matrix_header("P", n, n),
-                  ([t[k]] + list(psol.P[k].ravel()) for k in range(len(t))))
+        _write_nodes(out, "p", t, _matrix_header("P", n, n), psol.P)
         print(f"P(0) = {psol.P[0].ravel().tolist()}")
         return 0
     reduced = reduce_problem(spec, args.substeps)
     sigma = solve_sigma(reduced, args.substeps)
     bsde = solve_affine_bsde(assemble_drift(reduced, sigma), spec.xi)
-    n = spec.n
-    write_csv(os.path.join(out, "sigma.csv"),
-              ["t"] + _matrix_header("Sigma", n, n),
-              ([t[k]] + list(sigma.Sigma[k].ravel()) for k in range(len(t))))
-    write_csv(os.path.join(out, "h.csv"),
-              ["t"] + _matrix_header("H", n, n),
-              ([t[k]] + list(reduced.h.H[k].ravel()) for k in range(len(t))))
+    _write_nodes(out, "sigma", t, _matrix_header("Sigma", n, n), sigma.Sigma)
+    _write_nodes(out, "h", t, _matrix_header("H", n, n), reduced.h.H)
     aphi, bphi = bsde.phi.node_parts()
-    write_csv(os.path.join(out, "phi.csv"),
-              ["t"] + _vector_header("phi_a", n) + _vector_header("phi_b", n),
-              ([t[k]] + list(aphi[k]) + list(bphi[k]) for k in range(len(t))))
+    _write_nodes(out, "phi", t, _vector_header("phi_a", n) + _vector_header("phi_b", n),
+                 np.concatenate((aphi, bphi), axis=-1))
     print(f"Sigma(0) = {sigma.Sigma[0].ravel().tolist()}")
     print(f"phi(0) = {aphi[0].tolist()} + {bphi[0].tolist()} W")
     return 0
@@ -109,11 +106,7 @@ def cmd_reduce(args) -> int:
     out = _ensure_out(args.out)
     reduced = reduce_problem(spec, args.substeps)
     save_scenario(reduced.base, os.path.join(out, "reduced_scenario.json"))
-    t = spec.grid.nodes
-    n = spec.n
-    write_csv(os.path.join(out, "h.csv"),
-              ["t"] + _matrix_header("H", n, n),
-              ([t[k]] + list(reduced.h.H[k].ravel()) for k in range(len(t))))
+    _write_nodes(out, "h", spec.grid.nodes, _matrix_header("H", spec.n, spec.n), reduced.h.H)
     print(f"constant shift E<H(T) xi, xi> = {_fmt(reduced.constant_shift)}")
     return 0
 
@@ -138,7 +131,7 @@ def cmd_simulate(args) -> int:
     try:
         with fh or contextlib.nullcontext():
             fields, mean, std = simulate_summary(spec, args.seed, args.paths, args.substeps,
-                                                 per_block if fh else None)
+                                                 per_block if fh else None, args.workers)
     except BaseException:
         if fh is not None:  # leave no truncated paths.csv behind
             os.remove(paths_csv)
@@ -246,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, paths=True, tree=False):
+    def common(p, paths=True, tree=False, workers=None):
         p.add_argument("scenario", help="builtin:NAME or a scenario JSON file")
         p.add_argument("--steps", type=int, default=200, help="time steps")
         p.add_argument("--substeps", type=int, default=4,
@@ -254,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         if paths:
             p.add_argument("--paths", type=int, default=10000)
             p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--workers", type=int, default=1,
-                           help="accepted for compatibility; has no effect")
+            p.add_argument("--workers", type=int, default=1, help=workers)
         if tree:
             p.add_argument("--tree-steps", dest="tree_steps", type=int, default=8,
                            help="binomial tree levels (<= 12)")
@@ -271,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("simulate", help="simulate the synthesized closed loop")
-    common(p)
+    common(p, workers="processes that simulate the path blocks, at most one per CPU "
+                      "(not with --per-path); the output does not depend on it")
     p.add_argument("--out", default="out")
     p.add_argument("--per-path", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -281,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("verify", help="run the verification table")
-    common(p)
+    common(p, workers="must be at least 1; verify runs in one process whatever its value")
     p.add_argument("--trials", type=int, default=None,
                    help="controls sampled by the convexity probe (default 16; "
                         "backward scenarios only)")
@@ -306,6 +299,8 @@ def main(argv=None) -> int:
     try:
         if args.substeps < 1:            # checked before any command prints
             raise ValueError(f"substeps must be >= 1, got {args.substeps}")
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (ScenarioError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

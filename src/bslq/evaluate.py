@@ -54,6 +54,7 @@ from .simulate import (BrownianEnsemble, PathEnsemble, _gain_affine, feedforward
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # an infinite error fails its check row
 def mc_stderr(x: np.ndarray) -> float:
     """Monte-Carlo standard error of the mean of the per-path values ``x``."""
     P = x.shape[0]
@@ -184,15 +185,10 @@ def evaluate_cost(spec, ens: PathEnsemble) -> CostReport:
     boundary, running = cost_form(spec).xi_parts(xi, ens.slot_map)
     costs = boundary + running
     P = costs.shape[0]
-    return CostReport(
-        estimate=float(np.sum(costs) / P),
-        stderr=mc_stderr(costs),
-        paths=P,
-        steps=spec.grid.steps,
-        seed=ens.brownian.seed,
-        initial_term=float(np.sum(boundary) / P),
-        running_term=float(np.sum(running) / P),
-    )
+    return CostReport(estimate=float(np.sum(costs) / P), stderr=mc_stderr(costs), paths=P,
+                      steps=spec.grid.steps, seed=ens.brownian.seed,
+                      initial_term=float(np.sum(boundary) / P),
+                      running_term=float(np.sum(running) / P))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +419,7 @@ class ForwardValueReport:
     gap: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises below
 def forward_value_formula(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
                           adjoint: AffineBsdeSolution) -> float:
     """Optimal value of the forward problem from x0 by deterministic quadrature:
@@ -450,8 +447,11 @@ def forward_value_formula(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution
                  + 2.0 * e_inner(zeta, sigma)
                  - e_inner(mv(np.linalg.inv(weight), open_loop), open_loop))
     x0 = spec.x0
-    return float(x0 @ psol.P[0] @ x0 + 2.0 * (eta[0, 0] @ x0)
-                 + np.trapezoid(integrand, dx=spec.grid.dt))
+    value = float(x0 @ psol.P[0] @ x0 + 2.0 * (eta[0, 0] @ x0)
+                  + np.trapezoid(integrand, dx=spec.grid.dt))
+    if not math.isfinite(value):
+        raise IntegrationError(f"optimal value is not finite: {value}")
+    return value
 
 
 def forward_value(spec: ForwardProblemSpec, psol: ForwardRiccatiSolution,
@@ -524,7 +524,9 @@ class VerificationResult:
 
 
 def _row(name: str, value: float, threshold: float, comparator: str) -> CheckRow:
+    """A check row; one whose value or threshold is not finite fails."""
     ok = value <= threshold if comparator == "<=" else value >= threshold
+    ok = ok and math.isfinite(value) and math.isfinite(threshold)
     return CheckRow(name, float(value), float(threshold), comparator, bool(ok))
 
 

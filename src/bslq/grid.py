@@ -78,9 +78,7 @@ class MatrixPath:
         object.__setattr__(self, "values", v)
         expected = 1 if self.kind == CONSTANT else self.grid.steps + 1
         if v.shape[0] != expected:
-            raise ValueError(
-                f"{self.kind} path needs {expected} samples, got {v.shape[0]}"
-            )
+            raise ValueError(f"{self.kind} path needs {expected} samples, got {v.shape[0]}")
         if v.ndim not in (2, 3):
             raise ValueError("samples must be vectors or matrices")
 
@@ -170,9 +168,8 @@ class AffineProcess:
 
     def __post_init__(self):
         if self.a.shape != self.b.shape:
-            raise ValueError(
-                f"deterministic part shape {self.a.shape} != loading shape {self.b.shape}"
-            )
+            raise ValueError(f"deterministic part shape {self.a.shape} "
+                             f"!= loading shape {self.b.shape}")
 
     @classmethod
     def zero(cls, shape, grid: TimeGrid) -> "AffineProcess":

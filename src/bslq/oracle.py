@@ -403,10 +403,8 @@ def _tree(spec: ProblemSpec, steps: int):
     tree_spec = resample(spec, steps)
     min_steps = spec.grid.T * (2.0 * spec.A.max_abs() + spec.C.max_abs() + 1.0)
     if steps < min_steps:
-        raise ValueError(
-            f"steps={steps} too coarse for these coefficients "
-            f"(need >= {min_steps:g})"
-        )
+        raise ValueError(f"steps={steps} too coarse for these coefficients "
+                         f"(need >= {min_steps:g})")
     tree = BinomialTree(steps, spec.grid.T)
     return (tree_spec, tree, _levels(tree_spec, tree)) + _node_layout(steps, tree.sqrt_dt)
 
@@ -540,11 +538,5 @@ def compare(formula_value: float, spec: ProblemSpec,
     n1, n2 = steps[-2], steps[-1]
     v1, v2 = values[-2], values[-1]
     extrapolated = (n2 * v2 - n1 * v1) / (n2 - n1)
-    return OracleComparison(
-        steps=steps,
-        values=tuple(values),
-        gaps=tuple(gaps),
-        monotone=monotone,
-        extrapolated=float(extrapolated),
-        extrapolated_gap=float(abs(extrapolated - formula_value)),
-    )
+    return OracleComparison(steps, tuple(values), tuple(gaps), monotone, float(extrapolated),
+                            float(abs(extrapolated - formula_value)))

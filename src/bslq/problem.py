@@ -188,10 +188,8 @@ def validate(spec) -> ValidationReport:
         dev = np.max(np.abs(r12 - np.swapaxes(r21, -1, -2)), axis=(-1, -2))
         worst = int(np.argmax(dev))
         if dev[worst] > SYMMETRY_TOL:
-            out.append(
-                f"R12 != R21^T at t={worst * spec.grid.dt:g} "
-                f"(deviation {dev[worst]:.3e})"
-            )
+            out.append(f"R12 != R21^T at t={worst * spec.grid.dt:g} "
+                       f"(deviation {dev[worst]:.3e})")
     return ValidationReport(out)
 
 
@@ -300,10 +298,8 @@ def _parse_path(name: str, entry, shape: tuple, grid: TimeGrid) -> MatrixPath:
         if t.shape != (grid.steps + 1,) or np.max(np.abs(t - grid.nodes)) > 1e-12:
             raise ScenarioError(f"{name}: sample times do not match the grid")
         if vals.shape != (grid.steps + 1,) + shape:
-            raise ScenarioError(
-                f"{name}: values shape {vals.shape} != expected "
-                f"{(grid.steps + 1,) + shape}"
-            )
+            raise ScenarioError(f"{name}: values shape {vals.shape} != expected "
+                                f"{(grid.steps + 1,) + shape}")
         return MatrixPath(kind, vals, grid)
     return MatrixPath.constant(_parse_array(name, entry, shape, grid), grid)
 

@@ -239,10 +239,8 @@ def _canonical_base(problem) -> ProblemSpec:
     spec = getattr(problem, "base", problem)
     if (np.any(spec.G) or not spec.Q.is_zero()
             or not spec.R12.is_zero() or not spec.R21.is_zero()):
-        raise ValueError(
-            "Riccati solve requires the canonical form (G = 0, Q = 0, no "
-            "cross weights); apply bslq.reduction.reduce_problem first"
-        )
+        raise ValueError("Riccati solve requires the canonical form (G = 0, Q = 0, no "
+                         "cross weights); apply bslq.reduction.reduce_problem first")
     return spec
 
 
@@ -312,18 +310,14 @@ def _derive_sigma_paths(spec: ProblemSpec, Sigma: np.ndarray, substeps=None,
         conds = np.maximum(svals[:, 0], 1.0) / svals[:, -1]
     worst = int(np.argmax(conds))
     if not np.all(np.isfinite(conds)) or conds[worst] > COND_LIMIT:
-        raise SingularityError(
-            f"R(Sigma) numerically singular at node {worst} "
-            f"(t={nodes[worst]:g}, cond={conds[worst]:.3e})"
-        )
+        raise SingularityError(f"R(Sigma) numerically singular at node {worst} "
+                               f"(t={nodes[worst]:g}, cond={conds[worst]:.3e})")
     RofSinv = np.linalg.inv(RofS)
     eigmin = np.min(np.linalg.eigvalsh(0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))), axis=-1)
     worst = int(np.argmin(eigmin))
     if eigmin[worst] < -PSD_TOL:
-        raise PositivityError(
-            f"Sigma not positive semidefinite at node {worst} "
-            f"(t={nodes[worst]:g}, min eigenvalue {eigmin[worst]:.3e})"
-        )
+        raise PositivityError(f"Sigma not positive semidefinite at node {worst} "
+                              f"(t={nodes[worst]:g}, min eigenvalue {eigmin[worst]:.3e})")
     return RiccatiSolution(spec.grid, Sigma, BofS, CofS, RofS, RofSinv,
                            float(np.min(1.0 / conds)), substeps, stages, coefficients)
 
@@ -395,19 +389,15 @@ def solve_forward_riccati(spec: ForwardProblemSpec,
     min_eig = np.min(np.linalg.eigvalsh(0.5 * (Wv + np.swapaxes(Wv, -1, -2))), axis=-1)
     worst = int(np.argmin(min_eig))
     if min_eig[worst] <= 0.0:
-        raise PositivityError(
-            f"R + D^T P D loses positivity at node {worst} "
-            f"(t={spec.grid.nodes[worst]:g}, min eigenvalue {min_eig[worst]:.3e})"
-        )
+        raise PositivityError(f"R + D^T P D loses positivity at node {worst} (t="
+                              f"{spec.grid.nodes[worst]:g}, min eigenvalue {min_eig[worst]:.3e})")
     gain = feedback_gain(P, spec.cB.node_values(), spec.cC.node_values(), Dv,
                          spec.cS.node_values(), spec.cR.node_values())
     sol = ForwardRiccatiSolution(spec.grid, P, gain, min_eig, substeps, stages, times,
                                  coefficients)
     if uniform_convexity_conditions(spec) and sol.psd_margin() < -PSD_TOL:
-        raise PositivityError(
-            f"P not positive semidefinite (margin {sol.psd_margin():.3e}) "
-            "although the uniform-convexity data conditions hold"
-        )
+        raise PositivityError(f"P not positive semidefinite (margin {sol.psd_margin():.3e}) "
+                              "although the uniform-convexity data conditions hold")
     return sol
 
 

@@ -42,7 +42,10 @@ simulated state and M, and forms a field only when it is read; its slot map
 Every output being M (X, W, 1), its per-node moments follow from those of
 (X, W): :func:`simulate_summary` runs blocks of PATH_BLOCK paths and keeps
 only per-node sums, so its memory does not depend on the number of paths.
-It computes the outputs themselves only for a ``per_block`` reader.
+It computes the outputs themselves only for a ``per_block`` reader.  The
+blocks are independent: ``workers`` processes run contiguous shares of
+them, forked children pickling their per-block sums back over a pipe, and
+the sums are added in block order, bitwise the same for any worker count.
 
 Randomness is counter-based: path p of an ensemble with seed s draws its
 increments from a Philox4x64 generator keyed by (s, p), with the k-th
@@ -59,6 +62,10 @@ that never draw do not import it.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -414,8 +421,50 @@ def simulate_forward_closed_loop(spec: ForwardProblemSpec,
     return _forward_loop(spec, psol, adjoint).ensemble(brownian)
 
 
+def _block_sums(loop: _ClosedLoop, seed: int, grid: TimeGrid, first: int, count: int,
+                ref: np.ndarray | float, per_block=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node sums of d and d d^T over paths first, ..., first + count - 1:
+    d = xi - ref, xi = (X, W) stored time-major, (N+1, count, n+1)."""
+    bw = BrownianEnsemble.generate(seed, count, grid, first)
+    ens = loop.ensemble(bw)
+    if per_block is not None:
+        per_block(first, {name: ens[name] for name in ens.fields})
+    n = len(loop.x0)
+    d = np.empty((grid.steps + 1, count, n + 1))
+    d[..., :n] = np.swapaxes(ens.state, 0, 1)
+    d[..., n] = bw.W.T
+    d -= ref
+    return d.sum(axis=1), _T(d) @ d
+
+
+def _share(loop, seed, grid, share, ref, per_block=None) -> list:
+    return [_block_sums(loop, seed, grid, first, count, ref, per_block) for first, count in share]
+
+
+def _fork_share(*args):
+    """The pid of a forked child that runs :func:`_share`, and the read end
+    of the pipe on which it sends ("ok", sums) or ("err", exception)."""
+    r, w = os.pipe()
+    # Python >= 3.12 warns of OpenBLAS's threads; its atfork handler stops them first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child never returns
+        try:
+            with os.fdopen(w, "wb") as fh:
+                try:
+                    msg = "ok", _share(*args)
+                except Exception as exc:
+                    msg = "err", exc
+                pickle.dump(msg, fh)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
 def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: int,
-                     substeps: int = DEFAULT_SUBSTEPS, per_block=None
+                     substeps: int = DEFAULT_SUBSTEPS, per_block=None, workers: int = 1
                      ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """Output widths by name and each output's per-node sample mean and std
     (ddof 0), (N+1, total width), simulated PATH_BLOCK paths at a time.
@@ -425,31 +474,52 @@ def simulate_summary(spec: ProblemSpec | ForwardProblemSpec, seed: int, paths: i
     state X.  Each block adds per node the sums of d and d d^T, d = xi -
     xi(path 0) with xi = (X, W); then mean = M (mean xi, 1) and var =
     diag(A C A^T), A the (X, W) columns of M and C the covariance of xi.
-    ``per_block(first, outputs)`` gets each block's outputs by name.
+    ``per_block(first, outputs)`` gets each block's outputs by name, in
+    order, in this process; without it, up to ``workers`` processes (at most
+    one per usable CPU) run the blocks, with the same result for any number.
     A non-finite mean or std raises SimulationError.
     """
-    if paths < 1:
-        raise ValueError("paths must be at least 1")
+    if paths < 1 or workers < 1:
+        raise ValueError("paths and workers must be at least 1")
     if isinstance(spec, ForwardProblemSpec):
         psol = solve_forward_riccati(spec, substeps)
         loop = _forward_loop(spec, psol, solve_eta_zeta(spec, psol))
     else:
         loop = _dual_loop(*_solve(spec, substeps))
-    n, N = spec.n, spec.grid.steps
+    grid, N, n = spec.grid, spec.grid.steps, spec.n
+    blocks = [(first, min(PATH_BLOCK, paths - first)) for first in range(0, paths, PATH_BLOCK)]
+    try:  # xi of path 0 alone, bitwise row 0 of block 0
+        bw = BrownianEnsemble.generate(seed, 1, grid)
+        ref = np.dstack((np.swapaxes(loop.ensemble(bw).state, 0, 1), bw.W.T))
+    except SimulationError:  # block 0 raises the serial run's error
+        _block_sums(loop, seed, grid, *blocks[0], 0.0)
+        raise
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = 1 if per_block is not None else min(workers, len(blocks), cpus)
+    cut = [len(blocks) * i // procs for i in range(procs + 1)]
+    shares = [blocks[a:b] for a, b in zip(cut, cut[1:])]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(loop, seed, grid, share, ref))
+        sums = _share(loop, seed, grid, shares[0], ref, per_block)
+        for pid, fh in children:  # in share order: the earliest error is raised
+            try:
+                status, value = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):  # it died before it was done
+                raise ChildProcessError(f"worker {pid} ended without a result") from None
+            if status == "err":
+                raise value
+            sums += value
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     s1, s2 = np.zeros((N + 1, n + 1)), np.zeros((N + 1, n + 1, n + 1))
-    for first in range(0, paths, PATH_BLOCK):
-        bw = BrownianEnsemble.generate(seed, min(PATH_BLOCK, paths - first), spec.grid, first)
-        ens = loop.ensemble(bw)
-        if per_block is not None:
-            per_block(first, {name: ens[name] for name in ens.fields})
-        d = np.empty((N + 1, bw.paths, n + 1))  # xi, time-major
-        d[..., :n] = np.swapaxes(ens.state, 0, 1)
-        d[..., n] = bw.W.T
-        if first == 0:
-            ref = d[:, :1].copy()
-        d -= ref
-        s1 += d.sum(axis=1)
-        s2 += _T(d) @ d
+    for b1, b2 in sums:  # in block order, whatever the worker count
+        s1 += b1
+        s2 += b2
     mean_d = s1 / paths
     cov = s2 / paths - mean_d[:, :, None] * mean_d[:, None, :]
     A = loop.M[..., :-1]

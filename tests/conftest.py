@@ -1,4 +1,7 @@
-"""Shared fixtures: benchmark specs and a cached Brownian ensemble factory."""
+"""Shared fixtures: benchmark specs, a cached Brownian ensemble factory and
+a record of the worker processes forked."""
+
+import os
 
 import numpy as np
 import pytest
@@ -60,3 +63,26 @@ def make_spec_2d(steps: int = 100) -> bslq.ProblemSpec:
 @pytest.fixture(scope="session")
 def spec_2d():
     return make_spec_2d()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Report four usable CPUs, so that up to four workers run, and list the
+    pid of every child process forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def assert_no_child_left():
+    """Every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

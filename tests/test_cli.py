@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 
 import bslq
 from bslq import evaluate, oracle
@@ -113,8 +114,8 @@ def test_per_path_rows_match_the_whole_ensemble(scenario, spec_2d, tmp_path, cap
     assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_blow_up_names_the_global_path(monkeypatch, tmp_path, capsys):
-    # An infinite increment on path 1500, in the second block of paths.
+def poison_path_1500(monkeypatch):
+    """An infinite increment on path 1500, in the second block of paths."""
     generate = bslq.BrownianEnsemble.generate
 
     def poisoned(seed, paths, grid, first=0):
@@ -125,6 +126,10 @@ def test_blow_up_names_the_global_path(monkeypatch, tmp_path, capsys):
         return bw
 
     monkeypatch.setattr(bslq.BrownianEnsemble, "generate", poisoned)
+
+
+def test_blow_up_names_the_global_path(monkeypatch, tmp_path, capsys):
+    poison_path_1500(monkeypatch)
     out = tmp_path / "sim"
     with np.errstate(invalid="ignore", over="ignore"):
         code, stdout, err = run(["simulate", "builtin:S4", "--steps", "10", "--paths", "3000",
@@ -133,6 +138,91 @@ def test_blow_up_names_the_global_path(monkeypatch, tmp_path, capsys):
     assert stdout == ""
     assert err == "contract violation: dual SDE blew up at path 1500, step 4 (t=0.4)\n"
     assert os.listdir(out) == []  # no truncated paths.csv is left behind
+
+
+def test_blow_up_in_a_child_share_is_the_serial_error(monkeypatch, forks, tmp_path, capsys):
+    # 3000 paths are three blocks; two workers leave blocks 1 and 2 to a child.
+    poison_path_1500(monkeypatch)
+    for workers in ("1", "2"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            code, stdout, err = run(["simulate", "builtin:S4", "--steps", "10", "--paths", "3000",
+                                     "--workers", workers, "--out", str(tmp_path / workers)],
+                                    capsys)
+        assert_no_child_left()
+        assert (code, stdout) == (1, "")
+        assert err == "contract violation: dual SDE blew up at path 1500, step 4 (t=0.4)\n"
+        assert os.listdir(tmp_path / workers) == []
+    assert len(forks) == 1
+
+
+def test_workers_do_not_change_the_csv_files(forks, spec_2d, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    bslq.save_scenario(bslq.resample(spec_2d, 10), str(scenario))
+    files = {}
+    for workers in ("1", "2"):
+        for per_path in ([], ["--per-path"]):
+            out = tmp_path / f"out{workers}{len(per_path)}"
+            code, _, _ = run(["simulate", str(scenario), "--steps", "10", "--seed", "9",
+                              "--paths", str(2 * bslq.simulate.PATH_BLOCK + 1),
+                              "--workers", workers, "--out", str(out)] + per_path, capsys)
+            assert code == 0
+            assert_no_child_left()
+            files[workers, bool(per_path)] = sorted((f.name, f.read_bytes())
+                                                    for f in out.iterdir())
+    for per_path in (False, True):
+        assert files["2", per_path] == files["1", per_path]
+    assert [name for name, _ in files["2", True]] == ["paths.csv", "summary.csv"]
+    assert len(forks) == 1  # with --per-path every block runs in this process
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_workers_below_one_exits_two(command, workers, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run([command, "builtin:S4", "--steps", "10", "--workers", workers,
+                             "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
+def test_simulate_forks_cleanly_with_warnings_as_errors(tmp_path):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "bslq.cli", "simulate",
+                           "builtin:S4", "--paths", "3000", "--steps", "20", "--workers", "2",
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "summary.csv").exists()
+
+
+def test_forward_value_that_is_not_finite_exits_one(tmp_path, capsys):
+    doc = bslq.scenario_document(bslq.builtin_scenario("SF"))
+    doc["qTilde"]["a"] = [1e150]
+    doc["sigma"]["b"] = [-1e308]
+    path = tmp_path / "sf.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["value", str(path), "--steps", "20"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "contract violation: optimal value is not finite: nan\n"
+
+
+def test_verify_fails_an_infinite_allowance(tmp_path, capsys):
+    # The cost overflows its square: the value_gap threshold 3 stderr + c_dt is inf.
+    doc = bslq.scenario_document(bslq.builtin_scenario("S1"))
+    doc["R11"] = [[3.0]]
+    doc["rho1"]["a"] = [-1e150]
+    doc["rho2"]["b"] = [100.0]
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path), "--paths", "20", "--steps", "10",
+                          "--trials", "2"], capsys)
+    assert code == 1
+    assert err == "violated: value_gap\n"
+    row = next(line for line in out.splitlines() if line.startswith("value_gap"))
+    assert row.split()[-2:] == ["inf", "FAIL"]
 
 
 def test_verify_passes_s2(tmp_path, capsys):

@@ -12,8 +12,8 @@ from reference import apriori_by_fields, form_parts, path_costs, sample_affine_c
 import bslq
 from bslq.errors import (IntegrationError, PositivityError, ReductionError,
                          SimulationError, SingularityError)
-from bslq.evaluate import (CostForm, _quad_sums, _square_sums, controlled_map, cost_form,
-                           mc_stderr)
+from bslq.evaluate import (CostForm, _quad_sums, _row, _square_sums, controlled_map,
+                           cost_form, mc_stderr)
 from bslq.grid import AffineProcess, MatrixPath, TimeGrid, mv
 
 
@@ -686,3 +686,12 @@ def test_verify_forward_passes():
     result = bslq.verify(bslq.builtin_scenario("SF", steps=100), paths=2000)
     assert result.passed
     assert any(r.name == "forward_value_gap" for r in result.rows)
+
+
+def test_a_row_that_is_not_finite_fails():
+    assert _row("x", 1.0, 2.0, "<=").passed
+    assert _row("x", 3.0, 2.0, ">=").passed
+    for value, threshold, comparator in ((1.0, np.inf, "<="), (np.inf, 0.0, ">="),
+                                         (np.nan, 0.0, "<="), (-np.inf, -np.inf, "<="),
+                                         (1.0, -np.inf, ">=")):
+        assert not _row("x", value, threshold, comparator).passed

@@ -1,12 +1,13 @@
 """Brownian ensembles, dual SDE simulation and pointwise synthesis."""
 
 import hashlib
+import os
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_spec_2d
+from conftest import assert_no_child_left, make_spec_2d
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference import mean_consistency
@@ -710,3 +711,78 @@ def test_forward_state_field_is_the_state():
     _, _, ens = forward_loop(paths=5)
     assert ens["X"] is ens.state
     assert list(ens.fields) == ["X", "v"]
+
+
+# -- worker processes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("paths", [1, sim.PATH_BLOCK - 1, sim.PATH_BLOCK + 1,
+                                   2 * sim.PATH_BLOCK + 1])
+@pytest.mark.parametrize("name", ["2x2", "S4", "noisy SF"])
+def test_summary_is_bitwise_for_any_worker_count(name, paths, spec_2d, forks):
+    spec = streamed_case(name, spec_2d)
+    fields, mean, std = sim.simulate_summary(spec, 13, paths)
+    blocks = -(-paths // sim.PATH_BLOCK)
+    for workers in (1, 2, 3):
+        before = len(forks)
+        summary = sim.simulate_summary(spec, 13, paths, workers=workers)
+        assert_no_child_left()
+        assert len(forks) - before == min(workers, blocks) - 1
+        assert summary[0] == fields
+        assert np.array_equal(summary[1], mean) and np.array_equal(summary[2], std)
+
+
+def closed_loop_ensemble(spec, bw):
+    if isinstance(spec, bslq.ForwardProblemSpec):
+        psol = bslq.solve_forward_riccati(spec)
+        return sim.simulate_forward_closed_loop(spec, psol, bslq.solve_eta_zeta(spec, psol), bw)
+    return bslq.synthesize_optimal(spec, bw).ensemble
+
+
+@pytest.mark.parametrize("name", ["2x2", "S4", "noisy SF"])
+def test_path_zero_alone_is_row_zero_of_its_block(name, spec_2d):
+    # simulate_summary centres every block on path 0 simulated alone.
+    spec = streamed_case(name, spec_2d)
+    for seed in (1, 42):
+        alone = closed_loop_ensemble(spec, bslq.BrownianEnsemble.generate(seed, 1, spec.grid))
+        for paths in (2, 17, sim.PATH_BLOCK):
+            block = closed_loop_ensemble(spec, bslq.BrownianEnsemble.generate(seed, paths,
+                                                                             spec.grid))
+            assert np.array_equal(alone.state[0], block.state[0]), (seed, paths)
+            assert np.array_equal(alone.brownian.W[0], block.brownian.W[0])
+
+
+def test_summary_matches_a_frozen_digest(forks):
+    # Taken when the blocks ran in one loop, centred on row 0 of block 0.
+    digests = {
+        "2x2": "fe7f087f3baa0cf586b7d82ccf154bef7507c487beb0173929dd36e49eb3172c",
+        "SF": "4d3d17b5becc12af4e43089619a110120e664ee369b003f7bb522a1cbb598b6d",
+    }
+    for name, spec in (("2x2", make_spec_2d(50)), ("SF", bslq.resample(noisy_sf(), 50))):
+        for workers in (1, 3):
+            _, mean, std = sim.simulate_summary(spec, 3, 2 * sim.PATH_BLOCK + 1, workers=workers)
+            digest = hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()
+            assert digest == digests[name], (name, workers)
+    assert len(forks) == 4
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_an_error(monkeypatch, forks):
+    parent, share = os.getpid(), sim._share
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return share(*args)
+
+    monkeypatch.setattr(sim, "_share", dying)
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        sim.simulate_summary(bslq.builtin_scenario("S4", steps=10), 1, 2 * sim.PATH_BLOCK,
+                             workers=2)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_workers_must_be_at_least_one():
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        sim.simulate_summary(bslq.builtin_scenario("S4", steps=10), 1, 10, workers=0)
